@@ -1,9 +1,10 @@
 """SIMD SFQ quantum-controller toolkit.
 
 Simulates transmon qubits driven by single-flux-quantum pulse trains,
-calibrates per-qubit gate decompositions in software, compiles NISQ
-circuits under broadcast (SIMD) control constraints, and models the
-power/area/cable cost of the controller hardware.
+designs the shared bitstreams of a qubit group, calibrates each drifted
+qubit against them in software, and decomposes single-qubit gates into
+delay-shifted stream applications (opt) or words over a few stored
+streams (min).
 """
 
 from sfqctrl.transmon import (
@@ -11,9 +12,7 @@ from sfqctrl.transmon import (
     FidelityReport,
     free_hamiltonian,
     sfq_kick,
-    evolve,
     projected_fidelity,
-    flux_frequency,
 )
 
 __all__ = [
@@ -21,9 +20,7 @@ __all__ = [
     "FidelityReport",
     "free_hamiltonian",
     "sfq_kick",
-    "evolve",
     "projected_fidelity",
-    "flux_frequency",
 ]
 
 __version__ = "0.1.0"

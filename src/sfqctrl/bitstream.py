@@ -33,10 +33,8 @@ import numpy as np
 
 from sfqctrl.transmon import (
     TransmonSpec,
-    level_energies,
     projected_fidelity,
     pulse_train_unitary,
-    pulse_train_unitary_batch,
     ry,
 )
 
@@ -68,6 +66,8 @@ class Bitstream:
             raise ValueError(f"bitstream exceeds {MAX_BITSTREAM_LEN} bits")
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("bits must be 0 or 1")
+        if not np.isfinite(self.tip_angle):
+            raise ValueError(f"tip_angle must be finite, got {self.tip_angle}")
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -106,22 +106,33 @@ class DelaySet:
     f_actual: float
     clock_period: float = SFQ_CLOCK_PERIOD
     n_max: int = DEFAULT_N_MAX
-    phases: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
+    # derived from the three fields above, so it takes no part in == and hash
+    phases: np.ndarray = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.phases is None:
-            d = np.arange(self.n_max + 1)
-            ph = np.mod(2.0 * np.pi * self.f_actual * d * self.clock_period, 2.0 * np.pi)
-            object.__setattr__(self, "phases", ph)
+            object.__setattr__(self, "phases",
+                               _grid_phases(self.f_actual, self.n_max, self.clock_period))
 
     def phase(self, d: int) -> float:
         return float(self.phases[d])
 
     def max_gap(self) -> float:
         """Largest angular gap between adjacent grid phases (brute force)."""
-        ph = np.sort(self.phases)
-        gaps = np.diff(np.concatenate([ph, [ph[0] + 2.0 * np.pi]]))
-        return float(gaps.max())
+        return float(_max_gap(self.phases))
+
+
+def _grid_phases(f_actual, n_max: int, clock_period: float) -> np.ndarray:
+    """Phases 2*pi*f*d*tau mod 2*pi for d = 0..n_max (one row per frequency)."""
+    d = np.arange(n_max + 1)
+    return np.mod(2.0 * np.pi * f_actual * d * clock_period, 2.0 * np.pi)
+
+
+def _max_gap(phases: np.ndarray) -> np.ndarray:
+    """Largest circular gap between the phases of each row (last axis)."""
+    ph = np.sort(np.mod(phases, 2.0 * np.pi), axis=-1)
+    gaps = np.diff(np.concatenate([ph, ph[..., :1] + 2.0 * np.pi], axis=-1), axis=-1)
+    return gaps.max(axis=-1)
 
 
 def delay_set(spec: TransmonSpec, n_max: int = DEFAULT_N_MAX,
@@ -155,17 +166,23 @@ def worst_rz_error(phases: np.ndarray) -> float:
     The worst target sits at the midpoint of the largest gap, giving
     (2/3)*sin^2(gap/4).
     """
-    ph = np.sort(np.mod(phases, 2.0 * np.pi))
-    gaps = np.diff(np.concatenate([ph, [ph[0] + 2.0 * np.pi]]))
-    return float((2.0 / 3.0) * np.sin(gaps.max() / 4.0) ** 2)
+    return float(rz_grid_error(_max_gap(phases) / 2.0))
 
 
-def _worst_errors_vectorized(freqs: np.ndarray, n_max: int, clock_period: float) -> np.ndarray:
-    d = np.arange(n_max + 1)
-    ph = np.mod(2.0 * np.pi * freqs[:, None] * d[None, :] * clock_period, 2.0 * np.pi)
-    ph.sort(axis=1)
-    gaps = np.diff(np.concatenate([ph, ph[:, :1] + 2.0 * np.pi], axis=1), axis=1)
-    return (2.0 / 3.0) * np.sin(gaps.max(axis=1) / 4.0) ** 2
+def _good_runs(f_lo: float, f_hi: float, resolution: float, n_max: int,
+               err_budget: float, clock_period: float):
+    """Frequency grid over [f_lo, f_hi] and its maximal runs below ``err_budget``.
+
+    Returns the grid and an iterator of (first, last) grid indices, one
+    per contiguous run whose worst-case delay-quantized Rz error stays
+    below the budget.
+    """
+    if not resolution > 0:
+        raise ValueError(f"resolution must be > 0, got {resolution}")
+    freqs = np.arange(f_lo, f_hi + 0.5 * resolution, resolution)
+    worst = rz_grid_error(_max_gap(_grid_phases(freqs[:, None], n_max, clock_period)) / 2.0)
+    edges = np.diff(np.concatenate([[0], (worst < err_budget).astype(np.int8), [0]]))
+    return freqs, zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1)
 
 
 def parking_scan(
@@ -186,24 +203,9 @@ def parking_scan(
     """
     if f_lo >= f_hi:
         raise ValueError("f_lo must be < f_hi")
-    freqs = np.arange(f_lo, f_hi + 0.5 * resolution, resolution)
-    werr = _worst_errors_vectorized(freqs, n_max, clock_period)
-    ok = werr < err_budget
-    out: list[tuple[float, float]] = []
-    i = 0
-    n = len(freqs)
-    while i < n:
-        if ok[i]:
-            j = i
-            while j + 1 < n and ok[j + 1]:
-                j += 1
-            centre = 0.5 * (freqs[i] + freqs[j])
-            half = 0.5 * (freqs[j] - freqs[i])
-            out.append((float(centre), float(half)))
-            i = j + 1
-        else:
-            i += 1
-    return out
+    freqs, runs = _good_runs(f_lo, f_hi, resolution, n_max, err_budget, clock_period)
+    return [(float(0.5 * (freqs[i] + freqs[j])), float(0.5 * (freqs[j] - freqs[i])))
+            for i, j in runs]
 
 
 def drift_tolerance(
@@ -215,19 +217,13 @@ def drift_tolerance(
     clock_period: float = SFQ_CLOCK_PERIOD,
 ) -> float:
     """Half-width of the contiguous low-error drift interval containing ``freq``."""
-    freqs = np.arange(freq - span, freq + span + 0.5 * resolution, resolution)
-    werr = _worst_errors_vectorized(freqs, n_max, clock_period)
-    ok = werr < err_budget
+    freqs, runs = _good_runs(freq - span, freq + span, resolution, n_max, err_budget,
+                             clock_period)
     i0 = int(np.argmin(np.abs(freqs - freq)))
-    if not ok[i0]:
-        return 0.0
-    lo = i0
-    while lo > 0 and ok[lo - 1]:
-        lo -= 1
-    hi = i0
-    while hi < len(ok) - 1 and ok[hi + 1]:
-        hi += 1
-    return float(0.5 * (freqs[hi] - freqs[lo]))
+    for i, j in runs:
+        if i <= i0 <= j:
+            return float(0.5 * (freqs[j] - freqs[i]))
+    return 0.0
 
 
 def gate_length_cycles(nominal_freq: float, max_len: int = MAX_BITSTREAM_LEN) -> int:
@@ -278,17 +274,17 @@ def window_rule_slots(freq: float, n_cycles: int, w: float, tip_angle: float,
     within a half-window ``w`` of zero, stopping once
     ceil((pi/2)/tip_angle) pulses have fired.
     """
-    ph = np.mod(2.0 * np.pi * freq * np.arange(n_cycles) * clock_period + np.pi,
-                2.0 * np.pi) - np.pi
+    ph = _window_phase(freq, n_cycles, clock_period, 0.0)
     slots = np.flatnonzero(np.abs(ph) <= w)
     cap = int(np.ceil((np.pi / 2) / tip_angle)) if tip_angle > 0 else 0
     return slots[:cap]
 
 
-def _window_slots(freq: float, n_cycles: int, w: float, clock_period: float) -> np.ndarray:
-    ph = np.mod(2.0 * np.pi * freq * np.arange(n_cycles) * clock_period + np.pi,
-                2.0 * np.pi) - np.pi
-    return np.flatnonzero(np.abs(ph) <= w)
+def _window_phase(freq: float, n_cycles: int, clock_period: float,
+                  centre: float) -> np.ndarray:
+    """Qubit phase at each cycle relative to ``centre``, wrapped to [-pi, pi)."""
+    return np.mod(2.0 * np.pi * freq * np.arange(n_cycles) * clock_period
+                  - centre + np.pi, 2.0 * np.pi) - np.pi
 
 
 def design_bitstream(
@@ -328,8 +324,7 @@ def design_bitstream(
     # ---- stage 1: (w, dtheta) scan over window centres
     best = (np.inf, None, None)  # err, slots, tip
     for centre in window_centres:
-        ph = np.mod(2.0 * np.pi * freq * np.arange(n_cycles) * clock_period
-                    - centre + np.pi, 2.0 * np.pi) - np.pi
+        ph = _window_phase(freq, n_cycles, clock_period, centre)
         for w in np.linspace(0.15, 1.25, 23):
             all_slots = np.flatnonzero(np.abs(ph) <= w)
             if len(all_slots) < 8:

@@ -38,8 +38,8 @@ accumulates through the sequence and is projected once at the end.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +48,7 @@ from sfqctrl.bitstream import (
     Bitstream,
     DelaySet,
     DEFAULT_N_MAX,
+    SFQ_CLOCK_PERIOD,
     delay_set,
     design_bitstream,
     gate_length_cycles,
@@ -56,7 +57,6 @@ from sfqctrl.transmon import (
     TransmonSpec,
     level_energies,
     phase_gate,
-    projected_fidelity,
     ry,
     rz,
     unitarity_defect,
@@ -87,10 +87,6 @@ class Decomposition1Q:
     flagged: bool = False
 
     @property
-    def n_pulses(self) -> int:
-        return len(self.steps)
-
-    @property
     def depth(self) -> int:
         return len(self.steps)
 
@@ -111,7 +107,6 @@ class QubitCalibration:
     _opt_engine: object = field(default=None, repr=False)
     _min_engine: object = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def u_bs(self) -> np.ndarray:
@@ -137,13 +132,6 @@ class QubitCalibration:
             self._min_engine = _MinEngine(self)
         return self._min_engine
 
-    def cache_get(self, key):
-        return self._cache.get(key)
-
-    def cache_put(self, key, value):
-        with self._lock:
-            self._cache[key] = value
-
 
 def calibrate_qubit(
     spec: TransmonSpec,
@@ -158,17 +146,21 @@ def calibrate_qubit(
     of a group receives the same streams); drift enters only through the
     qubit's own free evolution.  For the opt architecture the controller
     cycle spans the delay range plus the stream; for min it equals the
-    stream length.
+    stream length, so all streams must share one length and clock period.
     """
     if not shared_bitstreams:
         raise CalibrationError("at least one shared bitstream is required")
+    first = shared_bitstreams[0]
+    if any(len(bs) != len(first) or bs.clock_period != first.clock_period
+           for bs in shared_bitstreams):
+        raise CalibrationError("shared bitstreams differ in length or clock period")
     ops = []
     for bs in shared_bitstreams:
         u = bs.simulate(spec)
         if unitarity_defect(u) > 1e-8:
             raise CalibrationError("bitstream evolution lost unitarity")
         ops.append(u)
-    stream_len = len(shared_bitstreams[0])
+    stream_len = len(first)
     if arch == "opt":
         cycle = (n_max + 1) + stream_len
     elif arch == "min":
@@ -186,9 +178,9 @@ def calibrate_qubit(
         arch=arch,
         bitstreams=list(shared_bitstreams),
         basis_ops=ops,
-        delay_set=delay_set(spec, n_max, shared_bitstreams[0].clock_period),
+        delay_set=delay_set(spec, n_max, first.clock_period),
         controller_cycle_sfq=cycle,
-        clock_period=shared_bitstreams[0].clock_period,
+        clock_period=first.clock_period,
         idle_index=idle,
     )
 
@@ -227,7 +219,7 @@ def design_min_bitstreams(spec: TransmonSpec, bs: int = 2, max_len: int = 300,
                           err_target: float = 1e-4) -> list[Bitstream]:
     """Design the BS stored streams for a min-architecture group."""
     n_cycles = gate_length_cycles(spec.nominal_freq, max_len)
-    cycle_phase = float(np.mod(2 * np.pi * spec.nominal_freq * n_cycles * 40e-12,
+    cycle_phase = float(np.mod(2 * np.pi * spec.nominal_freq * n_cycles * SFQ_CLOCK_PERIOD,
                                2 * np.pi))
     streams = []
     for target in min_basis_targets(cycle_phase, bs):
@@ -285,47 +277,44 @@ class _OptEngine:
     """Vectorized delay-tuple search over one qubit's u_bs tables."""
 
     def __init__(self, cal: QubitCalibration):
-        self.cal = cal
         spec = cal.spec
         self.n_max = cal.delay_set.n_max
         self.cycle = cal.controller_cycle_sfq
         self.e_tau = level_energies(spec.actual_freq, spec.anharmonicity,
                                     spec.levels) * cal.clock_period
         self.phi1 = float(self.e_tau[1])  # two-level phase per SFQ cycle
-        self.cycle_phi = float(np.mod(self.phi1 * self.cycle, 2 * np.pi))
         self.u6 = cal.u_bs
         self.pu = np.ascontiguousarray(self.u6[:2, :])
         self.phi_d = np.mod(self.phi1 * np.arange(self.n_max + 1), 2 * np.pi)
         self.deltas = np.arange(-self.n_max, self.n_max + 1)
-        self._t2: dict[int, np.ndarray] = {}
 
     def k_diag(self, sfq_cycles) -> np.ndarray:
-        """Free-evolution diagonals exp(-i*e_tau*n) for integer cycle counts."""
-        return np.exp(-1j * np.asarray(sfq_cycles, dtype=float)[..., None]
-                      * self.e_tau[None, :])
+        """Free-evolution diagonals exp(-i*e_tau*n) for integer cycle counts.
 
-    def t2_rows(self, m: int = 1) -> np.ndarray:
-        """P @ U6 @ K(m*cycle + delta) @ U6 over all deltas: (511, 2, 6)."""
-        if m not in self._t2:
-            k = self.k_diag(m * self.cycle + self.deltas)
-            self._t2[m] = np.einsum("ij,dj,jk->dik", self.pu, k, self.u6,
-                                    optimize=True)
-        return self._t2[m]
+        A scalar count gives one (levels,) diagonal, an (n,) array (n, levels).
+        """
+        return np.exp(-1j * np.asarray(sfq_cycles, dtype=float)[..., None] * self.e_tau)
+
+    @cached_property
+    def t2_rows(self) -> np.ndarray:
+        """P @ U6 @ K(cycle + delta) @ U6 over all deltas: (511, 2, 6)."""
+        k = self.k_diag(self.cycle + self.deltas)
+        return np.einsum("ij,dj,jk->dik", self.pu, k, self.u6, optimize=True)
 
     def lead_z(self, fold: float) -> np.ndarray:
         """Column phases e^{-i(fold + phi_d)} over the delay grid."""
         return np.exp(-1j * (fold + self.phi_d))
 
     def err_l0(self, v: np.ndarray, fold: float) -> float:
-        return _exact_err_free_trailing(np.diag([1.0, np.exp(-1j * fold)]), v)
+        return _exact_err_free_trailing(self.block((), fold), v)
 
     def search_l1(self, v, fold) -> np.ndarray:
         e_core = np.ascontiguousarray(self.pu[:, :2])[None, :, :]
         return _score_free_trailing(e_core, self.lead_z(fold), v)[0]
 
-    def search_l2(self, v, fold, m2: int = 1) -> np.ndarray:
+    def search_l2(self, v, fold) -> np.ndarray:
         """Error matrix over (delta index, d1); delta = d2 - d1."""
-        rows = self.t2_rows(m2)
+        rows = self.t2_rows
         e_core = np.ascontiguousarray(rows[:, :, :2])
         errs = _score_free_trailing(e_core, self.lead_z(fold), v)
         d1 = np.arange(self.n_max + 1)
@@ -336,7 +325,7 @@ class _OptEngine:
         """Yield (delta1 slice start, err array (n_delta, chunk, n_d+1))."""
         z = self.lead_z(fold)
         d1 = np.arange(self.n_max + 1)
-        t2 = self.t2_rows(1)
+        t2 = self.t2_rows
         k1 = self.k_diag(self.cycle + self.deltas)
         chunk = 16
         for lo in range(0, len(self.deltas), chunk):
@@ -354,59 +343,61 @@ class _OptEngine:
 
     def search_l3(self, v, fold, margin: float = 0.0, collect: bool = False):
         """Best L=3 tuple; optionally all tuples within ``margin`` of it."""
-        d1v = np.arange(self.n_max + 1)
+        def delays(lo, i2, i1, d1):
+            d2 = int(d1) + int(self.deltas[lo + i1])
+            return int(d1), d2, d2 + int(self.deltas[i2])
+
         best = (np.inf, None)
         for lo, errs in self._l3_chunks(v, fold):
             idx = int(np.argmin(errs))
             e_min = float(errs.flat[idx])
             if e_min < best[0]:
-                i2, i1, id1 = np.unravel_index(idx, errs.shape)
-                d1 = int(d1v[id1])
-                d2 = d1 + int(self.deltas[lo + i1])
-                d3 = d2 + int(self.deltas[i2])
-                best = (e_min, (d1, d2, d3))
+                best = (e_min, delays(lo, *np.unravel_index(idx, errs.shape)))
         kept = []
         if collect and np.isfinite(best[0]):
             bound = best[0] + margin
             for lo, errs in self._l3_chunks(v, fold):
-                for i2, i1, id1 in np.argwhere(errs <= bound):
-                    d1 = int(d1v[id1])
-                    d2 = d1 + int(self.deltas[lo + i1])
-                    d3 = d2 + int(self.deltas[i2])
-                    kept.append((float(errs[i2, i1, id1]), (d1, d2, d3)))
+                for i2, i1, d1 in np.argwhere(errs <= bound):
+                    kept.append((float(errs[i2, i1, d1]), delays(lo, i2, i1, d1)))
         return best, kept
 
-    def exact_block(self, delays: Sequence[int],
-                    cycle_gaps: Sequence[int] | None = None) -> np.ndarray:
-        """Projected block of U6 K ... U6 for given delays (plain products)."""
-        delays = list(delays)
-        if cycle_gaps is None:
-            cycle_gaps = [1] * (len(delays) - 1)
+    def block(self, delays: Sequence[int], fold: float) -> np.ndarray:
+        """Projected 2x2 block of a delay schedule, lead phase included.
+
+        Plain products U6 K ... U6 over consecutive controller cycles,
+        then the lead phase of the first delay on column 1; no pulses
+        leave only the folded phase.
+        """
+        if not delays:
+            return np.diag([1.0, np.exp(-1j * fold)])
         m = self.u6.copy()
-        for i in range(1, len(delays)):
-            gap = cycle_gaps[i - 1] * self.cycle + (delays[i] - delays[i - 1])
-            m = self.u6 @ (self.k_diag(gap)[:, None] * m)
-        return m[:2, :2]
+        for prev, d in zip(delays, delays[1:]):
+            m = self.u6 @ (self.k_diag(self.cycle + (d - prev))[:, None] * m)
+        z = np.exp(-1j * (fold + self.phi_d[delays[0]]))
+        return m[:2, :2] @ np.diag([1.0, z])
 
 
 # --- min engine --------------------------------------------------------------------
 
-def _su2_quaternion(block: np.ndarray) -> np.ndarray | None:
-    """Real 4-vector of the closest SU(2) to a (near-unitary) 2x2 block."""
-    det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
-    if abs(det) < 1e-6:
-        return None
-    e = block / np.sqrt(det)
-    q = np.array([
-        0.5 * (e[0, 0] + e[1, 1]).real,
-        -0.5 * (e[0, 1] + e[1, 0]).imag,
-        0.5 * (e[1, 0] - e[0, 1]).real,
-        0.5 * (e[1, 1] - e[0, 0]).imag,
-    ])
-    n = np.linalg.norm(q)
-    if n < 1e-9:
-        return None
-    return q / n
+def _su2_quaternions(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit quaternions of the closest SU(2) to each (near-unitary) 2x2 block.
+
+    ``blocks`` is (N, 2, 2).  Returns (q, ok): q is (N, 4), and ok marks
+    the blocks whose determinant and quaternion norm are far enough from
+    zero for q to be meaningful.
+    """
+    det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
+    ok = np.abs(det) > 1e-6
+    e = blocks / np.sqrt(np.where(ok, det, 1.0))[:, None, None]
+    q = np.stack([
+        0.5 * (e[:, 0, 0] + e[:, 1, 1]).real,
+        -0.5 * (e[:, 0, 1] + e[:, 1, 0]).imag,
+        0.5 * (e[:, 1, 0] - e[:, 0, 1]).real,
+        0.5 * (e[:, 1, 1] - e[:, 0, 0]).imag,
+    ], axis=-1)
+    norms = np.linalg.norm(q, axis=1)
+    ok &= norms > 1e-9
+    return q / np.where(ok, norms, 1.0)[:, None], ok
 
 
 def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -453,8 +444,7 @@ class _MinEngine:
             self.steps6.append(self.d_vec[:, None] * mat)
         self.n_sym = len(self.steps6)
         self._words: list[np.ndarray] = [np.eye(dim, dtype=complex)[None, :, :]]
-        self._trees: dict[int, object] = {}
-        self._quats: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._trees: dict[int, tuple[object, np.ndarray]] = {}
 
     # -- tables ---------------------------------------------------------------
 
@@ -468,29 +458,18 @@ class _MinEngine:
         return self._words[length]
 
     def _half_tree(self, length: int):
-        """KD-tree over SU(2) quaternions of the length-`length` half words."""
+        """KD-tree over SU(2) quaternions of the length-`length` half words.
+
+        Returns (tree, owners): tree point i is +-q of half word owners[i].
+        """
         from scipy.spatial import cKDTree
 
         if length not in self._trees:
-            blocks = self._word_table(length)[:, :2, :2]
-            det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
-            ok = np.abs(det) > 1e-6
-            e = blocks / np.sqrt(np.where(ok, det, 1.0))[:, None, None]
-            q = np.stack([
-                0.5 * (e[:, 0, 0] + e[:, 1, 1]).real,
-                -0.5 * (e[:, 0, 1] + e[:, 1, 0]).imag,
-                0.5 * (e[:, 1, 0] - e[:, 0, 1]).real,
-                0.5 * (e[:, 1, 1] - e[:, 0, 0]).imag,
-            ], axis=-1)
-            norms = np.linalg.norm(q, axis=1)
-            ok &= norms > 1e-9
-            q = q / np.where(ok, norms, 1.0)[:, None]
+            q, ok = _su2_quaternions(self._word_table(length)[:, :2, :2])
             idx = np.flatnonzero(ok)
-            pts = np.concatenate([q[idx], -q[idx]])
-            owners = np.concatenate([idx, idx])
-            self._trees[length] = cKDTree(pts)
-            self._quats[length] = (q, owners)
-        return self._trees[length], self._quats[length]
+            self._trees[length] = (cKDTree(np.concatenate([q[idx], -q[idx]])),
+                                   np.concatenate([idx, idx]))
+        return self._trees[length]
 
     def word_digits(self, index: int, length: int) -> tuple[int, ...]:
         word = []
@@ -540,11 +519,11 @@ class _MinEngine:
             if best[0] <= err_budget:
                 return best
         radius = max(0.05, 3.5 * np.sqrt(1.5 * err_budget))
-        vq = _su2_quaternion(v_eff)
-        if vq is None:
+        vq, ok = _su2_quaternions(v_eff[None])
+        if not ok[0]:
             return best
         for depth in range(exh_cap + 1, min(max_depth, 2 * half_cap) + 1):
-            err, word = self._mitm_depth(v_eff, vq, depth, radius)
+            err, word = self._mitm_depth(v_eff, vq[0], depth, radius)
             if err < best[0]:
                 best = (max(err, 0.0), word)
             if best[0] <= err_budget:
@@ -556,24 +535,11 @@ class _MinEngine:
         b = depth - a
         first = self._word_table(a)
         cols = np.ascontiguousarray(first[:, :, :2])   # W1 @ P
-        blocks1 = first[:, :2, :2]
-        det1 = (blocks1[:, 0, 0] * blocks1[:, 1, 1]
-                - blocks1[:, 0, 1] * blocks1[:, 1, 0])
-        ok1 = np.abs(det1) > 1e-6
-        e1 = blocks1 / np.sqrt(np.where(ok1, det1, 1.0))[:, None, None]
-        q1 = np.stack([
-            0.5 * (e1[:, 0, 0] + e1[:, 1, 1]).real,
-            -0.5 * (e1[:, 0, 1] + e1[:, 1, 0]).imag,
-            0.5 * (e1[:, 1, 0] - e1[:, 0, 1]).real,
-            0.5 * (e1[:, 1, 1] - e1[:, 0, 0]).imag,
-        ], axis=-1)
-        n1 = np.linalg.norm(q1, axis=1)
-        ok1 &= n1 > 1e-9
-        q1 = q1 / np.where(ok1, n1, 1.0)[:, None]
+        q1, ok1 = _su2_quaternions(first[:, :2, :2])
         # wanted second half: W2 ~ V W1^{-1}; unit quaternion inverse = conj
         q1_inv = q1 * np.array([1.0, -1.0, -1.0, -1.0])
         targets = _quat_mul(vq[None, :], q1_inv)
-        tree, (q2, owners) = self._half_tree(b)
+        tree, owners = self._half_tree(b)
         second = self._word_table(b)
         rows = np.ascontiguousarray(second[:, :2, :])  # P @ W2
         hits = tree.query_ball_point(targets[ok1], r=radius)
@@ -588,8 +554,8 @@ class _MinEngine:
             j = int(np.argmin(errs))
             if errs[j] < best_err:
                 best_err = float(errs[j])
-                best_word = (self.word_digits(int(qi), depth // 2)
-                             + self.word_digits(int(w2s[j]), depth - depth // 2))
+                best_word = (self.word_digits(int(qi), a)
+                             + self.word_digits(int(w2s[j]), b))
         return best_err, best_word
 
 
@@ -632,7 +598,7 @@ def decompose_opt(
     """
     key = ("opt", target.tobytes(), round(float(fold_phase), 9),
            err_budget, margin)
-    hit = cal.cache_get(key)
+    hit = cal._cache.get(key)
     if hit is not None:
         return hit
     eng = cal.opt_engine()
@@ -686,19 +652,15 @@ def decompose_opt(
         out.append(Decomposition1Q(kind="opt", steps=tuple(delays),
                                    residual_phase=rho, err=max(err, 0.0),
                                    flagged=flagged))
-    cal.cache_put(key, out)
+    cal._cache[key] = out
     return out
 
 
 def _residual_for(eng: _OptEngine, v, fold, delays) -> float:
     """Trailing virtual-z (standalone anchor) for a chosen delay tuple."""
+    rho = _trailing_phase(eng.block(delays, fold), v)
     if not delays:
-        e = np.diag([1.0, np.exp(-1j * fold)])
-        return float(np.mod(_trailing_phase(e, v), 2 * np.pi))
-    block = eng.exact_block(delays)
-    z = np.exp(-1j * (fold + eng.phi_d[delays[0]]))
-    e = block @ np.diag([1.0, z])
-    rho = _trailing_phase(e, v)
+        return float(np.mod(rho, 2 * np.pi))
     theta_l = (len(delays) - 1) * (eng.phi1 * eng.cycle) + eng.phi_d[delays[-1]]
     return float(np.mod(rho + theta_l, 2 * np.pi))
 
@@ -721,7 +683,7 @@ def decompose_min(
     """
     key = ("min", target.tobytes(), round(float(fold_phase), 9),
            err_budget, max_depth)
-    hit = cal.cache_get(key)
+    hit = cal._cache.get(key)
     if hit is not None:
         return hit
     eng = cal.min_engine()
@@ -731,7 +693,7 @@ def decompose_min(
         kind="min", steps=tuple(word),
         residual_phase=float(np.mod(len(word) * eng.phi, 2 * np.pi)),
         err=max(float(err), 0.0), flagged=err > err_budget)
-    cal.cache_put(key, res)
+    cal._cache[key] = res
     return res
 
 
@@ -744,13 +706,7 @@ def recompose_error(cal: QubitCalibration, dec: Decomposition1Q,
     """
     v = np.asarray(target, dtype=complex)
     if dec.kind == "opt":
-        eng = cal.opt_engine()
-        if not dec.steps:
-            e = np.diag([1.0, np.exp(-1j * fold_phase)])
-            return max(_exact_err_free_trailing(e, v), 0.0)
-        block = eng.exact_block(dec.steps)
-        z = np.exp(-1j * (fold_phase + eng.phi_d[dec.steps[0]]))
-        e = block @ np.diag([1.0, z])
+        e = cal.opt_engine().block(dec.steps, fold_phase)
         return max(_exact_err_free_trailing(e, v), 0.0)
     eng = cal.min_engine()
     v_eff = v @ phase_gate(fold_phase)

@@ -1,4 +1,4 @@
-"""Truncated-level transmon model: operators, time evolution, fidelity metrics.
+"""Truncated-level transmon model: operators, SFQ pulse trains, fidelity metrics.
 
 The transmon is modeled as a Duffing oscillator truncated to a few levels,
 with level energies
@@ -25,18 +25,10 @@ subsequent pulses in time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-
-
-class IntegrationError(RuntimeError):
-    """Raised when a propagator fails the unitarity tolerance (step too coarse)."""
-
-
-UNITARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -50,11 +42,6 @@ class TransmonSpec:
         bitstream design use this value.
     anharmonicity : float
         Positive anharmonicity in Hz; the 1-2 transition is lower by this.
-    ej_sum : float
-        Total Josephson energy of the junction pair, arbitrary units.
-    ej_asymmetry : float
-        Junction asymmetry ``d`` in [0, 1).  ``d = 0`` is a symmetric
-        SQUID, ``d -> 1`` a single effective junction (flux-insensitive).
     levels : int
         Truncation dimension (>= 2).  Six levels for single-qubit work,
         four per transmon for coupled pairs.
@@ -65,8 +52,6 @@ class TransmonSpec:
 
     nominal_freq: float
     anharmonicity: float = 250e6
-    ej_sum: float = 1.0
-    ej_asymmetry: float = 0.0
     levels: int = 6
     drift: float = 0.0
 
@@ -75,8 +60,6 @@ class TransmonSpec:
             raise ValueError(f"levels must be >= 2, got {self.levels}")
         if self.anharmonicity <= 0:
             raise ValueError("anharmonicity must be > 0")
-        if not (0.0 <= self.ej_asymmetry < 1.0):
-            raise ValueError("ej_asymmetry must lie in [0, 1)")
         if abs(self.drift) >= self.nominal_freq:
             raise ValueError("|drift| must be smaller than the nominal frequency")
 
@@ -87,14 +70,7 @@ class TransmonSpec:
 
     def with_drift(self, drift: float) -> "TransmonSpec":
         """Copy of this spec with a different drift."""
-        return TransmonSpec(
-            nominal_freq=self.nominal_freq,
-            anharmonicity=self.anharmonicity,
-            ej_sum=self.ej_sum,
-            ej_asymmetry=self.ej_asymmetry,
-            levels=self.levels,
-            drift=drift,
-        )
+        return replace(self, drift=drift)
 
 
 @dataclass(frozen=True)
@@ -159,80 +135,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(d).max())
 
 
-def evolve(
-    hamiltonian_fn: Callable[[float], np.ndarray],
-    duration: float,
-    step: float = 5e-12,
-) -> np.ndarray:
-    """Propagate under a time-dependent Hamiltonian with the midpoint rule.
-
-    The evolution is the time-ordered product of per-step propagators
-    ``exp(-i * H(t_mid) * step)``, each computed by exact diagonalization
-    of the (Hermitian) midpoint Hamiltonian.
-
-    Parameters
-    ----------
-    hamiltonian_fn : callable
-        Maps time in seconds to a Hermitian matrix in rad/s.
-    duration, step : float
-        Total window and step size in seconds.  The last step is
-        shortened to land exactly on ``duration``.
-
-    Raises
-    ------
-    IntegrationError
-        If the result violates the unitarity tolerance (step too coarse
-        or non-Hermitian input).
-    """
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    dim = hamiltonian_fn(0.0).shape[0]
-    u = np.eye(dim, dtype=complex)
-    t = 0.0
-    while t < duration - 1e-18:
-        dt = min(step, duration - t)
-        h = hamiltonian_fn(t + 0.5 * dt)
-        u = scipy.linalg.expm(-1j * dt * h) @ u
-        t += dt
-    if unitarity_defect(u) > UNITARITY_TOL:
-        raise IntegrationError(
-            f"propagator unitarity defect {unitarity_defect(u):.2e} exceeds {UNITARITY_TOL:.0e}"
-        )
-    return u
-
-
-def evolve_hermitian(
-    hamiltonian_fn: Callable[[float], np.ndarray],
-    duration: float,
-    step: float = 5e-12,
-) -> np.ndarray:
-    """Same midpoint scheme as :func:`evolve` with exact-diagonalization steps.
-
-    Faster for guaranteed-Hermitian Hamiltonians (each step is unitary by
-    construction); the final unitarity check still guards against bad input.
-    """
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    dim = hamiltonian_fn(0.0).shape[0]
-    u = np.eye(dim, dtype=complex)
-    t = 0.0
-    while t < duration - 1e-18:
-        dt = min(step, duration - t)
-        h = hamiltonian_fn(t + 0.5 * dt)
-        w, v = np.linalg.eigh(h)
-        u = (v * np.exp(-1j * w * dt)) @ v.conj().T @ u
-        t += dt
-    if unitarity_defect(u) > UNITARITY_TOL:
-        raise IntegrationError(
-            f"propagator unitarity defect {unitarity_defect(u):.2e} exceeds {UNITARITY_TOL:.0e}"
-        )
-    return u
-
-
 def pulse_train_unitary(
     spec: TransmonSpec,
     pulse_slots: Sequence[int],
@@ -262,37 +164,6 @@ def pulse_train_unitary(
     # trailing free evolution to the end of the window, then frame correction;
     # the two diagonals combine into the anchor phase at the last pulse time
     u = (np.exp(1j * energies * prev * clock_period)[:, None]) * u
-    return u
-
-
-def pulse_train_unitary_batch(
-    specs: Sequence[TransmonSpec],
-    pulse_slots: Sequence[int],
-    n_cycles: int,
-    tip_angle: float,
-    clock_period: float,
-) -> np.ndarray:
-    """Anchored pulse-train unitaries for several drift variants at once.
-
-    All specs must share the level count; the kick matrix is drift
-    independent, so the batch propagates in one pass.  Returns an array
-    of shape (len(specs), levels, levels).
-    """
-    levels = specs[0].levels
-    energies = np.stack([
-        level_energies(s.actual_freq, s.anharmonicity, levels) for s in specs
-    ])
-    kick = sfq_kick(specs[0], tip_angle)
-    u = np.broadcast_to(np.eye(levels, dtype=complex),
-                        (len(specs), levels, levels)).copy()
-    prev = 0
-    for s in pulse_slots:
-        gap = s - prev
-        if gap:
-            u = np.exp(-1j * energies * gap * clock_period)[:, :, None] * u
-        u = np.matmul(kick, u)
-        prev = s
-    u = np.exp(1j * energies * prev * clock_period)[:, :, None] * u
     return u
 
 
@@ -355,21 +226,6 @@ def projected_fidelity(
     return FidelityReport(avg_gate_fidelity=fbar, error=1.0 - fbar, leakage=leakage)
 
 
-def flux_frequency(spec: TransmonSpec, flux: float) -> float:
-    """Qubit frequency under an external flux, in units of the flux quantum.
-
-    Standard asymmetric-transmon dependence
-
-        f(phi) = f_max * (cos^2(pi*phi) + d^2 sin^2(pi*phi))^(1/4)
-
-    with ``f_max`` the actual (drifted) frequency at zero flux.
-    """
-    d = spec.ej_asymmetry
-    c = np.cos(np.pi * flux) ** 2
-    s = np.sin(np.pi * flux) ** 2
-    return spec.actual_freq * float((c + d * d * s) ** 0.25)
-
-
 # --- small gate constructors used throughout the toolkit --------------------
 
 def ry(theta: float) -> np.ndarray:
@@ -384,20 +240,3 @@ def rz(theta: float) -> np.ndarray:
 def phase_gate(gamma: float) -> np.ndarray:
     """diag(1, e^{i*gamma}) — Rz(gamma) up to global phase."""
     return np.diag([1.0, np.exp(1j * gamma)])
-
-
-def su2_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Phase-invariant distance: two-level average-gate-fidelity error of u vs v."""
-    ov = abs(np.trace(v.conj().T @ u)) ** 2
-    return float(1.0 - (2.0 + ov) / 6.0)
-
-
-def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*h*t) for Hermitian h via diagonalization."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def generic_expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential for arbitrary matrices (scipy Pade)."""
-    return scipy.linalg.expm(m)

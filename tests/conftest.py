@@ -29,8 +29,12 @@ def ry_bitstream_lo(spec_lo):
     return design_ry_bitstream(spec_lo)
 
 
-def haar_su2(rng):
-    z = rng.normal(size=4)
-    z /= np.linalg.norm(z)
-    a, b, c, d = z
-    return np.array([[a + 1j * b, -c + 1j * d], [c + 1j * d, a - 1j * b]])
+@pytest.fixture(scope="session")
+def haar_su2():
+    """Sampler of Haar-random SU(2) matrices: haar_su2(rng) -> 2x2 array."""
+    def sample(rng):
+        z = rng.normal(size=4)
+        z /= np.linalg.norm(z)
+        a, b, c, d = z
+        return np.array([[a + 1j * b, -c + 1j * d], [c + 1j * d, a - 1j * b]])
+    return sample

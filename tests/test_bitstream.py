@@ -6,6 +6,7 @@ from sfqctrl.transmon import TransmonSpec, projected_fidelity, ry
 from sfqctrl.bitstream import (
     Bitstream,
     BitstreamDesignError,
+    DelaySet,
     best_rz,
     delay_set,
     design_ry_bitstream,
@@ -35,6 +36,12 @@ def test_bitstream_roundtrip_ascii():
     assert back.pulse_slots == (0, 3)
 
 
+@pytest.mark.parametrize("tip_angle", [np.nan, np.inf, -np.inf])
+def test_bitstream_rejects_non_finite_tip_angle(tip_angle):
+    with pytest.raises(ValueError):
+        Bitstream(bits=(1, 0), tip_angle=tip_angle)
+
+
 # --- delay_set -----------------------------------------------------------------
 
 def test_delay_set_rational_lock():
@@ -60,6 +67,14 @@ def test_delay_set_frozen_coverage_gap():
     assert len(ds.phases) == 256
     assert np.isclose(ds.max_gap(), 0.03733720036941435, atol=1e-12)
     assert np.isclose(worst_rz_error(ds.phases), 5.8084418497848214e-05, rtol=1e-9)
+
+
+def test_delay_set_equality_and_hash():
+    # the phase table is derived, so equal fields mean equal sets
+    a, b = DelaySet(6e9), DelaySet(6e9)
+    assert a == b and hash(a) == hash(b)
+    assert a != DelaySet(6e9, n_max=100)
+    assert len({a, b, DelaySet(6.1e9)}) == 2
 
 
 def test_delay_set_uses_actual_frequency():
@@ -153,6 +168,16 @@ def test_parking_scan_resolution_refinement_stable():
 def test_parking_scan_rejects_bad_range():
     with pytest.raises(ValueError):
         parking_scan(6e9, 5e9)
+
+
+@pytest.mark.parametrize("scan", [
+    lambda res: parking_scan(6.19e9, 6.24e9, resolution=res),
+    lambda res: drift_tolerance(6.21286e9, resolution=res),
+], ids=["parking_scan", "drift_tolerance"])
+@pytest.mark.parametrize("resolution", [0.0, -0.1e6])
+def test_scan_rejects_non_positive_resolution(scan, resolution):
+    with pytest.raises(ValueError):
+        scan(resolution)
 
 
 # --- window rule + design -------------------------------------------------------

@@ -4,10 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from sfqctrl.transmon import (
     TransmonSpec,
-    IntegrationError,
     annihilation,
-    evolve,
-    flux_frequency,
     free_hamiltonian,
     phase_gate,
     projected_fidelity,
@@ -21,13 +18,6 @@ from sfqctrl.transmon import (
 TWO_PI = 2 * np.pi
 
 
-def haar_su2(rng):
-    z = rng.normal(size=4)
-    z /= np.linalg.norm(z)
-    a, b, c, d = z
-    return np.array([[a + 1j * b, -c + 1j * d], [c + 1j * d, a - 1j * b]])
-
-
 # --- TransmonSpec ------------------------------------------------------------
 
 def test_spec_validation():
@@ -38,8 +28,6 @@ def test_spec_validation():
         TransmonSpec(nominal_freq=5e9, anharmonicity=-1.0)
     with pytest.raises(ValueError):
         TransmonSpec(nominal_freq=5e9, drift=6e9)
-    with pytest.raises(ValueError):
-        TransmonSpec(nominal_freq=5e9, ej_asymmetry=1.0)
 
 
 def test_actual_freq_includes_drift():
@@ -116,86 +104,9 @@ def test_kick_inverse_composes_to_identity():
     assert np.abs(u - np.eye(6)).max() < 1e-10
 
 
-# --- evolve ------------------------------------------------------------------
-
-def test_evolve_constant_diagonal_closed_form():
-    e = TWO_PI * np.array([0.0, 5e9, 9.75e9])
-    h = np.diag(e).astype(complex)
-    t = 3.7e-9
-    u = evolve(lambda _: h, t, step=1e-10)
-    assert np.abs(u - np.diag(np.exp(-1j * e * t))).max() < 1e-9
-
-
-def test_evolve_zero_duration_identity():
-    u = evolve(lambda _: np.zeros((4, 4), dtype=complex), 0.0, step=1e-12)
-    assert np.allclose(u, np.eye(4))
-
-
-def test_evolve_resonant_rabi_against_analytic():
-    # circularly-polarized resonant drive: exact solution
-    # H(t) = w*|1><1| + (Omega/2)*(cos(wt) sx + sin(wt) sy)  [rad/s]
-    w = TWO_PI * 5e9
-    omega = TWO_PI * 25e6
-    t_gate = (np.pi / 2) / omega  # pulse area pi/2
-
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-
-    def h(t):
-        drive = 0.5 * omega * (np.cos(w * t) * sx - np.sin(w * t) * sy)
-        return np.diag([0.0, w].copy()).astype(complex) + drive
-
-    u = evolve(h, t_gate, step=2.5e-13)
-    # in the frame diag(1, e^{i w t}) this drive is a static (Omega/2)*sx,
-    # so U_lab = diag(1, e^{-i w t}) @ exp(-i*(Omega/2)*sx*t) exactly
-    rot = np.diag([1.0, np.exp(-1j * w * t_gate)])
-    u_analytic = rot @ np.array(
-        [
-            [np.cos(omega * t_gate / 2), -1j * np.sin(omega * t_gate / 2)],
-            [-1j * np.sin(omega * t_gate / 2), np.cos(omega * t_gate / 2)],
-        ]
-    )
-    rep = projected_fidelity(u, u_analytic, [2], [[0, 1]])
-    assert rep.error < 1e-6
-
-
-def test_evolve_reports_failure_on_coarse_step():
-    # wildly oscillating Hamiltonian sampled far too coarsely is still
-    # unitary per-step, so build a defect by feeding a non-Hermitian matrix
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex) * 1e9
-    with pytest.raises(IntegrationError):
-        evolve(lambda _: bad, 1e-9, step=1e-10)
-
-
-def test_evolve_halving_step_converges():
-    # reported gate error changes by <10% of itself when the step is halved:
-    # linear (lab-frame) drive against the RWA target leaves a genuine
-    # physical error which the integrator must resolve stably
-    w = TWO_PI * 5e9
-    omega = TWO_PI * 100e6
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-
-    def h(t):
-        return np.diag([0.0, w]).astype(complex) + omega * np.cos(w * t) * sx
-
-    t_gate = (np.pi / 2) / (0.5 * omega)  # RWA pulse area pi/2
-    target = np.array(
-        [[np.cos(np.pi / 4), -1j * np.sin(np.pi / 4)],
-         [-1j * np.sin(np.pi / 4), np.cos(np.pi / 4)]]
-    ) @ np.diag([1.0, np.exp(1j * w * t_gate)]).conj()
-
-    def err(step):
-        u = evolve(h, t_gate, step=step)
-        return projected_fidelity(u, np.diag([1.0, np.exp(-1j * w * t_gate)]) @ target, [2]).error
-
-    e1, e2 = err(1e-12), err(0.5e-12)
-    assert e2 > 1e-7  # the physical error is genuinely nonzero
-    assert abs(e1 - e2) < 0.1 * e1
-
-
 # --- projected_fidelity ------------------------------------------------------
 
-def test_fidelity_exact_match():
+def test_fidelity_exact_match(haar_su2):
     rng = np.random.default_rng(7)
     u = haar_su2(rng)
     full = np.eye(6, dtype=complex)
@@ -218,7 +129,7 @@ def test_fidelity_full_leakage_case():
     assert np.isclose(rep.leakage, 1.0, atol=1e-12)
 
 
-def test_fidelity_global_phase_invariant():
+def test_fidelity_global_phase_invariant(haar_su2):
     rng = np.random.default_rng(11)
     u = haar_su2(rng)
     full = np.eye(2, dtype=complex) @ u
@@ -244,7 +155,7 @@ def test_fidelity_dimension_mismatch():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
-def test_fidelity_bounds_random(seed):
+def test_fidelity_bounds_random(haar_su2, seed):
     rng = np.random.default_rng(seed)
     u = haar_su2(rng)
     v = haar_su2(rng)
@@ -256,27 +167,6 @@ def test_fidelity_bounds_random(seed):
     ov = abs(np.trace(v.conj().T @ u)) / 2
     if rep.avg_gate_fidelity > 1 - 1e-12:
         assert ov > 1 - 1e-9
-
-
-# --- flux_frequency ----------------------------------------------------------
-
-def test_flux_zero_returns_actual():
-    spec = TransmonSpec(nominal_freq=6.21286e9, ej_asymmetry=0.3, drift=2e6)
-    assert np.isclose(flux_frequency(spec, 0.0), spec.actual_freq)
-
-
-def test_flux_symmetric_d1_limit():
-    # d -> 1 flattens the curve completely; use d extremely close to 1
-    spec = TransmonSpec(nominal_freq=5e9, ej_asymmetry=1 - 1e-12)
-    f = [flux_frequency(spec, p) for p in np.linspace(0, 0.5, 7)]
-    assert np.allclose(f, 5e9, rtol=1e-9)
-
-
-def test_flux_monotone_decreasing_on_half_period():
-    spec = TransmonSpec(nominal_freq=6.21286e9, ej_asymmetry=0.3)
-    phis = np.linspace(0, 0.5, 201)
-    f = np.array([flux_frequency(spec, p) for p in phis])
-    assert np.all(np.diff(f) < 0)
 
 
 # --- pulse trains and unitarity property ------------------------------------
