@@ -92,10 +92,9 @@ class Bitstream:
                     tip_angle: float = 0.0) -> "Bitstream":
         return cls(tuple(int(c) for c in s.strip()), clock_period, tip_angle)
 
-    def simulate(self, spec: TransmonSpec, tip_angle: float | None = None) -> np.ndarray:
+    def simulate(self, spec: TransmonSpec) -> np.ndarray:
         """Anchored multi-level unitary realized on ``spec`` (actual frequency)."""
-        theta = self.tip_angle if tip_angle is None else tip_angle
-        return pulse_train_unitary(spec, self.pulse_slots, len(self.bits), theta,
+        return pulse_train_unitary(spec, self.pulse_slots, len(self.bits), self.tip_angle,
                                    self.clock_period)
 
 
@@ -237,6 +236,7 @@ def gate_length_cycles(nominal_freq: float, max_len: int = MAX_BITSTREAM_LEN) ->
 # --- bitstream design ---------------------------------------------------------
 
 _RY_TARGET = ry(np.pi / 2)
+_POLISH_SWEEPS = 6  # stage-2 sweeps at most; designs stop earlier once on target
 
 
 def _train_error(spec: TransmonSpec, slots: Sequence[int], n_cycles: int,
@@ -294,7 +294,6 @@ def design_bitstream(
     max_len: int = MAX_BITSTREAM_LEN,
     err_target: float = 1e-4,
     clock_period: float = SFQ_CLOCK_PERIOD,
-    polish_sweeps: int = 6,
     window_centres: Sequence[float] = (0.0,),
 ) -> Bitstream:
     """Design a bitstream realizing an arbitrary 2x2 target on ``spec``.
@@ -355,7 +354,7 @@ def design_bitstream(
         return _train_error(design_spec, s, n_cycles, theta, clock_period, target)
 
     stop_at = 0.8 * err_target
-    for _ in range(polish_sweeps):
+    for _ in range(_POLISH_SWEEPS):
         improved = False
         for i in range(n_cycles):
             bits[i] ^= 1
@@ -399,7 +398,6 @@ def design_ry_bitstream(
     max_len: int = MAX_BITSTREAM_LEN,
     err_target: float = 1e-4,
     clock_period: float = SFQ_CLOCK_PERIOD,
-    polish_sweeps: int = 6,
 ) -> Bitstream:
     """Design the shared Ry(pi/2) bitstream for the nominal frequency of ``spec``.
 
@@ -413,5 +411,4 @@ def design_ry_bitstream(
         max_len=max_len,
         err_target=err_target,
         clock_period=clock_period,
-        polish_sweeps=polish_sweeps,
     )

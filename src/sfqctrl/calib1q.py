@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -74,10 +75,12 @@ class Decomposition1Q:
     ``steps`` holds the delays d_1..d_L for the opt architecture (one per
     bitstream application, L <= 3) or per-cycle basis-gate indices for
     min (idle steps included).  ``residual_phase`` is the trailing
-    virtual z the compiler folds into the qubit's next gate; ``err`` the
-    six-level projected average-gate-fidelity error of the realized
-    sequence; ``flagged`` marks best-effort results that missed the
-    requested budget.
+    virtual z the compiler folds into the qubit's next gate.  For opt,
+    ``phase_gate(residual_phase) @ U @ phase_gate(-fold_phase)`` has error
+    ``err``, U being the anchored ``pulse_train_unitary`` of one train with
+    application i at SFQ cycle i * controller_cycle_sfq + d_i (U = 1 at
+    L=0).  ``err`` is the six-level projected average-gate-fidelity error;
+    ``flagged`` marks best-effort results that missed the budget.
     """
 
     kind: str
@@ -271,6 +274,24 @@ def _exact_err_fixed(e: np.ndarray, v: np.ndarray) -> float:
                         + abs(np.trace(v.conj().T @ e)) ** 2) / 6.0)
 
 
+def _collect(chunks, margin: float):
+    """One pass: (best err, its delays, every (err, delays) within ``margin``).
+
+    ``chunks`` yields (errs, ds), ds holding the delays d_1..d_L of each
+    entry of ``errs``; the first entry at the lowest error is the best.
+    Each chunk keeps what lies within ``margin`` of the running best, which
+    never falls below the final best, so the closing filter loses nothing.
+    """
+    best, best_delays, kept = np.inf, None, []
+    for errs, ds in chunks:
+        i = np.unravel_index(int(np.argmin(errs)), errs.shape)
+        if errs[i] < best:
+            best, best_delays = float(errs[i]), tuple(int(d[i]) for d in ds)
+        sel = errs <= best + margin
+        kept += zip(errs[sel].tolist(), zip(*(d[sel].tolist() for d in ds)))
+    return best, best_delays, [t for t in kept if t[0] <= best + margin]
+
+
 # --- opt engine -------------------------------------------------------------------
 
 class _OptEngine:
@@ -287,6 +308,7 @@ class _OptEngine:
         self.pu = np.ascontiguousarray(self.u6[:2, :])
         self.phi_d = np.mod(self.phi1 * np.arange(self.n_max + 1), 2 * np.pi)
         self.deltas = np.arange(-self.n_max, self.n_max + 1)
+        self.k_deltas = self.k_diag(self.cycle + self.deltas)  # K(cycle + delta)
 
     def k_diag(self, sfq_cycles) -> np.ndarray:
         """Free-evolution diagonals exp(-i*e_tau*n) for integer cycle counts.
@@ -298,68 +320,42 @@ class _OptEngine:
     @cached_property
     def t2_rows(self) -> np.ndarray:
         """P @ U6 @ K(cycle + delta) @ U6 over all deltas: (511, 2, 6)."""
-        k = self.k_diag(self.cycle + self.deltas)
-        return np.einsum("ij,dj,jk->dik", self.pu, k, self.u6, optimize=True)
+        return np.einsum("ij,dj,jk->dik", self.pu, self.k_deltas, self.u6, optimize=True)
 
-    def lead_z(self, fold: float) -> np.ndarray:
-        """Column phases e^{-i(fold + phi_d)} over the delay grid."""
-        return np.exp(-1j * (fold + self.phi_d))
+    def _scored_chunks(self, v, fold, n_pulses: int):
+        """Yield (errs, ds) chunks covering every delay tuple of ``n_pulses`` >= 1.
 
-    def err_l0(self, v: np.ndarray, fold: float) -> float:
-        return _exact_err_free_trailing(self.block((), fold), v)
-
-    def search_l1(self, v, fold) -> np.ndarray:
-        e_core = np.ascontiguousarray(self.pu[:, :2])[None, :, :]
-        return _score_free_trailing(e_core, self.lead_z(fold), v)[0]
-
-    def search_l2(self, v, fold) -> np.ndarray:
-        """Error matrix over (delta index, d1); delta = d2 - d1."""
-        rows = self.t2_rows
-        e_core = np.ascontiguousarray(rows[:, :, :2])
-        errs = _score_free_trailing(e_core, self.lead_z(fold), v)
-        d1 = np.arange(self.n_max + 1)
-        d2 = d1[None, :] + self.deltas[:, None]
-        return np.where((d2 >= 0) & (d2 <= self.n_max), errs, np.inf)
-
-    def _l3_chunks(self, v, fold):
-        """Yield (delta1 slice start, err array (n_delta, chunk, n_d+1))."""
-        z = self.lead_z(fold)
-        d1 = np.arange(self.n_max + 1)
-        t2 = self.t2_rows
-        k1 = self.k_diag(self.cycle + self.deltas)
-        chunk = 16
-        for lo in range(0, len(self.deltas), chunk):
-            hi = min(lo + chunk, len(self.deltas))
-            mid = k1[lo:hi, :, None] * self.u6[None, :, :]
-            rows = np.einsum("eij,cjk->ecik", t2, mid, optimize=True)
-            e_core = np.ascontiguousarray(rows[:, :, :, :2]).reshape(-1, 2, 2)
+        ``errs`` scores each tuple; its axes are (delta_{L-1}, ..., delta_1,
+        d_1) with delta_i = d_{i+1} - d_i, and L=3 comes in 16-delta_1
+        slices.  ``ds`` holds d_1..d_L broadcast to ``errs``' shape; tuples
+        with a delay outside [0, n_max] score inf.
+        """
+        z = np.exp(-1j * (fold + self.phi_d))  # lead phase of each d_1
+        if n_pulses == 1:
+            blocks = [(self.pu[None], [])]
+        elif n_pulses == 2:
+            blocks = [(self.t2_rows, [self.deltas])]
+        else:
+            blocks = ((np.einsum("eij,cjk->ecik", self.t2_rows,
+                                 self.k_deltas[lo:lo + 16, :, None] * self.u6,
+                                 optimize=True),
+                       [self.deltas, self.deltas[lo:lo + 16]])
+                      for lo in range(0, len(self.deltas), 16))
+        for rows, steps in blocks:
+            e_core = np.ascontiguousarray(rows[..., :2]).reshape(-1, 2, 2)
             errs = _score_free_trailing(e_core, z, v).reshape(
-                len(t2), hi - lo, len(d1))
-            delta1 = self.deltas[lo:hi]
-            d2 = d1[None, None, :] + delta1[None, :, None]
-            d3 = d2 + self.deltas[:, None, None]
-            valid = (d2 >= 0) & (d2 <= self.n_max) & (d3 >= 0) & (d3 <= self.n_max)
-            yield lo, np.where(valid, errs, np.inf)
+                *(len(s) for s in steps), self.n_max + 1)
+            mesh = np.ix_(*steps, np.arange(self.n_max + 1))  # (..., delta_1, d_1)
+            ds = np.broadcast_arrays(errs, *accumulate(mesh[::-1]))[1:]
+            valid = np.all([(d >= 0) & (d <= self.n_max) for d in ds], axis=0)
+            yield np.where(valid, errs, np.inf), ds
 
-    def search_l3(self, v, fold, margin: float = 0.0, collect: bool = False):
-        """Best L=3 tuple; optionally all tuples within ``margin`` of it."""
-        def delays(lo, i2, i1, d1):
-            d2 = int(d1) + int(self.deltas[lo + i1])
-            return int(d1), d2, d2 + int(self.deltas[i2])
-
-        best = (np.inf, None)
-        for lo, errs in self._l3_chunks(v, fold):
-            idx = int(np.argmin(errs))
-            e_min = float(errs.flat[idx])
-            if e_min < best[0]:
-                best = (e_min, delays(lo, *np.unravel_index(idx, errs.shape)))
-        kept = []
-        if collect and np.isfinite(best[0]):
-            bound = best[0] + margin
-            for lo, errs in self._l3_chunks(v, fold):
-                for i2, i1, d1 in np.argwhere(errs <= bound):
-                    kept.append((float(errs[i2, i1, d1]), delays(lo, i2, i1, d1)))
-        return best, kept
+    def search(self, v, fold, n_pulses: int, margin: float = 0.0):
+        """(best err, its delays, every (err, delays) within ``margin`` of it)."""
+        if n_pulses == 0:
+            err = _exact_err_free_trailing(self.block((), fold), v)
+            return err, (), [(err, ())]
+        return _collect(self._scored_chunks(v, fold, n_pulses), margin)
 
     def block(self, delays: Sequence[int], fold: float) -> np.ndarray:
         """Projected 2x2 block of a delay schedule, lead phase included.
@@ -566,14 +562,10 @@ def opt_level_errors(cal: QubitCalibration, target: np.ndarray,
     """Cumulative best error for pulse counts L = 0..lmax (analysis helper)."""
     eng = cal.opt_engine()
     v = np.asarray(target, dtype=complex)
-    out = {0: eng.err_l0(v, fold_phase)}
-    if lmax >= 1:
-        out[1] = min(out[0], float(eng.search_l1(v, fold_phase).min()))
-    if lmax >= 2:
-        out[2] = min(out[1], float(eng.search_l2(v, fold_phase).min()))
-    if lmax >= 3:
-        (b3, _), _ = eng.search_l3(v, fold_phase)
-        out[3] = min(out[2], b3)
+    out, best = {}, np.inf
+    for n_pulses in range(lmax + 1):
+        best = min(best, eng.search(v, fold_phase, n_pulses)[0])
+        out[n_pulses] = best
     return out
 
 
@@ -589,12 +581,12 @@ def decompose_opt(
 
     Searches L = 0 (pure virtual z), then 1, 2, 3 bitstream pulses on
     consecutive controller cycles, scoring every delay tuple against the
-    qubit's exact six-level u_bs.  Stops at the first L meeting
-    ``err_budget`` and returns all tuples within ``margin`` of that
-    level's best (best first, ties broken by fewer pulses, smaller total
-    delay, lexicographic delays) so the scheduler can trade accuracy for
-    broadcast sharing.  If no level meets the budget, the single best
-    tuple across all levels is returned flagged.
+    qubit's exact six-level u_bs.  The first L whose best error meets
+    ``err_budget`` returns all its tuples within ``margin`` of that best,
+    ordered by rounded error, then total delay, then lexicographic delays,
+    so the scheduler can trade accuracy for broadcast sharing.  If no
+    level meets the budget, the best tuple across levels is returned
+    flagged; a tie in rounded error keeps the lower L.
     """
     key = ("opt", target.tobytes(), round(float(fold_phase), 9),
            err_budget, margin)
@@ -604,47 +596,16 @@ def decompose_opt(
     eng = cal.opt_engine()
     v = np.asarray(target, dtype=complex)
 
-    candidates: list[tuple[float, tuple[int, ...]]] = []
-    err0 = eng.err_l0(v, fold_phase)
-    errs1 = errs2 = None
-    if err0 <= err_budget:
-        candidates = [(max(err0, 0.0), ())]
-    if not candidates:
-        errs1 = eng.search_l1(v, fold_phase)
-        b1 = float(errs1.min())
-        if b1 <= err_budget:
-            keep = np.flatnonzero(errs1 <= b1 + margin)
-            order = sorted(keep, key=lambda d: (round(float(errs1[d]), 14), int(d)))
-            candidates = [(float(errs1[d]), (int(d),)) for d in order]
-    if not candidates:
-        errs2 = eng.search_l2(v, fold_phase)
-        b2 = float(errs2.min())
-        if b2 <= err_budget:
-            tuples = []
-            for i_delta, i_d1 in np.argwhere(errs2 <= b2 + margin):
-                d1 = int(i_d1)
-                d2 = d1 + int(eng.deltas[i_delta])
-                tuples.append((float(errs2[i_delta, i_d1]), (d1, d2)))
-            tuples.sort(key=lambda t: (round(t[0], 14), sum(t[1]), t[1]))
-            candidates = tuples
-    flagged = False
-    if not candidates:
-        (b3, delays3), kept3 = eng.search_l3(v, fold_phase, margin, collect=True)
-        if b3 <= err_budget:
-            kept3.sort(key=lambda t: (round(t[0], 14), sum(t[1]), t[1]))
-            candidates = kept3
-        else:
-            flagged = True
-            options = [(err0, ())]
-            options.append((float(errs1.min()), (int(np.argmin(errs1)),)))
-            i_delta, i_d1 = np.unravel_index(int(np.argmin(errs2)), errs2.shape)
-            d1 = int(i_d1)
-            options.append((float(errs2.min()),
-                            (d1, d1 + int(eng.deltas[i_delta]))))
-            if delays3 is not None:
-                options.append((b3, delays3))
-            options.sort(key=lambda t: (round(t[0], 14), len(t[1])))
-            candidates = [options[0]]
+    flagged, best = False, (np.inf, None)
+    for n_pulses in range(4):
+        err, delays, kept = eng.search(v, fold_phase, n_pulses, margin)
+        if err <= err_budget:
+            candidates = sorted(kept, key=lambda t: (round(t[0], 14), sum(t[1]), t[1]))
+            break
+        if round(err, 14) < round(best[0], 14):
+            best = (err, delays)
+    else:
+        flagged, candidates = True, [best]
 
     out = []
     for err, delays in candidates[:max_candidates]:
@@ -657,12 +618,16 @@ def decompose_opt(
 
 
 def _residual_for(eng: _OptEngine, v, fold, delays) -> float:
-    """Trailing virtual-z (standalone anchor) for a chosen delay tuple."""
+    """Trailing virtual z of a delay tuple, in the frame ``Decomposition1Q`` states.
+
+    rho is the optimal trailing z of ``block``; the anchored train of the
+    whole schedule needs rho - theta_L, theta_L the qubit phase at the
+    last application's start (0 without applications).
+    """
     rho = _trailing_phase(eng.block(delays, fold), v)
-    if not delays:
-        return float(np.mod(rho, 2 * np.pi))
-    theta_l = (len(delays) - 1) * (eng.phi1 * eng.cycle) + eng.phi_d[delays[-1]]
-    return float(np.mod(rho + theta_l, 2 * np.pi))
+    theta_l = ((len(delays) - 1) * (eng.phi1 * eng.cycle) + eng.phi_d[delays[-1]]
+               if delays else 0.0)
+    return float(np.mod(rho - theta_l, 2 * np.pi))
 
 
 def decompose_min(

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +21,7 @@ from sfqctrl.bitstream import (
 )
 
 TAU = 40e-12
+GOLDEN_STREAMS = Path(__file__).resolve().parents[1] / "perfbench/fixtures/streams.json"
 
 
 # --- Bitstream container ------------------------------------------------------
@@ -217,6 +221,14 @@ def test_designed_bitstream_low_freq(ry_bitstream_lo, spec_lo):
     u = bs.simulate(spec_lo)
     rep = projected_fidelity(u, ry(np.pi / 2), [6])
     assert rep.error <= 1e-4
+
+
+def test_designed_bitstreams_match_golden_fixtures(ry_bitstream_hi, ry_bitstream_lo):
+    # the frozen streams the benchmark checks its own designs against
+    golden = json.loads(GOLDEN_STREAMS.read_text())["streams"]
+    for bs, name in ((ry_bitstream_hi, "ry_6212MHz"), (ry_bitstream_lo, "ry_4142MHz")):
+        assert bs.to_string() == golden[name]["bits"]
+        assert bs.tip_angle == golden[name]["tip_angle"]
 
 
 def test_designed_bitstream_drift_sensitivity(ry_bitstream_hi, spec_hi):
