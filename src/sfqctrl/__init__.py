@@ -10,7 +10,6 @@ streams (min).
 from sfqctrl.transmon import (
     TransmonSpec,
     FidelityReport,
-    free_hamiltonian,
     sfq_kick,
     projected_fidelity,
 )
@@ -18,7 +17,6 @@ from sfqctrl.transmon import (
 __all__ = [
     "TransmonSpec",
     "FidelityReport",
-    "free_hamiltonian",
     "sfq_kick",
     "projected_fidelity",
 ]

@@ -80,10 +80,6 @@ class Bitstream:
     def n_pulses(self) -> int:
         return int(sum(self.bits))
 
-    @property
-    def duration(self) -> float:
-        return len(self.bits) * self.clock_period
-
     def to_string(self) -> str:
         return "".join(str(b) for b in self.bits)
 
@@ -225,45 +221,44 @@ def drift_tolerance(
     return 0.0
 
 
-def gate_length_cycles(nominal_freq: float, max_len: int = MAX_BITSTREAM_LEN) -> int:
+def gate_length_cycles(nominal_freq: float) -> int:
     """Design gate length in clock cycles for a nominal frequency."""
     for f, n in GATE_LENGTH_CYCLES.items():
         if abs(nominal_freq - f) < 1.0:
-            return min(n, max_len)
-    return max_len
+            return n
+    return MAX_BITSTREAM_LEN
 
 
 # --- bitstream design ---------------------------------------------------------
 
 _RY_TARGET = ry(np.pi / 2)
 _POLISH_SWEEPS = 6  # stage-2 sweeps at most; designs stop earlier once on target
+_ERR_TARGET = 1e-4  # a designed stream's projected gate error must not exceed this
 
 
 def _train_error(spec: TransmonSpec, slots: Sequence[int], n_cycles: int,
-                 tip_angle: float, clock_period: float,
-                 target: np.ndarray = _RY_TARGET) -> float:
-    u = pulse_train_unitary(spec, slots, n_cycles, tip_angle, clock_period)
-    return projected_fidelity(u, target, [spec.levels]).error
+                 tip_angle: float, target: np.ndarray) -> float:
+    u = pulse_train_unitary(spec, slots, n_cycles, tip_angle, SFQ_CLOCK_PERIOD)
+    return projected_fidelity(u, target).error
 
 
-def _golden_tip_angle(spec, slots, n_cycles, lo, hi, clock_period, target,
-                      iters=32):
+def _golden_tip_angle(spec, slots, n_cycles, lo, hi, target, iters=32):
     g = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1, x2 = b - g * (b - a), a + g * (b - a)
-    f1 = _train_error(spec, slots, n_cycles, x1, clock_period, target)
-    f2 = _train_error(spec, slots, n_cycles, x2, clock_period, target)
+    f1 = _train_error(spec, slots, n_cycles, x1, target)
+    f2 = _train_error(spec, slots, n_cycles, x2, target)
     for _ in range(iters):
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - g * (b - a)
-            f1 = _train_error(spec, slots, n_cycles, x1, clock_period, target)
+            f1 = _train_error(spec, slots, n_cycles, x1, target)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + g * (b - a)
-            f2 = _train_error(spec, slots, n_cycles, x2, clock_period, target)
+            f2 = _train_error(spec, slots, n_cycles, x2, target)
     x = 0.5 * (a + b)
-    return _train_error(spec, slots, n_cycles, x, clock_period, target), x
+    return _train_error(spec, slots, n_cycles, x, target), x
 
 
 def window_rule_slots(freq: float, n_cycles: int, w: float, tip_angle: float,
@@ -287,61 +282,50 @@ def _window_phase(freq: float, n_cycles: int, clock_period: float,
                   - centre + np.pi, 2.0 * np.pi) - np.pi
 
 
-def design_bitstream(
-    spec: TransmonSpec,
-    target: np.ndarray,
-    tip_angle: float | None = None,
-    max_len: int = MAX_BITSTREAM_LEN,
-    err_target: float = 1e-4,
-    clock_period: float = SFQ_CLOCK_PERIOD,
-    window_centres: Sequence[float] = (0.0,),
-) -> Bitstream:
+def design_bitstream(spec: TransmonSpec, target: np.ndarray,
+                     window_centres: Sequence[float] = (0.0,)) -> Bitstream:
     """Design a bitstream realizing an arbitrary 2x2 target on ``spec``.
 
-    Stage 1 scans the phase-window rule: pulse at cycle i when the qubit
-    phase (2*pi*f*i*tau mod 2*pi) lies within +-w of a scanned window
-    centre, stopping after ceil((pi/2)/dtheta) pulses; dtheta is refined
-    by golden section.  Stage 2 runs a deterministic greedy descent from
-    the best scanned pattern (bit flips plus pulse relocations in a fixed
-    visiting order, tip-angle refinement after each sweep) to cancel the
-    coherent level-2 leakage the window family cannot reach on its own.
+    The stream spans ``gate_length_cycles`` of the nominal frequency at
+    the SFQ clock period.  Stage 1 scans the phase-window rule: pulse at
+    cycle i when the qubit phase (2*pi*f*i*tau mod 2*pi) lies within +-w
+    of a scanned window centre, stopping after ceil((pi/2)/dtheta)
+    pulses; dtheta is refined by golden section.  Stage 2 runs a
+    deterministic greedy descent from the best scanned pattern (bit
+    flips plus pulse relocations in a fixed visiting order, tip-angle
+    refinement after each sweep) to cancel the coherent level-2 leakage
+    the window family cannot reach on its own.
 
     Raises
     ------
     BitstreamDesignError
-        If no candidate reaches ``err_target``.
+        If no candidate reaches the 1e-4 projected gate-error target.
     """
-    if max_len > MAX_BITSTREAM_LEN:
-        raise ValueError(f"max_len must be <= {MAX_BITSTREAM_LEN}")
-    if tip_angle is not None and tip_angle <= 0:
-        raise BitstreamDesignError("tip angle must be positive to accumulate rotation")
-
     freq = spec.nominal_freq
     design_spec = spec.with_drift(0.0)
-    n_cycles = gate_length_cycles(freq, max_len)
+    n_cycles = gate_length_cycles(freq)
 
     # ---- stage 1: (w, dtheta) scan over window centres
     best = (np.inf, None, None)  # err, slots, tip
     for centre in window_centres:
-        ph = _window_phase(freq, n_cycles, clock_period, centre)
+        ph = _window_phase(freq, n_cycles, SFQ_CLOCK_PERIOD, centre)
         for w in np.linspace(0.15, 1.25, 23):
             all_slots = np.flatnonzero(np.abs(ph) <= w)
             if len(all_slots) < 8:
                 continue
-            base = tip_angle if tip_angle is not None else (np.pi / 2) / len(all_slots)
+            base = (np.pi / 2) / len(all_slots)
             for scale in np.linspace(0.85, 1.35, 11):
                 dt = base * scale
                 cap = int(np.ceil((np.pi / 2) / dt))
                 slots = all_slots[:cap]
-                err = _train_error(design_spec, slots, n_cycles, dt, clock_period, target)
+                err = _train_error(design_spec, slots, n_cycles, dt, target)
                 if err < best[0]:
                     best = (err, slots, dt)
     if best[1] is None:
         raise BitstreamDesignError("no pulse pattern found within the window scan")
 
     err, slots, dt = best
-    err, dt = _golden_tip_angle(design_spec, slots, n_cycles, dt * 0.92, dt * 1.08,
-                                clock_period, target)
+    err, dt = _golden_tip_angle(design_spec, slots, n_cycles, dt * 0.92, dt * 1.08, target)
 
     # ---- stage 2: deterministic greedy descent (bit flips + pulse moves)
     bits = np.zeros(n_cycles, dtype=int)
@@ -351,9 +335,9 @@ def design_bitstream(
         s = np.flatnonzero(bits)
         if not len(s):
             return np.inf
-        return _train_error(design_spec, s, n_cycles, theta, clock_period, target)
+        return _train_error(design_spec, s, n_cycles, theta, target)
 
-    stop_at = 0.8 * err_target
+    stop_at = 0.8 * _ERR_TARGET
     for _ in range(_POLISH_SWEEPS):
         improved = False
         for i in range(n_cycles):
@@ -378,37 +362,21 @@ def design_bitstream(
                     bits[i], bits[j] = 1, 0
         cur = np.flatnonzero(bits)
         err, dt = _golden_tip_angle(design_spec, cur, n_cycles,
-                                    dt * 0.98, dt * 1.02, clock_period, target,
-                                    iters=24)
+                                    dt * 0.98, dt * 1.02, target, iters=24)
         if err <= stop_at or not improved:
             break
 
-    if err > err_target:
+    if err > _ERR_TARGET:
         raise BitstreamDesignError(
-            f"best design error {err:.3e} exceeds target {err_target:.1e} "
+            f"best design error {err:.3e} exceeds target {_ERR_TARGET:.1e} "
             f"within {n_cycles} cycles"
         )
-    return Bitstream(bits=tuple(int(b) for b in bits), clock_period=clock_period,
-                     tip_angle=float(dt))
+    return Bitstream(bits=tuple(int(b) for b in bits), tip_angle=float(dt))
 
 
-def design_ry_bitstream(
-    spec: TransmonSpec,
-    tip_angle: float | None = None,
-    max_len: int = MAX_BITSTREAM_LEN,
-    err_target: float = 1e-4,
-    clock_period: float = SFQ_CLOCK_PERIOD,
-) -> Bitstream:
+def design_ry_bitstream(spec: TransmonSpec) -> Bitstream:
     """Design the shared Ry(pi/2) bitstream for the nominal frequency of ``spec``.
 
-    See :func:`design_bitstream`; passing ``tip_angle=0`` raises since a
-    zero kick cannot accumulate a pi/2 rotation.
+    See :func:`design_bitstream`.
     """
-    return design_bitstream(
-        spec,
-        _RY_TARGET,
-        tip_angle=tip_angle,
-        max_len=max_len,
-        err_target=err_target,
-        clock_period=clock_period,
-    )
+    return design_bitstream(spec, _RY_TARGET)

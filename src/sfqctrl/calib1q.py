@@ -47,10 +47,8 @@ import numpy as np
 
 from sfqctrl.bitstream import (
     Bitstream,
-    DelaySet,
     DEFAULT_N_MAX,
     SFQ_CLOCK_PERIOD,
-    delay_set,
     design_bitstream,
     gate_length_cycles,
 )
@@ -96,44 +94,29 @@ class Decomposition1Q:
 
 @dataclass
 class QubitCalibration:
-    """Actual basis operations realized on one qubit by the shared bitstreams."""
+    """Actual basis operations realized on one qubit by the shared bitstreams.
+
+    ``n_max`` is the longest opt delay in SFQ cycles; ``idle_index`` is
+    the position of the all-zeros stream, if any.
+    """
 
     qubit_id: int
     spec: TransmonSpec
     arch: str
-    bitstreams: list[Bitstream]
     basis_ops: list[np.ndarray]
-    delay_set: DelaySet
+    n_max: int
     controller_cycle_sfq: int
     clock_period: float
     idle_index: int | None = None
-    _opt_engine: object = field(default=None, repr=False)
-    _min_engine: object = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def u_bs(self) -> np.ndarray:
-        return self.basis_ops[0]
-
-    @property
-    def cycle_time(self) -> float:
-        return self.controller_cycle_sfq * self.clock_period
-
-    @property
-    def cycle_phase(self) -> float:
-        """Frame advance per controller cycle: 2*pi*f_actual*T_cycle mod 2*pi."""
-        return float(np.mod(2.0 * np.pi * self.spec.actual_freq * self.cycle_time,
-                            2.0 * np.pi))
-
+    @cached_property
     def opt_engine(self) -> "_OptEngine":
-        if self._opt_engine is None:
-            self._opt_engine = _OptEngine(self)
-        return self._opt_engine
+        return _OptEngine(self)
 
+    @cached_property
     def min_engine(self) -> "_MinEngine":
-        if self._min_engine is None:
-            self._min_engine = _MinEngine(self)
-        return self._min_engine
+        return _MinEngine(self)
 
 
 def calibrate_qubit(
@@ -151,6 +134,8 @@ def calibrate_qubit(
     cycle spans the delay range plus the stream; for min it equals the
     stream length, so all streams must share one length and clock period.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     if not shared_bitstreams:
         raise CalibrationError("at least one shared bitstream is required")
     first = shared_bitstreams[0]
@@ -179,9 +164,8 @@ def calibrate_qubit(
         qubit_id=qubit_id,
         spec=spec,
         arch=arch,
-        bitstreams=list(shared_bitstreams),
         basis_ops=ops,
-        delay_set=delay_set(spec, n_max, first.clock_period),
+        n_max=n_max,
         controller_cycle_sfq=cycle,
         clock_period=first.clock_period,
         idle_index=idle,
@@ -218,10 +202,9 @@ def min_basis_targets(cycle_phase: float, bs: int) -> list[np.ndarray | None]:
     return [comp @ quarter[a] for a in axes] + [None]
 
 
-def design_min_bitstreams(spec: TransmonSpec, bs: int = 2, max_len: int = 300,
-                          err_target: float = 1e-4) -> list[Bitstream]:
+def design_min_bitstreams(spec: TransmonSpec, bs: int = 2) -> list[Bitstream]:
     """Design the BS stored streams for a min-architecture group."""
-    n_cycles = gate_length_cycles(spec.nominal_freq, max_len)
+    n_cycles = gate_length_cycles(spec.nominal_freq)
     cycle_phase = float(np.mod(2 * np.pi * spec.nominal_freq * n_cycles * SFQ_CLOCK_PERIOD,
                                2 * np.pi))
     streams = []
@@ -230,9 +213,7 @@ def design_min_bitstreams(spec: TransmonSpec, bs: int = 2, max_len: int = 300,
             streams.append(Bitstream(bits=tuple([0] * n_cycles), tip_angle=0.0))
         else:
             streams.append(design_bitstream(
-                spec, target, max_len=max_len, err_target=err_target,
-                window_centres=(0.0, np.pi / 2, np.pi, -np.pi / 2),
-            ))
+                spec, target, window_centres=(0.0, np.pi / 2, np.pi, -np.pi / 2)))
     return streams
 
 
@@ -295,16 +276,18 @@ def _collect(chunks, margin: float):
 # --- opt engine -------------------------------------------------------------------
 
 class _OptEngine:
-    """Vectorized delay-tuple search over one qubit's u_bs tables."""
+    """Vectorized delay-tuple search over one qubit's stream unitary."""
 
     def __init__(self, cal: QubitCalibration):
+        if cal.arch != "opt":
+            raise CalibrationError(f"decompose_opt needs arch 'opt', got {cal.arch!r}")
         spec = cal.spec
-        self.n_max = cal.delay_set.n_max
+        self.n_max = cal.n_max
         self.cycle = cal.controller_cycle_sfq
         self.e_tau = level_energies(spec.actual_freq, spec.anharmonicity,
                                     spec.levels) * cal.clock_period
         self.phi1 = float(self.e_tau[1])  # two-level phase per SFQ cycle
-        self.u6 = cal.u_bs
+        self.u6 = cal.basis_ops[0]
         self.pu = np.ascontiguousarray(self.u6[:2, :])
         self.phi_d = np.mod(self.phi1 * np.arange(self.n_max + 1), 2 * np.pi)
         self.deltas = np.arange(-self.n_max, self.n_max + 1)
@@ -423,6 +406,8 @@ class _MinEngine:
     """
 
     def __init__(self, cal: QubitCalibration):
+        if cal.arch != "min":
+            raise CalibrationError(f"decompose_min needs arch 'min', got {cal.arch!r}")
         self.cal = cal
         spec = cal.spec
         self.e_tau_cycle = (level_energies(spec.actual_freq, spec.anharmonicity,
@@ -439,6 +424,8 @@ class _MinEngine:
             mat = np.eye(dim, dtype=complex) if i == cal.idle_index else b
             self.steps6.append(self.d_vec[:, None] * mat)
         self.n_sym = len(self.steps6)
+        self.exh_cap = 12 if self.n_sym == 2 else 6
+        self.half_cap = 14 if self.n_sym == 2 else 7
         self._words: list[np.ndarray] = [np.eye(dim, dtype=complex)[None, :, :]]
         self._trees: dict[int, tuple[object, np.ndarray]] = {}
 
@@ -497,16 +484,14 @@ class _MinEngine:
         Depth-ordered: exhaustive while n_sym^depth stays small, then
         meet-in-the-middle with half tables capped at 16384 entries (full
         depth-28 coverage for the two-symbol alphabet, depth 14 for the
-        four-symbol one).  When no word meets the budget the best found
-        overall is returned (caller flags it).
+        four-symbol one; ``max_depth`` must not exceed it).  When no word
+        meets the budget the best found overall is returned (caller flags it).
         """
         e0 = _exact_err_fixed(np.eye(2, dtype=complex), v_eff)
         best: tuple[float, tuple[int, ...]] = (max(e0, 0.0), ())
         if best[0] <= err_budget:
             return best
-        exh_cap = 12 if self.n_sym == 2 else 6
-        half_cap = 14 if self.n_sym == 2 else 7
-        for depth in range(1, min(max_depth, exh_cap) + 1):
+        for depth in range(1, min(max_depth, self.exh_cap) + 1):
             table = self._word_table(depth)
             errs = self._score_table(table[:, :2, :2], v_eff)
             i = int(np.argmin(errs))
@@ -518,7 +503,7 @@ class _MinEngine:
         vq, ok = _su2_quaternions(v_eff[None])
         if not ok[0]:
             return best
-        for depth in range(exh_cap + 1, min(max_depth, 2 * half_cap) + 1):
+        for depth in range(self.exh_cap + 1, max_depth + 1):
             err, word = self._mitm_depth(v_eff, vq[0], depth, radius)
             if err < best[0]:
                 best = (max(err, 0.0), word)
@@ -557,11 +542,21 @@ class _MinEngine:
 
 # --- public ops ----------------------------------------------------------------------
 
+def _checked_target(target) -> np.ndarray:
+    """``target`` as a complex array; ValueError unless a finite unitary 2x2 matrix."""
+    v = np.asarray(target, dtype=complex)
+    if v.shape != (2, 2) or not np.isfinite(v).all() or unitarity_defect(v) > 1e-8:
+        raise ValueError("target must be a finite unitary 2x2 matrix")
+    return v
+
+
 def opt_level_errors(cal: QubitCalibration, target: np.ndarray,
                      fold_phase: float = 0.0, lmax: int = 3) -> dict[int, float]:
     """Cumulative best error for pulse counts L = 0..lmax (analysis helper)."""
-    eng = cal.opt_engine()
-    v = np.asarray(target, dtype=complex)
+    v = _checked_target(target)
+    if not 0 <= lmax <= 3:
+        raise ValueError(f"lmax must lie in 0..3, got {lmax}")
+    eng = cal.opt_engine
     out, best = {}, np.inf
     for n_pulses in range(lmax + 1):
         best = min(best, eng.search(v, fold_phase, n_pulses)[0])
@@ -581,20 +576,19 @@ def decompose_opt(
 
     Searches L = 0 (pure virtual z), then 1, 2, 3 bitstream pulses on
     consecutive controller cycles, scoring every delay tuple against the
-    qubit's exact six-level u_bs.  The first L whose best error meets
+    qubit's exact six-level stream unitary.  The first L whose best error meets
     ``err_budget`` returns all its tuples within ``margin`` of that best,
     ordered by rounded error, then total delay, then lexicographic delays,
     so the scheduler can trade accuracy for broadcast sharing.  If no
     level meets the budget, the best tuple across levels is returned
     flagged; a tie in rounded error keeps the lower L.
     """
-    key = ("opt", target.tobytes(), round(float(fold_phase), 9),
-           err_budget, margin)
+    v = _checked_target(target)
+    key = ("opt", v.tobytes(), round(float(fold_phase), 9), err_budget, margin)
     hit = cal._cache.get(key)
     if hit is not None:
         return hit
-    eng = cal.opt_engine()
-    v = np.asarray(target, dtype=complex)
+    eng = cal.opt_engine
 
     flagged, best = False, (np.inf, None)
     for n_pulses in range(4):
@@ -645,14 +639,18 @@ def decompose_min(
     best word found up to ``max_depth``, flagged.  ``residual_phase``
     carries the frame-reconciliation phase (word length times the cycle
     phase) the compiler folds downstream; it is bookkeeping, not error.
+    ``max_depth`` may not exceed the deepest word the search covers: 28
+    cycles for the two-symbol alphabet, 14 otherwise.
     """
-    key = ("min", target.tobytes(), round(float(fold_phase), 9),
-           err_budget, max_depth)
+    v = _checked_target(target)
+    eng = cal.min_engine
+    if not 0 <= max_depth <= 2 * eng.half_cap:
+        raise ValueError(f"max_depth must lie in 0..{2 * eng.half_cap}, got {max_depth}")
+    key = ("min", v.tobytes(), round(float(fold_phase), 9), err_budget, max_depth)
     hit = cal._cache.get(key)
     if hit is not None:
         return hit
-    eng = cal.min_engine()
-    v_eff = np.asarray(target, dtype=complex) @ phase_gate(fold_phase)
+    v_eff = v @ phase_gate(fold_phase)
     err, word = eng.search(v_eff, err_budget, max_depth)
     res = Decomposition1Q(
         kind="min", steps=tuple(word),
@@ -671,9 +669,8 @@ def recompose_error(cal: QubitCalibration, dec: Decomposition1Q,
     """
     v = np.asarray(target, dtype=complex)
     if dec.kind == "opt":
-        e = cal.opt_engine().block(dec.steps, fold_phase)
+        e = cal.opt_engine.block(dec.steps, fold_phase)
         return max(_exact_err_free_trailing(e, v), 0.0)
-    eng = cal.min_engine()
     v_eff = v @ phase_gate(fold_phase)
-    e = eng.word_block(dec.steps)
+    e = cal.min_engine.word_block(dec.steps)
     return max(_exact_err_fixed(e, v_eff), 0.0)

@@ -26,6 +26,7 @@ subsequent pulses in time.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -43,8 +44,8 @@ class TransmonSpec:
     anharmonicity : float
         Positive anharmonicity in Hz; the 1-2 transition is lower by this.
     levels : int
-        Truncation dimension (>= 2).  Six levels for single-qubit work,
-        four per transmon for coupled pairs.
+        Truncation dimension (>= 2); levels 0 and 1 are the qubit, the
+        rest carry leakage.  Single-qubit work uses six levels.
     drift : float
         Actual minus nominal frequency in Hz.  All simulations use the
         actual frequency ``nominal_freq + drift``.
@@ -75,16 +76,10 @@ class TransmonSpec:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Average gate fidelity of a projected evolution.
-
-    ``error = 1 - avg_gate_fidelity``; ``leakage`` is the worst-case
-    population escaping the computational subspace over computational
-    basis inputs.
-    """
+    """Average gate fidelity of a projected evolution; ``error = 1 - avg_gate_fidelity``."""
 
     avg_gate_fidelity: float
     error: float
-    leakage: float
 
 
 def annihilation(levels: int) -> np.ndarray:
@@ -98,25 +93,12 @@ def level_energies(freq: float, anharmonicity: float, levels: int) -> np.ndarray
     return 2.0 * np.pi * (freq * n - 0.5 * anharmonicity * n * (n - 1.0))
 
 
-def free_hamiltonian(spec: TransmonSpec) -> np.ndarray:
-    """Free (Duffing) Hamiltonian of ``spec`` at its actual frequency.
-
-    Returns the diagonal ``levels x levels`` matrix in angular-frequency
-    units (rad/s).
-    """
-    return np.diag(level_energies(spec.actual_freq, spec.anharmonicity, spec.levels)).astype(complex)
-
-
-_KICK_EIG_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _kick_eig(levels: int):
-    if levels not in _KICK_EIG_CACHE:
-        gen = annihilation(levels)
-        gen = gen.conj().T - gen  # a^dag - a, anti-Hermitian
-        lam, v = np.linalg.eig(gen)
-        _KICK_EIG_CACHE[levels] = (lam, v, np.linalg.inv(v))
-    return _KICK_EIG_CACHE[levels]
+    gen = annihilation(levels)
+    gen = gen.conj().T - gen  # a^dag - a, anti-Hermitian
+    lam, v = np.linalg.eig(gen)
+    return lam, v, np.linalg.inv(v)
 
 
 def sfq_kick(spec: TransmonSpec, tip_angle: float) -> np.ndarray:
@@ -167,63 +149,21 @@ def pulse_train_unitary(
     return u
 
 
-def _comp_indices(subsystem_dims: Sequence[int], comp_levels: Sequence[Sequence[int]]) -> np.ndarray:
-    """Full-space indices of the computational subspace (row-major subsystems)."""
-    idx = np.array([0])
-    for dim, keep in zip(subsystem_dims, comp_levels):
-        if any(k >= dim for k in keep):
-            raise ValueError("computational level index exceeds subsystem dimension")
-        idx = (idx[:, None] * dim + np.asarray(list(keep))[None, :]).ravel()
-    return idx
+def projected_fidelity(actual: np.ndarray, target: np.ndarray) -> FidelityReport:
+    """Average gate fidelity of ``actual`` projected onto levels {0, 1}.
 
+    With ``E`` the 2x2 block of ``actual`` on levels 0 and 1,
 
-def projected_fidelity(
-    actual: np.ndarray,
-    target: np.ndarray,
-    subsystem_dims: Sequence[int] | None = None,
-    comp_levels: Sequence[Sequence[int]] | None = None,
-) -> FidelityReport:
-    """Average gate fidelity of ``actual`` projected onto the computational subspace.
+        Fbar = (Tr(E E^dag) + |Tr(target^dag E)|^2) / 6
 
-    With ``E = P @ actual @ P`` restricted to the d-dimensional
-    computational block,
-
-        Fbar = (Tr(E E^dag) + |Tr(target^dag E)|^2) / (d*(d+1))
-
-    so any population leaking out of the subspace is captured as
-    additional error.  ``leakage`` reports the worst-case escaped
-    population over computational basis inputs.
-
-    Parameters
-    ----------
-    actual : ndarray
-        Full-space unitary (dimension = product of ``subsystem_dims``).
-    target : ndarray
-        Computational-space target (d x d, d = product of kept levels).
-    subsystem_dims : sequence of int, optional
-        Dimension of each subsystem; defaults to one subsystem spanning
-        all of ``actual``.
-    comp_levels : sequence of sequences, optional
-        Levels kept per subsystem; defaults to ``[0, 1]`` each.
+    so any population leaking out of the qubit levels is captured as
+    additional error.  ``target`` is the 2x2 gate wanted on those levels.
     """
-    if subsystem_dims is None:
-        subsystem_dims = [actual.shape[0]]
-    if comp_levels is None:
-        comp_levels = [[0, 1]] * len(subsystem_dims)
-    if int(np.prod(subsystem_dims)) != actual.shape[0]:
-        raise ValueError("subsystem dimensions do not match the actual unitary")
-    idx = _comp_indices(subsystem_dims, comp_levels)
-    d = target.shape[0]
-    if len(idx) != d:
-        raise ValueError(
-            f"target dimension {d} does not match computational subspace size {len(idx)}"
-        )
-    e = actual[np.ix_(idx, idx)]
-    fbar = (np.trace(e @ e.conj().T).real + abs(np.trace(target.conj().T @ e)) ** 2) / (d * (d + 1))
-    fbar = float(fbar)
-    kept = np.sum(np.abs(actual[np.ix_(idx, idx)]) ** 2, axis=0)
-    leakage = float(1.0 - kept.min())
-    return FidelityReport(avg_gate_fidelity=fbar, error=1.0 - fbar, leakage=leakage)
+    if target.shape != (2, 2):
+        raise ValueError(f"target must be 2x2, got shape {target.shape}")
+    e = np.ascontiguousarray(actual[:2, :2])
+    fbar = float((np.trace(e @ e.conj().T).real + abs(np.trace(target.conj().T @ e)) ** 2) / 6)
+    return FidelityReport(avg_gate_fidelity=fbar, error=1.0 - fbar)
 
 
 # --- small gate constructors used throughout the toolkit --------------------

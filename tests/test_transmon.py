@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sfqctrl.transmon import (
     TransmonSpec,
     annihilation,
-    free_hamiltonian,
+    level_energies,
     phase_gate,
     projected_fidelity,
     pulse_train_unitary,
@@ -35,19 +35,15 @@ def test_actual_freq_includes_drift():
     assert spec.actual_freq == 5.003e9
 
 
-# --- free_hamiltonian --------------------------------------------------------
+# --- free Hamiltonian (its diagonal, level_energies) --------------------------
 
 def test_free_hamiltonian_two_level():
-    spec = TransmonSpec(nominal_freq=5e9, anharmonicity=250e6, levels=2)
-    h = free_hamiltonian(spec)
-    assert np.allclose(np.diag(h), [0.0, TWO_PI * 5e9])
-    assert np.allclose(h, np.diag(np.diag(h)))
+    assert np.allclose(level_energies(5e9, 250e6, 2), [0.0, TWO_PI * 5e9])
 
 
 def test_free_hamiltonian_three_level_anharmonic():
-    spec = TransmonSpec(nominal_freq=5e9, anharmonicity=250e6, levels=3)
-    h = free_hamiltonian(spec)
-    assert np.isclose(h[2, 2].real, TWO_PI * (2 * 5e9 - 0.25e9))
+    h = level_energies(5e9, 250e6, 3)
+    assert np.isclose(h[2], TWO_PI * (2 * 5e9 - 0.25e9))
 
 
 def test_free_hamiltonian_six_level_frozen():
@@ -60,9 +56,7 @@ def test_free_hamiltonian_six_level_frozen():
         1.4672142471e11,
         1.7947479007e11,
     ]
-    spec = TransmonSpec(nominal_freq=6.21286e9, anharmonicity=250e6, levels=6)
-    h = np.diag(free_hamiltonian(spec)).real
-    assert np.allclose(h, expected, rtol=1e-10)
+    assert np.allclose(level_energies(6.21286e9, 250e6, 6), expected, rtol=1e-10)
 
 
 # --- sfq_kick ----------------------------------------------------------------
@@ -111,10 +105,9 @@ def test_fidelity_exact_match(haar_su2):
     u = haar_su2(rng)
     full = np.eye(6, dtype=complex)
     full[:2, :2] = u
-    rep = projected_fidelity(full, u, [6])
+    rep = projected_fidelity(full, u)
     assert np.isclose(rep.avg_gate_fidelity, 1.0, atol=1e-12)
     assert rep.error < 1e-12
-    assert rep.leakage < 1e-12
 
 
 def test_fidelity_full_leakage_case():
@@ -124,33 +117,21 @@ def test_fidelity_full_leakage_case():
     full[2, 2] = 0
     full[2, 1] = 1.0
     full[1, 2] = 1.0
-    rep = projected_fidelity(full, np.eye(2), [3])
+    rep = projected_fidelity(full, np.eye(2))
     assert np.isclose(rep.avg_gate_fidelity, 1 / 3, atol=1e-12)
-    assert np.isclose(rep.leakage, 1.0, atol=1e-12)
 
 
 def test_fidelity_global_phase_invariant(haar_su2):
     rng = np.random.default_rng(11)
     u = haar_su2(rng)
     full = np.eye(2, dtype=complex) @ u
-    rep = projected_fidelity(full, np.exp(1j * 1.234) * u, [2])
+    rep = projected_fidelity(full, np.exp(1j * 1.234) * u)
     assert np.isclose(rep.avg_gate_fidelity, 1.0, atol=1e-12)
-
-
-def test_fidelity_two_qubit_indexing():
-    # two 4-level transmons; computational indices {0,1,4,5}
-    cz = np.diag([1, 1, 1, -1]).astype(complex)
-    full = np.eye(16, dtype=complex)
-    for i, gi in enumerate([0, 1, 4, 5]):
-        for j, gj in enumerate([0, 1, 4, 5]):
-            full[gi, gj] = cz[i, j]
-    rep = projected_fidelity(full, cz, [4, 4], [[0, 1], [0, 1]])
-    assert rep.error < 1e-12
 
 
 def test_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
-        projected_fidelity(np.eye(6), np.eye(3), [6])
+        projected_fidelity(np.eye(6), np.eye(3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,7 +142,7 @@ def test_fidelity_bounds_random(haar_su2, seed):
     v = haar_su2(rng)
     full = np.eye(6, dtype=complex)
     full[:2, :2] = u
-    rep = projected_fidelity(full, v, [6])
+    rep = projected_fidelity(full, v)
     assert -1e-12 <= rep.avg_gate_fidelity <= 1.0 + 1e-12
     # equals 1 iff equal up to global phase
     ov = abs(np.trace(v.conj().T @ u)) / 2
