@@ -54,6 +54,7 @@ from sfqctrl.bitstream import (
 )
 from sfqctrl.transmon import (
     TransmonSpec,
+    checked_target,
     level_energies,
     phase_gate,
     ry,
@@ -542,18 +543,10 @@ class _MinEngine:
 
 # --- public ops ----------------------------------------------------------------------
 
-def _checked_target(target) -> np.ndarray:
-    """``target`` as a complex array; ValueError unless a finite unitary 2x2 matrix."""
-    v = np.asarray(target, dtype=complex)
-    if v.shape != (2, 2) or not np.isfinite(v).all() or unitarity_defect(v) > 1e-8:
-        raise ValueError("target must be a finite unitary 2x2 matrix")
-    return v
-
-
 def opt_level_errors(cal: QubitCalibration, target: np.ndarray,
                      fold_phase: float = 0.0, lmax: int = 3) -> dict[int, float]:
     """Cumulative best error for pulse counts L = 0..lmax (analysis helper)."""
-    v = _checked_target(target)
+    v = checked_target(target)
     if not 0 <= lmax <= 3:
         raise ValueError(f"lmax must lie in 0..3, got {lmax}")
     eng = cal.opt_engine
@@ -583,7 +576,7 @@ def decompose_opt(
     level meets the budget, the best tuple across levels is returned
     flagged; a tie in rounded error keeps the lower L.
     """
-    v = _checked_target(target)
+    v = checked_target(target)
     key = ("opt", v.tobytes(), round(float(fold_phase), 9), err_budget, margin)
     hit = cal._cache.get(key)
     if hit is not None:
@@ -642,7 +635,7 @@ def decompose_min(
     ``max_depth`` may not exceed the deepest word the search covers: 28
     cycles for the two-symbol alphabet, 14 otherwise.
     """
-    v = _checked_target(target)
+    v = checked_target(target)
     eng = cal.min_engine
     if not 0 <= max_depth <= 2 * eng.half_cap:
         raise ValueError(f"max_depth must lie in 0..{2 * eng.half_cap}, got {max_depth}")

@@ -20,11 +20,17 @@ length ``T`` is reported as the *anchored* unitary
 with ``H0`` the free Hamiltonian at the qubit's actual (drifted)
 frequency.  In this frame free evolution is exactly the identity, so an
 idle clock cycle is error-free and a z-rotation arises only from shifting
-subsequent pulses in time.
+subsequent pulses in time.  The anchored train is therefore the ordered
+product of one conjugated kick per pulse,
+
+    pulse_train_unitary = prod_s F(s)^dag K F(s),   F(s) = exp(-i*H0*s*tau),
+
+later pulses on the left, with ``K`` the kick and ``s`` the pulse's cycle.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import cache
 from typing import Sequence
@@ -57,12 +63,15 @@ class TransmonSpec:
     drift: float = 0.0
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise ValueError(f"levels must be >= 2, got {self.levels}")
-        if self.anharmonicity <= 0:
-            raise ValueError("anharmonicity must be > 0")
-        if abs(self.drift) >= self.nominal_freq:
-            raise ValueError("|drift| must be smaller than the nominal frequency")
+        if not isinstance(self.levels, numbers.Integral) or self.levels < 2:
+            raise ValueError(f"levels must be an integer >= 2, got {self.levels}")
+        for name in ("nominal_freq", "anharmonicity"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not abs(self.drift) < self.nominal_freq:
+            raise ValueError(f"drift must be finite with |drift| < nominal_freq, "
+                             f"got {self.drift}")
 
     @property
     def actual_freq(self) -> float:
@@ -115,6 +124,14 @@ def unitarity_defect(u: np.ndarray) -> float:
     """Max-norm deviation of U^dag U from the identity."""
     d = u.conj().T @ u - np.eye(u.shape[0])
     return float(np.abs(d).max())
+
+
+def checked_target(target) -> np.ndarray:
+    """``target`` as a complex array; ValueError unless a finite unitary 2x2 matrix."""
+    v = np.asarray(target, dtype=complex)
+    if v.shape != (2, 2) or not np.isfinite(v).all() or unitarity_defect(v) > 1e-8:
+        raise ValueError("target must be a finite unitary 2x2 matrix")
+    return v
 
 
 def pulse_train_unitary(

@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfqctrl.transmon import TransmonSpec, projected_fidelity, ry
+from sfqctrl.transmon import TransmonSpec, projected_fidelity, pulse_train_unitary, ry
 from sfqctrl.bitstream import (
     Bitstream,
     DelaySet,
+    _cycle_kicks,
+    _flip_block,
+    _move_blocks,
+    _prefix_suffix,
     best_rz,
     delay_set,
+    design_bitstream,
     drift_tolerance,
     parking_scan,
     rz_grid_error,
@@ -42,6 +47,23 @@ def test_bitstream_roundtrip_ascii():
 def test_bitstream_rejects_non_finite_tip_angle(tip_angle):
     with pytest.raises(ValueError):
         Bitstream(bits=(1, 0), tip_angle=tip_angle)
+
+
+@pytest.mark.parametrize("field, make", [
+    ("nominal_freq", lambda: TransmonSpec(nominal_freq=np.nan)),
+    ("nominal_freq", lambda: TransmonSpec(nominal_freq=np.inf)),
+    ("nominal_freq", lambda: TransmonSpec(nominal_freq=-5e9)),
+    ("anharmonicity", lambda: TransmonSpec(nominal_freq=5e9, anharmonicity=np.nan)),
+    ("drift", lambda: TransmonSpec(nominal_freq=5e9, drift=np.nan)),
+    ("levels", lambda: TransmonSpec(nominal_freq=5e9, levels=2.5)),
+    ("clock_period", lambda: Bitstream(bits=(1, 0), clock_period=0.0)),
+    ("clock_period", lambda: Bitstream(bits=(1, 0), clock_period=-4e-11)),
+    ("clock_period", lambda: Bitstream(bits=(1, 0), clock_period=np.nan)),
+], ids=["freq-nan", "freq-inf", "freq-negative", "anharmonicity-nan", "drift-nan",
+        "levels-2.5", "clock-zero", "clock-negative", "clock-nan"])
+def test_fields_reject_bad_values(field, make):
+    with pytest.raises(ValueError, match=field):
+        make()
 
 
 # --- delay_set -----------------------------------------------------------------
@@ -215,6 +237,44 @@ def test_designed_bitstreams_match_golden_fixtures(ry_bitstream_hi, ry_bitstream
     for bs, name in ((ry_bitstream_hi, "ry_6212MHz"), (ry_bitstream_lo, "ry_4142MHz")):
         assert bs.to_string() == golden[name]["bits"]
         assert bs.tip_angle == golden[name]["tip_angle"]
+
+
+@pytest.mark.parametrize("target", [2 * np.eye(2), np.full((2, 2), np.nan), np.eye(3),
+                                    np.array([[1, 1], [0, 1]])],
+                         ids=["scaled", "nan", "3x3", "non-unitary"])
+def test_design_bitstream_rejects_bad_target(spec_hi, target):
+    with pytest.raises(ValueError, match="target"):
+        design_bitstream(spec_hi, target)
+
+
+@pytest.mark.parametrize("freq", [6.21286e9, 4.14238e9], ids=["6212MHz", "4142MHz"])
+def test_greedy_scores_match_whole_train(freq):
+    # every flip and move block the descent scores, against one from-scratch train
+    spec = TransmonSpec(nominal_freq=freq)
+    rng = np.random.default_rng(7)
+    n, tip = 253, 0.04
+    bits = (rng.random(n) < 0.3).astype(int)
+
+    def block(b):
+        return pulse_train_unitary(spec, np.flatnonzero(b), n, tip, TAU)[:2, :2]
+
+    kicks = _cycle_kicks(spec, n, tip)
+    pref, suf = _prefix_suffix(kicks, bits)
+    whole = pulse_train_unitary(spec, np.flatnonzero(bits), n, tip, TAU)
+    assert np.abs(suf[0] - whole).max() < 1e-12
+    assert np.abs(pref[n] - whole).max() < 1e-12
+    for i in range(n):
+        flipped = bits.copy()
+        flipped[i] ^= 1
+        got = _flip_block(pref[i], kicks[i], suf[i + 1], lit=not bits[i])
+        assert np.abs(got - block(flipped)).max() < 1e-12
+    js = np.flatnonzero(bits == 0)
+    for i in rng.choice(np.flatnonzero(bits[20:-20]) + 20, size=4, replace=False):
+        assert js[0] < i < js[-1]
+        for j, got in zip(js, _move_blocks(kicks, pref, suf, i, js)):
+            moved = bits.copy()
+            moved[i], moved[j] = 0, 1
+            assert np.abs(got - block(moved)).max() < 1e-12
 
 
 def test_designed_bitstream_drift_sensitivity(ry_bitstream_hi, spec_hi):

@@ -11,6 +11,7 @@ from sfqctrl.calib1q import (
     _collect,
     calibrate_qubit,
     decompose_min,
+    design_min_bitstreams,
     decompose_opt,
     opt_level_errors,
     recompose_error,
@@ -35,6 +36,14 @@ def golden():
     entries = json.loads(GOLDEN_STREAMS.read_text())["streams"]
     return {name: Bitstream.from_string(e["bits"], e["clock_period"], e["tip_angle"])
             for name, e in entries.items()}
+
+
+def test_min_designer_matches_golden_fixtures(spec_hi, golden):
+    # BS=2: the designed Ry stream (four-centre window scan) and the idle stream
+    ry_bs, idle = design_min_bitstreams(spec_hi, bs=2)
+    for bs, name in ((ry_bs, "min_ry_6212MHz"), (idle, "min_idle_6212MHz")):
+        assert bs.bits == golden[name].bits
+        assert bs.tip_angle == golden[name].tip_angle
 
 
 def _two_pulse_targets(haar_su2, cal, seed, n, fold_phase):
