@@ -256,28 +256,54 @@ def _exact_err_fixed(e: np.ndarray, v: np.ndarray) -> float:
                         + abs(np.trace(v.conj().T @ e)) ** 2) / 6.0)
 
 
+_FIRST_CHUNK = 4096  # three-pulse delay tuples in the first chunk; each next one doubles
+_TIE = 1e-12  # above the float error of a bound and the width of a rounded-error tie
+
+
 def _collect(chunks, margin: float):
     """One pass: (best err, its delays, every (err, delays) within ``margin``).
 
-    ``chunks`` yields (errs, ds), ds holding the delays d_1..d_L of each
-    entry of ``errs``; the first entry at the lowest error is the best.
-    Each chunk keeps what lies within ``margin`` of the running best, which
-    never falls below the final best, so the closing filter loses nothing.
+    ``chunks`` yields (errs, ds, floor): ds holds the delays d_1..d_L of
+    each entry of ``errs``, and ``floor`` is at most every error of this
+    chunk and of all later ones; the pass stops at the first chunk whose
+    floor lies above the lowest error so far + ``margin``.  The best is the entry
+    with the lowest key (round(err, 14), sum(delays), delays), so it does not
+    depend on the order of the chunks.  Each chunk keeps what lies within
+    ``margin`` of the running lowest error, which never falls below the
+    final one, so neither the stop nor the closing filter loses an entry.
     """
-    best, best_delays, kept = np.inf, None, []
-    for errs, ds in chunks:
-        i = np.unravel_index(int(np.argmin(errs)), errs.shape)
-        if errs[i] < best:
-            best, best_delays = float(errs[i]), tuple(int(d[i]) for d in ds)
-        sel = errs <= best + margin
+    low, best, kept = np.inf, None, []
+    for errs, ds, floor in chunks:
+        if floor > low + margin + _TIE:
+            break
+        low = min(low, float(errs.min()))
+        for i in map(tuple, np.argwhere(errs <= low + _TIE)):
+            t = (float(errs[i]), tuple(int(d[i]) for d in ds))
+            if best is None or _rank(t) < _rank(best):
+                best = t
+        sel = errs <= low + margin
         kept += zip(errs[sel].tolist(), zip(*(d[sel].tolist() for d in ds)))
-    return best, best_delays, [t for t in kept if t[0] <= best + margin]
+    return *best, [t for t in kept if t[0] <= low + margin]
+
+
+def _rank(t):
+    """Sort key of an (err, delays) candidate: rounded error, total delay, delays."""
+    err, delays = t
+    return round(err, 14), sum(delays), delays
 
 
 # --- opt engine -------------------------------------------------------------------
 
 class _OptEngine:
-    """Vectorized delay-tuple search over one qubit's stream unitary."""
+    """Exact delay-tuple search over one qubit's stream unitary.
+
+    One and two pulses score every delay tuple.  Three pulses visit delay
+    pairs in increasing order of a lower bound on their errors and stop
+    once the bound rises above the best error found + margin, so they
+    return the same best and candidates as scoring all (n_max + 1)^3
+    tuples.  The best is the tuple with the lowest (round(err, 14),
+    sum(delays), delays), whatever order the tuples are visited in.
+    """
 
     def __init__(self, cal: QubitCalibration):
         if cal.arch != "opt":
@@ -307,32 +333,68 @@ class _OptEngine:
         return np.einsum("ij,dj,jk->dik", self.pu, self.k_deltas, self.u6, optimize=True)
 
     def _scored_chunks(self, v, fold, n_pulses: int):
-        """Yield (errs, ds) chunks covering every delay tuple of ``n_pulses`` >= 1.
+        """Yield (errs, ds, floor) chunks covering every delay tuple that can win.
 
-        ``errs`` scores each tuple; its axes are (delta_{L-1}, ..., delta_1,
-        d_1) with delta_i = d_{i+1} - d_i, and L=3 comes in 16-delta_1
-        slices.  ``ds`` holds d_1..d_L broadcast to ``errs``' shape; tuples
-        with a delay outside [0, n_max] score inf.
+        ``errs`` scores each tuple with d_1 on its last axis, ``ds`` holds
+        d_1..d_L broadcast to its shape, and tuples with a delay outside
+        [0, n_max] score inf.  One and two pulses come as one chunk with no
+        floor; three pulses come from ``_pair_chunks``.
         """
         z = np.exp(-1j * (fold + self.phi_d))  # lead phase of each d_1
-        if n_pulses == 1:
-            blocks = [(self.pu[None], [])]
-        elif n_pulses == 2:
-            blocks = [(self.t2_rows, [self.deltas])]
-        else:
-            blocks = ((np.einsum("eij,cjk->ecik", self.t2_rows,
-                                 self.k_deltas[lo:lo + 16, :, None] * self.u6,
-                                 optimize=True),
-                       [self.deltas, self.deltas[lo:lo + 16]])
-                      for lo in range(0, len(self.deltas), 16))
-        for rows, steps in blocks:
-            e_core = np.ascontiguousarray(rows[..., :2]).reshape(-1, 2, 2)
-            errs = _score_free_trailing(e_core, z, v).reshape(
-                *(len(s) for s in steps), self.n_max + 1)
-            mesh = np.ix_(*steps, np.arange(self.n_max + 1))  # (..., delta_1, d_1)
-            ds = np.broadcast_arrays(errs, *accumulate(mesh[::-1]))[1:]
-            valid = np.all([(d >= 0) & (d <= self.n_max) for d in ds], axis=0)
-            yield np.where(valid, errs, np.inf), ds
+        if n_pulses == 3:
+            yield from self._pair_chunks(v, z)
+            return
+        d1 = np.arange(self.n_max + 1)
+        rows, steps = ((self.pu[None], [d1]) if n_pulses == 1
+                       else (self.t2_rows, [d1, self.deltas[:, None]]))
+        errs = _score_free_trailing(np.ascontiguousarray(rows[..., :2]), z, v)
+        yield *self._masked(errs, steps), -np.inf
+
+    def _masked(self, errs, steps):
+        """(errs, ds) for scored tuples given as ``steps`` = [d_1, delta_1, ...].
+
+        ``ds`` holds the delays d_1, d_1 + delta_1, ... broadcast to ``errs``'
+        shape; ``errs`` comes back with inf wherever one lies outside [0, n_max].
+        """
+        ds = np.broadcast_arrays(errs, *accumulate(steps))[1:]
+        valid = np.all([(d >= 0) & (d <= self.n_max) for d in ds], axis=0)
+        return np.where(valid, errs, np.inf), ds
+
+    def _pair_chunks(self, v, z):
+        """Three-pulse chunks: delay pairs in increasing bound order, every d_1 each.
+
+        The projected block of (d_1, d_1 + delta_1, d_1 + delta_1 + delta_2)
+        depends only on the pair (delta_1, delta_2); d_1 enters through the
+        lead phase z alone.  Each error has the form
+        1 - (|E|^2 + (|a0 + a1 z| + |b0 + b1 z|)^2) / 6, so by the triangle
+        inequality the pair's errors are at least
+        1 - (|E|^2 + (|a0| + |a1| + |b0| + |b1|)^2) / 6; a pair with no d_1 in
+        [0, n_max] is bounded by inf.  Each chunk's floor is the bound of its
+        first pair, which the later pairs' bounds do not undercut.
+        """
+        n, m = self.n_max, len(self.deltas)
+        blocks = np.einsum("eij,cjk->ckei", self.t2_rows,
+                           self.k_deltas[:, :, None] * self.u6[:, :2],
+                           optimize=True)  # (delta_1, column, delta_2, row)
+        mags = np.abs(blocks)
+        norm2 = np.einsum("ckei,ik->ce", mags ** 2, np.ones((2, 2)), optimize=True)
+        reach = np.einsum("ckei,ik->ce", mags, np.abs(v), optimize=True)
+        bound = 1.0 - (norm2 + reach ** 2) / 6.0
+        # some d_1 puts d_1, d_1 + delta_1 and d_1 + delta_1 + delta_2 in [0, n_max]
+        # iff the spread of 0, delta_1 and delta_1 + delta_2 is at most n_max
+        delta1, lead = self.deltas[:, None], self.deltas[:, None] + self.deltas[None, :]
+        spread = np.maximum(0, np.maximum(delta1, lead)) - np.minimum(0, np.minimum(delta1, lead))
+        bound[spread > n] = np.inf
+        order = np.argsort(bound, axis=None)  # pair p is (delta_1, delta_2) = divmod(p, m)
+        d1, start, size = np.arange(n + 1), 0, max(1, _FIRST_CHUNK // (n + 1))
+        while start < len(order):
+            pairs = order[start:start + size]
+            start, size = start + size, 2 * size
+            c, e = np.divmod(pairs, m)
+            e_core = np.ascontiguousarray(blocks[c, :, e, :].transpose(0, 2, 1))
+            errs = _score_free_trailing(e_core, z, v)
+            steps = [d1, self.deltas[c, None], self.deltas[e, None]]
+            yield *self._masked(errs, steps), bound.flat[pairs[0]]
 
     def search(self, v, fold, n_pulses: int, margin: float = 0.0):
         """(best err, its delays, every (err, delays) within ``margin`` of it)."""
@@ -543,6 +605,13 @@ class _MinEngine:
 
 # --- public ops ----------------------------------------------------------------------
 
+def _checked_nonnegative(name: str, value: float) -> float:
+    value = float(value)
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
 def opt_level_errors(cal: QubitCalibration, target: np.ndarray,
                      fold_phase: float = 0.0, lmax: int = 3) -> dict[int, float]:
     """Cumulative best error for pulse counts L = 0..lmax (analysis helper)."""
@@ -568,40 +637,43 @@ def decompose_opt(
     """Decompose a 2x2 target into delay-scheduled bitstream applications.
 
     Searches L = 0 (pure virtual z), then 1, 2, 3 bitstream pulses on
-    consecutive controller cycles, scoring every delay tuple against the
-    qubit's exact six-level stream unitary.  The first L whose best error meets
-    ``err_budget`` returns all its tuples within ``margin`` of that best,
-    ordered by rounded error, then total delay, then lexicographic delays,
-    so the scheduler can trade accuracy for broadcast sharing.  If no
-    level meets the budget, the best tuple across levels is returned
-    flagged; a tie in rounded error keeps the lower L.
+    consecutive controller cycles against the qubit's exact six-level
+    stream unitary.  The search is exact: L <= 2 scores every delay tuple,
+    and L = 3 skips only delay pairs whose error bound rules them out (see
+    ``_OptEngine``).  The first L whose best error meets ``err_budget``
+    returns its tuples within ``margin`` of that best, at most
+    ``max_candidates`` of them, ordered by the key (round(err, 14),
+    sum(delays), delays), so the scheduler can trade accuracy for broadcast
+    sharing.  If no level meets the budget, the tuple with the lowest key
+    across levels is returned flagged; a tie in rounded error keeps the
+    lower L.  Every call returns a new list.
     """
     v = checked_target(target)
+    err_budget = _checked_nonnegative("err_budget", err_budget)
+    margin = _checked_nonnegative("margin", margin)
+    if max_candidates < 1:
+        raise ValueError(f"max_candidates must be >= 1, got {max_candidates}")
     key = ("opt", v.tobytes(), round(float(fold_phase), 9), err_budget, margin)
-    hit = cal._cache.get(key)
-    if hit is not None:
-        return hit
     eng = cal.opt_engine
-
-    flagged, best = False, (np.inf, None)
-    for n_pulses in range(4):
-        err, delays, kept = eng.search(v, fold_phase, n_pulses, margin)
-        if err <= err_budget:
-            candidates = sorted(kept, key=lambda t: (round(t[0], 14), sum(t[1]), t[1]))
-            break
-        if round(err, 14) < round(best[0], 14):
-            best = (err, delays)
-    else:
-        flagged, candidates = True, [best]
-
-    out = []
-    for err, delays in candidates[:max_candidates]:
-        rho = _residual_for(eng, v, fold_phase, delays)
-        out.append(Decomposition1Q(kind="opt", steps=tuple(delays),
-                                   residual_phase=rho, err=max(err, 0.0),
-                                   flagged=flagged))
-    cal._cache[key] = out
-    return out
+    if key not in cal._cache:
+        flagged, best = False, (np.inf, None)
+        for n_pulses in range(4):
+            err, delays, kept = eng.search(v, fold_phase, n_pulses, margin)
+            if err <= err_budget:
+                candidates = sorted(kept, key=_rank)
+                break
+            if round(err, 14) < round(best[0], 14):
+                best = (err, delays)
+        else:
+            flagged, candidates = True, [best]
+        cal._cache[key] = (flagged, candidates, [])
+    # the decompositions are built on first request, then shared (they are frozen)
+    flagged, candidates, built = cal._cache[key]
+    built += (Decomposition1Q(kind="opt", steps=delays,
+                              residual_phase=_residual_for(eng, v, fold_phase, delays),
+                              err=max(err, 0.0), flagged=flagged)
+              for err, delays in candidates[len(built):max_candidates])
+    return built[:max_candidates]
 
 
 def _residual_for(eng: _OptEngine, v, fold, delays) -> float:
@@ -636,6 +708,7 @@ def decompose_min(
     cycles for the two-symbol alphabet, 14 otherwise.
     """
     v = checked_target(target)
+    err_budget = _checked_nonnegative("err_budget", err_budget)
     eng = cal.min_engine
     if not 0 <= max_depth <= 2 * eng.half_cap:
         raise ValueError(f"max_depth must lie in 0..{2 * eng.half_cap}, got {max_depth}")
@@ -660,7 +733,7 @@ def recompose_error(cal: QubitCalibration, dec: Decomposition1Q,
     Independent of the vectorized search tables; verifies that any
     returned ``err`` is reproducible to 1e-12.
     """
-    v = np.asarray(target, dtype=complex)
+    v = checked_target(target)
     if dec.kind == "opt":
         e = cal.opt_engine.block(dec.steps, fold_phase)
         return max(_exact_err_free_trailing(e, v), 0.0)

@@ -1,5 +1,6 @@
-import numpy as np
 import pytest
+
+import opt_oracle
 
 from sfqctrl.transmon import TransmonSpec
 from sfqctrl.bitstream import design_ry_bitstream
@@ -32,9 +33,4 @@ def ry_bitstream_lo(spec_lo):
 @pytest.fixture(scope="session")
 def haar_su2():
     """Sampler of Haar-random SU(2) matrices: haar_su2(rng) -> 2x2 array."""
-    def sample(rng):
-        z = rng.normal(size=4)
-        z /= np.linalg.norm(z)
-        a, b, c, d = z
-        return np.array([[a + 1j * b, -c + 1j * d], [c + 1j * d, a - 1j * b]])
-    return sample
+    return opt_oracle.haar_su2

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from opt_oracle import DRIFTS, FOLDS, mismatches
 from sfqctrl.bitstream import Bitstream
 from sfqctrl.calib1q import (
     CalibrationError,
+    Decomposition1Q,
     _collect,
     calibrate_qubit,
     decompose_min,
@@ -132,7 +134,7 @@ def test_collect_keeps_only_entries_near_the_final_best():
               np.array([0.35, 0.28])]
     ids = np.cumsum([0] + [c.size for c in chunks])
     fed = [(errs, [np.arange(lo, lo + errs.size).reshape(errs.shape),
-                   np.full(errs.shape, n)])
+                   np.full(errs.shape, n)], -np.inf)
            for n, (lo, errs) in enumerate(zip(ids, chunks))]
     best, best_delays, kept = _collect(iter(fed), margin)
 
@@ -143,6 +145,32 @@ def test_collect_keeps_only_entries_near_the_final_best():
     assert best == flat.min() and best_delays == (int(np.argmin(flat)), 1)
     assert sorted(kept) == sorted(want)
     assert len(want) == 3
+
+
+def test_collect_stops_at_the_floor_and_breaks_ties_by_key():
+    # 0.2 + 1e-16 rounds to the same 14 decimals as 0.2 and has the lower
+    # delay sum, so it is the best in either order; the last chunk's floor
+    # lies above best + margin, so its 0.0 is never looked at
+    tied = [(np.array([0.2, 0.5]), [np.array([5, 7]), np.array([5, 7])], -np.inf),
+            (np.array([0.2 + 1e-16, 0.25]), [np.array([0, 3]), np.array([1, 3])], -np.inf)]
+    stop = (np.array([0.0]), [np.array([9]), np.array([9])], 0.35)
+    for chunks in (tied, tied[::-1]):
+        best, best_delays, kept = _collect(iter(chunks + [stop]), margin=0.1)
+        assert (best, best_delays) == (0.2 + 1e-16, (0, 1))
+        assert sorted(kept) == [(0.2, (5, 5)), (0.2 + 1e-16, (0, 1)), (0.25, (3, 3))]
+
+
+@pytest.mark.parametrize("drift", DRIFTS)
+def test_pruned_three_pulse_search_matches_brute_force(ry_bitstream_hi, spec_hi, haar_su2,
+                                                      drift):
+    # n_max = 15 keeps the brute-force scan small (16^3 tuples per target);
+    # run tests/opt_oracle.py for more targets and for n_max = 255
+    cal = calibrate_qubit(spec_hi.with_drift(drift), [ry_bitstream_hi], n_max=15)
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        v = haar_su2(rng)
+        for fold in FOLDS:
+            assert mismatches(cal, v, fold) == []
 
 
 @pytest.mark.parametrize("other", [
@@ -232,6 +260,24 @@ def group_cals(golden, spec_hi):
 
 
 NAN = np.full((2, 2), np.nan, dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def test_decompose_opt_cache_keeps_every_candidate(group_cals):
+    # X needs two pulses on this stream and has more than 128 candidates
+    cal = group_cals["opt"]
+    (one,) = decompose_opt(cal, X, max_candidates=1)
+    decs = decompose_opt(cal, X)
+    assert len(decs) == 128 and decs[0] == one
+    decs.clear()
+    again = decompose_opt(cal, X, max_candidates=1000)
+    assert 128 < len(again) < 1000 and again[0] == one
+    assert len(decompose_opt(cal, X)) == 128
+
+
+def _recompose(cal, target):
+    """recompose_error of an empty schedule, for the bad-target cases."""
+    return recompose_error(cal, Decomposition1Q(cal.arch, (), 0.0, 0.0), target)
 
 
 @pytest.mark.parametrize("fn, arch, target, kwargs", [
@@ -248,6 +294,20 @@ NAN = np.full((2, 2), np.nan, dtype=complex)
     pytest.param(decompose_min, "min", H, {"max_depth": 29}, id="depth-29"),
     pytest.param(decompose_min, "min", H, {"max_depth": -1}, id="depth-negative"),
     pytest.param(decompose_min, "min4", H, {"max_depth": 15}, id="depth-15-four-streams"),
+    pytest.param(decompose_opt, "opt", H, {"err_budget": np.nan}, id="opt-budget-nan"),
+    pytest.param(decompose_opt, "opt", H, {"err_budget": np.inf}, id="opt-budget-inf"),
+    pytest.param(decompose_opt, "opt", H, {"err_budget": -1e-4}, id="opt-budget-negative"),
+    pytest.param(decompose_min, "min", H, {"err_budget": np.nan}, id="min-budget-nan"),
+    pytest.param(decompose_min, "min", H, {"err_budget": np.inf}, id="min-budget-inf"),
+    pytest.param(decompose_min, "min", H, {"err_budget": -1e-4}, id="min-budget-negative"),
+    pytest.param(decompose_opt, "opt", H, {"margin": np.nan}, id="margin-nan"),
+    pytest.param(decompose_opt, "opt", H, {"margin": np.inf}, id="margin-inf"),
+    pytest.param(decompose_opt, "opt", H, {"margin": -1e-4}, id="margin-negative"),
+    pytest.param(decompose_opt, "opt", H, {"max_candidates": 0}, id="max-candidates-0"),
+    pytest.param(_recompose, "opt", NAN, {}, id="recompose-opt-nan"),
+    pytest.param(_recompose, "opt", np.eye(3), {}, id="recompose-opt-3x3"),
+    pytest.param(_recompose, "min", NAN, {}, id="recompose-min-nan"),
+    pytest.param(_recompose, "min", np.eye(3), {}, id="recompose-min-3x3"),
 ])
 def test_decompositions_reject_bad_input(group_cals, fn, arch, target, kwargs):
     cal = group_cals[arch]
