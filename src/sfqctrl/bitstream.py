@@ -10,6 +10,16 @@ stored bitstream tilts its rotation axis by
 
 so only the N+1 grid phases phi_0..phi_N are available per qubit.
 
+Grid analysis
+-------------
+``rz_grid_error`` is the error of an Rz off by delta, and
+``worst_rz_error`` the worst case of a grid over all target angles (a
+target in the middle of its largest gap).  ``parking_scan`` and
+``drift_tolerance`` apply it to the grids of delays 0..DEFAULT_N_MAX
+across a frequency range, to find parking frequencies and the drift each
+one tolerates within a 1e-4 budget.  A calibrated qubit's own grid is
+``calib1q._OptEngine.phi_d``.
+
 Bitstream search
 ----------------
 ``design_ry_bitstream`` places pulses where the qubit phase sits within a
@@ -38,7 +48,7 @@ simulate from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +66,8 @@ from sfqctrl.transmon import (
 SFQ_CLOCK_PERIOD = 40e-12
 MAX_BITSTREAM_LEN = 300
 DEFAULT_N_MAX = 255
+_PARKING_ERR_BUDGET = 1e-4  # worst-case Rz error a parking interval must stay below
+_DRIFT_SPAN = 40e6  # drift_tolerance scans freq +- this many Hz
 
 # gate lengths (clock cycles) for the default parking frequencies
 GATE_LENGTH_CYCLES = {
@@ -111,48 +123,11 @@ class Bitstream:
                                    self.clock_period)
 
 
-@dataclass(frozen=True)
-class DelaySet:
-    """Grid of z-rotation angles reachable by idling 0..n_max clock cycles."""
-
-    f_actual: float
-    clock_period: float = SFQ_CLOCK_PERIOD
-    n_max: int = DEFAULT_N_MAX
-    # derived from the three fields above, so it takes no part in == and hash
-    phases: np.ndarray = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.phases is None:
-            object.__setattr__(self, "phases",
-                               _grid_phases(self.f_actual, self.n_max, self.clock_period))
-
-    def phase(self, d: int) -> float:
-        return float(self.phases[d])
-
-    def max_gap(self) -> float:
-        """Largest angular gap between adjacent grid phases (brute force)."""
-        return float(_max_gap(self.phases))
-
-
-def _grid_phases(f_actual, n_max: int, clock_period: float) -> np.ndarray:
-    """Phases 2*pi*f*d*tau mod 2*pi for d = 0..n_max (one row per frequency)."""
-    d = np.arange(n_max + 1)
-    return np.mod(2.0 * np.pi * f_actual * d * clock_period, 2.0 * np.pi)
-
-
 def _max_gap(phases: np.ndarray) -> np.ndarray:
     """Largest circular gap between the phases of each row (last axis)."""
     ph = np.sort(np.mod(phases, 2.0 * np.pi), axis=-1)
     gaps = np.diff(np.concatenate([ph, ph[..., :1] + 2.0 * np.pi], axis=-1), axis=-1)
     return gaps.max(axis=-1)
-
-
-def delay_set(spec: TransmonSpec, n_max: int = DEFAULT_N_MAX,
-              clock_period: float = SFQ_CLOCK_PERIOD) -> DelaySet:
-    """Exact delay-to-phase table for ``spec`` at its actual frequency."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return DelaySet(f_actual=spec.actual_freq, clock_period=clock_period, n_max=n_max)
 
 
 def rz_grid_error(delta: float | np.ndarray):
@@ -164,73 +139,57 @@ def rz_grid_error(delta: float | np.ndarray):
     return (2.0 / 3.0) * np.sin(0.5 * np.asarray(delta)) ** 2
 
 
-def best_rz(ds: DelaySet, phi: float) -> tuple[int, float]:
-    """Delay whose grid phase best approximates Rz(phi), and its error."""
-    delta = ds.phases - phi
-    errs = rz_grid_error(delta)
-    d = int(np.argmin(errs))
-    return d, float(errs[d])
-
-
-def worst_rz_error(phases: np.ndarray) -> float:
-    """Worst-case best_rz error over all target angles for a phase grid.
+def worst_rz_error(phases: np.ndarray):
+    """Worst-case error of the nearest grid phase over all Rz target angles.
 
     The worst target sits at the midpoint of the largest gap, giving
-    (2/3)*sin^2(gap/4).
+    (2/3)*sin^2(gap/4): a float for one grid, one value per row of a 2-D
+    array of grids.
     """
-    return float(rz_grid_error(_max_gap(phases) / 2.0))
+    return rz_grid_error(_max_gap(phases) / 2.0)
 
 
-def _good_runs(f_lo: float, f_hi: float, resolution: float, n_max: int,
-               err_budget: float, clock_period: float):
-    """Frequency grid over [f_lo, f_hi] and its maximal runs below ``err_budget``.
+def _good_runs(f_lo: float, f_hi: float, resolution: float):
+    """Frequency grid over [f_lo, f_hi] and its maximal runs below the budget.
 
     Returns the grid and an iterator of (first, last) grid indices, one
-    per contiguous run whose worst-case delay-quantized Rz error stays
-    below the budget.
+    per contiguous run whose worst-case delay-quantized Rz error over the
+    delays 0..DEFAULT_N_MAX stays below ``_PARKING_ERR_BUDGET``.
     """
     if not resolution > 0:
         raise ValueError(f"resolution must be > 0, got {resolution}")
     freqs = np.arange(f_lo, f_hi + 0.5 * resolution, resolution)
-    worst = rz_grid_error(_max_gap(_grid_phases(freqs[:, None], n_max, clock_period)) / 2.0)
-    edges = np.diff(np.concatenate([[0], (worst < err_budget).astype(np.int8), [0]]))
+    d = np.arange(DEFAULT_N_MAX + 1)
+    worst = worst_rz_error(np.mod(2.0 * np.pi * freqs[:, None] * d * SFQ_CLOCK_PERIOD,
+                                  2.0 * np.pi))
+    edges = np.diff(np.concatenate([[0], (worst < _PARKING_ERR_BUDGET).astype(np.int8), [0]]))
     return freqs, zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1)
 
 
-def parking_scan(
-    f_lo: float,
-    f_hi: float,
-    resolution: float = 0.1e6,
-    n_max: int = DEFAULT_N_MAX,
-    err_budget: float = 1e-4,
-    clock_period: float = SFQ_CLOCK_PERIOD,
-) -> list[tuple[float, float]]:
+def parking_scan(f_lo: float, f_hi: float,
+                 resolution: float = 0.1e6) -> list[tuple[float, float]]:
     """Find parking frequencies: centers of wide drift-tolerant intervals.
 
     Scans candidate frequencies on a grid, computes the worst-case
     delay-quantized Rz error at each, and returns one (frequency,
     tolerance) pair per maximal contiguous sub-interval where the error
-    stays below ``err_budget``.  The tolerance is the half-width of that
-    interval; the frequency is its center.
+    stays below ``_PARKING_ERR_BUDGET``.  The tolerance is the half-width
+    of that interval; the frequency is its center.
     """
     if f_lo >= f_hi:
         raise ValueError("f_lo must be < f_hi")
-    freqs, runs = _good_runs(f_lo, f_hi, resolution, n_max, err_budget, clock_period)
+    freqs, runs = _good_runs(f_lo, f_hi, resolution)
     return [(float(0.5 * (freqs[i] + freqs[j])), float(0.5 * (freqs[j] - freqs[i])))
             for i, j in runs]
 
 
-def drift_tolerance(
-    freq: float,
-    n_max: int = DEFAULT_N_MAX,
-    err_budget: float = 1e-4,
-    resolution: float = 0.1e6,
-    span: float = 40e6,
-    clock_period: float = SFQ_CLOCK_PERIOD,
-) -> float:
-    """Half-width of the contiguous low-error drift interval containing ``freq``."""
-    freqs, runs = _good_runs(freq - span, freq + span, resolution, n_max, err_budget,
-                             clock_period)
+def drift_tolerance(freq: float, resolution: float = 0.1e6) -> float:
+    """Half-width of the contiguous low-error drift interval containing ``freq``.
+
+    Frequencies within ``_DRIFT_SPAN`` of ``freq`` are scanned; 0 if ``freq``
+    itself misses the budget.
+    """
+    freqs, runs = _good_runs(freq - _DRIFT_SPAN, freq + _DRIFT_SPAN, resolution)
     i0 = int(np.argmin(np.abs(freqs - freq)))
     for i, j in runs:
         if i <= i0 <= j:
@@ -321,24 +280,9 @@ def _move_blocks(kicks: np.ndarray, pref: np.ndarray, suf: np.ndarray, i: int,
     return np.where((js > i)[:, None, None], lit[:, :2] @ x[:, :2], w[:2] @ lit[:, :, :2])
 
 
-def window_rule_slots(freq: float, n_cycles: int, w: float, tip_angle: float,
-                      clock_period: float = SFQ_CLOCK_PERIOD) -> np.ndarray:
-    """Pulse slots of the phase-window rule.
-
-    Cycle i pulses when the qubit phase 2*pi*f*i*tau (mod 2*pi) lies
-    within a half-window ``w`` of zero, stopping once
-    ceil((pi/2)/tip_angle) pulses have fired.
-    """
-    ph = _window_phase(freq, n_cycles, clock_period, 0.0)
-    slots = np.flatnonzero(np.abs(ph) <= w)
-    cap = int(np.ceil((np.pi / 2) / tip_angle)) if tip_angle > 0 else 0
-    return slots[:cap]
-
-
-def _window_phase(freq: float, n_cycles: int, clock_period: float,
-                  centre: float) -> np.ndarray:
+def _window_phase(freq: float, n_cycles: int, centre: float) -> np.ndarray:
     """Qubit phase at each cycle relative to ``centre``, wrapped to [-pi, pi)."""
-    return np.mod(2.0 * np.pi * freq * np.arange(n_cycles) * clock_period
+    return np.mod(2.0 * np.pi * freq * np.arange(n_cycles) * SFQ_CLOCK_PERIOD
                   - centre + np.pi, 2.0 * np.pi) - np.pi
 
 
@@ -371,7 +315,7 @@ def design_bitstream(spec: TransmonSpec, target: np.ndarray,
     # ---- stage 1: (w, dtheta) scan over window centres
     best = (np.inf, None, None)  # err, slots, tip
     for centre in window_centres:
-        ph = _window_phase(freq, n_cycles, SFQ_CLOCK_PERIOD, centre)
+        ph = _window_phase(freq, n_cycles, centre)
         for w in np.linspace(0.15, 1.25, 23):
             all_slots = np.flatnonzero(np.abs(ph) <= w)
             if len(all_slots) < 8:

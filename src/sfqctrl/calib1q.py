@@ -27,8 +27,10 @@ styles are supported:
           (the T-like gate: at 6.21286 GHz / 253 cycles the step angle
           is 0.7908 rad, within 0.006 of pi/4 -- and it drifts with the
           qubit, which is what makes outlier qubits possible).  Words
-          over the step alphabet are searched exhaustively in order of
-          depth; stored streams are designed against D^dag-compensated
+          over the step alphabet are searched in order of depth:
+          exhaustively up to 12 cycles (two symbols) or 6 (more), then
+          by a radius-limited meet-in-the-middle search over two stored
+          halves.  Stored streams are designed against D^dag-compensated
           targets so their steps equal the advertised gates at zero
           drift.
 
@@ -38,6 +40,7 @@ accumulates through the sequence and is projected once at the end.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -135,8 +138,8 @@ def calibrate_qubit(
     cycle spans the delay range plus the stream; for min it equals the
     stream length, so all streams must share one length and clock period.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not isinstance(n_max, numbers.Integral) or n_max < 1:
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max}")
     if not shared_bitstreams:
         raise CalibrationError("at least one shared bitstream is required")
     first = shared_bitstreams[0]
@@ -237,18 +240,12 @@ def _score_free_trailing(e_core: np.ndarray, z_lead: np.ndarray, v: np.ndarray):
     return 1.0 - (norm2[:, None] + mag ** 2) / 6.0
 
 
-def _trailing_phase(e: np.ndarray, v: np.ndarray) -> float:
-    """Optimal trailing virtual-z angle for a single 2x2 candidate."""
-    a = e[0, 0] * np.conj(v[0, 0]) + e[0, 1] * np.conj(v[0, 1])
-    b = e[1, 0] * np.conj(v[1, 0]) + e[1, 1] * np.conj(v[1, 1])
-    return float(np.angle(a) - np.angle(b))
-
-
-def _exact_err_free_trailing(e: np.ndarray, v: np.ndarray) -> float:
+def _free_trailing(e: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """(error, optimal trailing virtual-z angle) of a single 2x2 candidate."""
     a = e[0, 0] * np.conj(v[0, 0]) + e[0, 1] * np.conj(v[0, 1])
     b = e[1, 0] * np.conj(v[1, 0]) + e[1, 1] * np.conj(v[1, 1])
     norm2 = float(np.sum(np.abs(e) ** 2))
-    return 1.0 - (norm2 + (abs(a) + abs(b)) ** 2) / 6.0
+    return 1.0 - (norm2 + (abs(a) + abs(b)) ** 2) / 6.0, float(np.angle(a) - np.angle(b))
 
 
 def _exact_err_fixed(e: np.ndarray, v: np.ndarray) -> float:
@@ -399,7 +396,7 @@ class _OptEngine:
     def search(self, v, fold, n_pulses: int, margin: float = 0.0):
         """(best err, its delays, every (err, delays) within ``margin`` of it)."""
         if n_pulses == 0:
-            err = _exact_err_free_trailing(self.block((), fold), v)
+            err = _free_trailing(self.block((), fold), v)[0]
             return err, (), [(err, ())]
         return _collect(self._scored_chunks(v, fold, n_pulses), margin)
 
@@ -605,10 +602,11 @@ class _MinEngine:
 
 # --- public ops ----------------------------------------------------------------------
 
-def _checked_nonnegative(name: str, value: float) -> float:
+def _checked_finite(name: str, value: float, nonnegative: bool = False) -> float:
     value = float(value)
-    if not 0.0 <= value < np.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    if not np.isfinite(value) or (nonnegative and value < 0.0):
+        bound = " and >= 0" if nonnegative else ""
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
     return value
 
 
@@ -616,6 +614,7 @@ def opt_level_errors(cal: QubitCalibration, target: np.ndarray,
                      fold_phase: float = 0.0, lmax: int = 3) -> dict[int, float]:
     """Cumulative best error for pulse counts L = 0..lmax (analysis helper)."""
     v = checked_target(target)
+    fold_phase = _checked_finite("fold_phase", fold_phase)
     if not 0 <= lmax <= 3:
         raise ValueError(f"lmax must lie in 0..3, got {lmax}")
     eng = cal.opt_engine
@@ -646,34 +645,29 @@ def decompose_opt(
     sum(delays), delays), so the scheduler can trade accuracy for broadcast
     sharing.  If no level meets the budget, the tuple with the lowest key
     across levels is returned flagged; a tie in rounded error keeps the
-    lower L.  Every call returns a new list.
+    lower L.  Nothing is cached: each call searches afresh.
     """
     v = checked_target(target)
-    err_budget = _checked_nonnegative("err_budget", err_budget)
-    margin = _checked_nonnegative("margin", margin)
+    err_budget = _checked_finite("err_budget", err_budget, nonnegative=True)
+    margin = _checked_finite("margin", margin, nonnegative=True)
+    fold_phase = _checked_finite("fold_phase", fold_phase)
     if max_candidates < 1:
         raise ValueError(f"max_candidates must be >= 1, got {max_candidates}")
-    key = ("opt", v.tobytes(), round(float(fold_phase), 9), err_budget, margin)
     eng = cal.opt_engine
-    if key not in cal._cache:
-        flagged, best = False, (np.inf, None)
-        for n_pulses in range(4):
-            err, delays, kept = eng.search(v, fold_phase, n_pulses, margin)
-            if err <= err_budget:
-                candidates = sorted(kept, key=_rank)
-                break
-            if round(err, 14) < round(best[0], 14):
-                best = (err, delays)
-        else:
-            flagged, candidates = True, [best]
-        cal._cache[key] = (flagged, candidates, [])
-    # the decompositions are built on first request, then shared (they are frozen)
-    flagged, candidates, built = cal._cache[key]
-    built += (Decomposition1Q(kind="opt", steps=delays,
-                              residual_phase=_residual_for(eng, v, fold_phase, delays),
-                              err=max(err, 0.0), flagged=flagged)
-              for err, delays in candidates[len(built):max_candidates])
-    return built[:max_candidates]
+    flagged, best = False, (np.inf, None)
+    for n_pulses in range(4):
+        err, delays, kept = eng.search(v, fold_phase, n_pulses, margin)
+        if err <= err_budget:
+            candidates = sorted(kept, key=_rank)[:max_candidates]
+            break
+        if round(err, 14) < round(best[0], 14):
+            best = (err, delays)
+    else:
+        flagged, candidates = True, [best]
+    return [Decomposition1Q(kind="opt", steps=delays,
+                            residual_phase=_residual_for(eng, v, fold_phase, delays),
+                            err=max(err, 0.0), flagged=flagged)
+            for err, delays in candidates]
 
 
 def _residual_for(eng: _OptEngine, v, fold, delays) -> float:
@@ -683,7 +677,7 @@ def _residual_for(eng: _OptEngine, v, fold, delays) -> float:
     whole schedule needs rho - theta_L, theta_L the qubit phase at the
     last application's start (0 without applications).
     """
-    rho = _trailing_phase(eng.block(delays, fold), v)
+    rho = _free_trailing(eng.block(delays, fold), v)[1]
     theta_l = ((len(delays) - 1) * (eng.phi1 * eng.cycle) + eng.phi_d[delays[-1]]
                if delays else 0.0)
     return float(np.mod(rho - theta_l, 2 * np.pi))
@@ -708,11 +702,12 @@ def decompose_min(
     cycles for the two-symbol alphabet, 14 otherwise.
     """
     v = checked_target(target)
-    err_budget = _checked_nonnegative("err_budget", err_budget)
+    err_budget = _checked_finite("err_budget", err_budget, nonnegative=True)
+    fold_phase = _checked_finite("fold_phase", fold_phase)
     eng = cal.min_engine
     if not 0 <= max_depth <= 2 * eng.half_cap:
         raise ValueError(f"max_depth must lie in 0..{2 * eng.half_cap}, got {max_depth}")
-    key = ("min", v.tobytes(), round(float(fold_phase), 9), err_budget, max_depth)
+    key = ("min", v.tobytes(), round(fold_phase, 9), err_budget, max_depth)
     hit = cal._cache.get(key)
     if hit is not None:
         return hit
@@ -734,9 +729,10 @@ def recompose_error(cal: QubitCalibration, dec: Decomposition1Q,
     returned ``err`` is reproducible to 1e-12.
     """
     v = checked_target(target)
+    fold_phase = _checked_finite("fold_phase", fold_phase)
     if dec.kind == "opt":
         e = cal.opt_engine.block(dec.steps, fold_phase)
-        return max(_exact_err_free_trailing(e, v), 0.0)
+        return max(_free_trailing(e, v)[0], 0.0)
     v_eff = v @ phase_gate(fold_phase)
     e = cal.min_engine.word_block(dec.steps)
     return max(_exact_err_fixed(e, v_eff), 0.0)

@@ -7,21 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from sfqctrl.transmon import TransmonSpec, projected_fidelity, pulse_train_unitary, ry
 from sfqctrl.bitstream import (
+    DEFAULT_N_MAX,
     Bitstream,
-    DelaySet,
     _cycle_kicks,
     _flip_block,
     _move_blocks,
     _prefix_suffix,
-    best_rz,
-    delay_set,
     design_bitstream,
     drift_tolerance,
     parking_scan,
     rz_grid_error,
-    window_rule_slots,
     worst_rz_error,
 )
+from sfqctrl.calib1q import calibrate_qubit
 
 TAU = 40e-12
 GOLDEN_STREAMS = Path(__file__).resolve().parents[1] / "perfbench/fixtures/streams.json"
@@ -66,70 +64,57 @@ def test_fields_reject_bad_values(field, make):
         make()
 
 
-# --- delay_set -----------------------------------------------------------------
+# --- the delay grid a calibrated qubit uses ------------------------------------
+
+def _grid(freq, n_max=DEFAULT_N_MAX, drift=0.0):
+    """Delay phases phi_0..phi_n_max of a calibrated opt qubit (``_OptEngine.phi_d``)."""
+    spec = TransmonSpec(nominal_freq=freq, drift=drift)
+    return calibrate_qubit(spec, [Bitstream(bits=(1, 0, 0))], n_max=n_max).opt_engine.phi_d
+
+
+def _circular(a, b):
+    """Distance between angles on the circle."""
+    return np.abs(np.mod(np.asarray(a) - b + np.pi, 2 * np.pi) - np.pi)
+
 
 def test_delay_set_rational_lock():
     # f*tau = 0.25 exactly: only 4 distinct phases (up to float wrap at 2*pi)
-    spec = TransmonSpec(nominal_freq=6.25e9, levels=6)
-    ds = delay_set(spec, n_max=255)
-    quadrant = np.round(ds.phases / (np.pi / 2)).astype(int) % 4
+    phases = _grid(6.25e9)
+    quadrant = np.round(phases / (np.pi / 2)).astype(int) % 4
     assert set(quadrant) == {0, 1, 2, 3}
-    assert np.allclose(ds.phases, quadrant * np.pi / 2, atol=1e-6) or np.allclose(
-        np.mod(ds.phases - quadrant * np.pi / 2 + np.pi, 2 * np.pi) - np.pi, 0, atol=1e-6
-    )
+    assert _circular(phases, quadrant * np.pi / 2).max() <= 1e-6
 
 
 def test_delay_set_zero_delay_zero_phase():
-    spec = TransmonSpec(nominal_freq=6.21286e9)
-    assert delay_set(spec, 255).phase(0) == 0.0
+    assert _grid(6.21286e9)[0] == 0.0
 
 
 def test_delay_set_frozen_coverage_gap():
-    # brute-force oracle: enumerate all 256 phases, sort, max gap
-    spec = TransmonSpec(nominal_freq=6.21286e9)
-    ds = delay_set(spec, n_max=255)
-    assert len(ds.phases) == 256
-    assert np.isclose(ds.max_gap(), 0.03733720036941435, atol=1e-12)
-    assert np.isclose(worst_rz_error(ds.phases), 5.8084418497848214e-05, rtol=1e-9)
-
-
-def test_delay_set_equality_and_hash():
-    # the phase table is derived, so equal fields mean equal sets
-    a, b = DelaySet(6e9), DelaySet(6e9)
-    assert a == b and hash(a) == hash(b)
-    assert a != DelaySet(6e9, n_max=100)
-    assert len({a, b, DelaySet(6.1e9)}) == 2
+    # brute-force oracle: sort all 256 phases, take the largest circular gap
+    phases = _grid(6.21286e9)
+    assert len(phases) == 256
+    ph = np.sort(phases)
+    gap = np.max(np.diff(np.append(ph, ph[0] + 2 * np.pi)))
+    assert np.isclose(gap, 0.03733720036941435, atol=1e-12)
+    assert np.isclose(worst_rz_error(phases), 5.8084418497848214e-05, rtol=1e-9)
 
 
 def test_delay_set_uses_actual_frequency():
-    a = delay_set(TransmonSpec(nominal_freq=6.21286e9), 255)
-    b = delay_set(TransmonSpec(nominal_freq=6.21286e9, drift=5e6), 255)
-    assert not np.allclose(a.phases, b.phases)
+    # drifting by df turns phi_d by 2*pi*df*d*tau
+    a = _grid(6.21286e9)
+    b = _grid(6.21286e9, drift=5e6)
+    assert not np.allclose(a, b)
+    d = np.arange(len(a))
+    assert _circular(b - a, 2 * np.pi * 5e6 * d * TAU).max() <= 1e-9
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(3e9, 8e9), st.integers(0, 255))
 def test_delay_phase_recomputable_exactly(freq, d):
-    spec = TransmonSpec(nominal_freq=freq)
-    ds = delay_set(spec, 255)
-    assert ds.phase(d) == np.mod(2 * np.pi * freq * d * TAU, 2 * np.pi)
+    assert _circular(_grid(freq)[d], 2 * np.pi * freq * d * TAU) <= 1e-12
 
 
-# --- best_rz -------------------------------------------------------------------
-
-def test_best_rz_exact_table_phase():
-    spec = TransmonSpec(nominal_freq=6.21286e9)
-    ds = delay_set(spec, 255)
-    d, err = best_rz(ds, ds.phase(17))
-    assert err <= 1e-30
-    assert np.isclose(ds.phase(d), ds.phase(17))
-
-
-def test_best_rz_zero_phase():
-    spec = TransmonSpec(nominal_freq=6.21286e9)
-    d, err = best_rz(delay_set(spec, 255), 0.0)
-    assert d == 0 and err == 0.0
-
+# --- worst-case grid error ---------------------------------------------------------
 
 def test_best_rz_uniform_grid_worst_case():
     # exactly uniform 256 phases: worst error is the analytic midpoint value
@@ -137,6 +122,11 @@ def test_best_rz_uniform_grid_worst_case():
     w = worst_rz_error(phases)
     assert np.isclose(w, (2 / 3) * np.sin(np.pi / 512) ** 2, rtol=1e-12)
     assert w <= 0.251e-4  # the published "0.25e-4" is this value rounded
+
+
+def test_worst_rz_error_one_value_per_row():
+    grids = np.stack([np.arange(256) * 2 * np.pi / 256, _grid(6.21286e9), _grid(6.25e9)])
+    assert np.array_equal(worst_rz_error(grids), [worst_rz_error(g) for g in grids])
 
 
 def test_rz_grid_error_form():
@@ -150,9 +140,7 @@ def test_rz_grid_error_form():
 
 def test_small_grid_pigeonhole():
     # n_max=3: only 4 phases; some target is at least pi/4 from every phase
-    spec = TransmonSpec(nominal_freq=6.25e9)  # exact 4-phase lock
-    ds = delay_set(spec, n_max=3)
-    w = worst_rz_error(ds.phases)
+    w = worst_rz_error(_grid(6.25e9, n_max=3))  # exact 4-phase lock
     assert w >= rz_grid_error(np.pi / 4) - 1e-12
 
 
@@ -204,16 +192,7 @@ def test_scan_rejects_non_positive_resolution(scan, resolution):
         scan(resolution)
 
 
-# --- window rule + design -------------------------------------------------------
-
-def test_window_rule_quarter_lock_counting():
-    # f*tau = 1/4 exactly: pulses every 4th cycle; with dtheta = (pi/2)/63
-    # the cap stops after 63 pulses
-    slots = window_rule_slots(6.25e9, 253, w=0.1, tip_angle=(np.pi / 2) / 63)
-    assert len(slots) == 63
-    assert all(s % 4 == 0 for s in slots)
-    assert slots[-1] == 62 * 4
-
+# --- design -------------------------------------------------------
 
 def test_designed_bitstream_high_freq(ry_bitstream_hi, spec_hi):
     bs = ry_bitstream_hi

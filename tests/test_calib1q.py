@@ -187,6 +187,11 @@ def test_calibrate_rejects_n_max_below_one(spec_hi):
         calibrate_qubit(spec_hi, [Bitstream(bits=(1, 0, 0))], n_max=0)
 
 
+def test_calibrate_rejects_non_integer_n_max(spec_hi):
+    with pytest.raises(ValueError, match="n_max"):
+        calibrate_qubit(spec_hi, [Bitstream(bits=(1, 0, 0))], n_max=15.5)
+
+
 # --- min ---------------------------------------------------------------------------
 
 def _brute_force_word(cal, streams, v, max_depth):
@@ -248,23 +253,39 @@ def test_decompositions_reject_the_other_architecture(golden, spec_hi):
         decompose_min(calibrate_qubit(spec_hi, streams, arch="opt"), H)
 
 
+def _four_streams(golden):
+    """A four-symbol min alphabet: the Ry stream at tip angles 1, -1 and 1/2, and idle."""
+    ry, idle = golden["min_ry_6212MHz"], golden["min_idle_6212MHz"]
+    return [ry, Bitstream(ry.bits, tip_angle=-ry.tip_angle),
+            Bitstream(ry.bits, tip_angle=0.5 * ry.tip_angle), idle]
+
+
 @pytest.fixture
 def group_cals(golden, spec_hi):
     """Fresh opt, min and four-stream min calibrations at zero drift."""
     ry, idle = golden["min_ry_6212MHz"], golden["min_idle_6212MHz"]
-    four = [ry, Bitstream(ry.bits, tip_angle=-ry.tip_angle),
-            Bitstream(ry.bits, tip_angle=0.5 * ry.tip_angle), idle]
     return {"opt": calibrate_qubit(spec_hi, [golden["ry_6212MHz"]]),
             "min": calibrate_qubit(spec_hi, [ry, idle], arch="min"),
-            "min4": calibrate_qubit(spec_hi, four, arch="min")}
+            "min4": calibrate_qubit(spec_hi, _four_streams(golden), arch="min")}
+
+
+def test_decompose_min_four_streams_against_brute_force(golden, group_cals, haar_su2):
+    # depth 6 is the four-symbol alphabet's exhaustive cap
+    cal = group_cals["min4"]
+    rng = np.random.default_rng(5)
+    for v in (H, T, haar_su2(rng), haar_su2(rng)):
+        dec = decompose_min(cal, v, err_budget=1e-12, max_depth=6)
+        assert dec.steps == _brute_force_word(cal, _four_streams(golden), v, max_depth=6)
 
 
 NAN = np.full((2, 2), np.nan, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def test_decompose_opt_cache_keeps_every_candidate(group_cals):
-    # X needs two pulses on this stream and has more than 128 candidates
+def test_decompose_opt_truncates_each_call_alone(group_cals):
+    # X needs two pulses on this stream and has more than 128 candidates;
+    # a call's max_candidates, or a change to the list it returned, must not
+    # reach a later call
     cal = group_cals["opt"]
     (one,) = decompose_opt(cal, X, max_candidates=1)
     decs = decompose_opt(cal, X)
@@ -275,9 +296,9 @@ def test_decompose_opt_cache_keeps_every_candidate(group_cals):
     assert len(decompose_opt(cal, X)) == 128
 
 
-def _recompose(cal, target):
-    """recompose_error of an empty schedule, for the bad-target cases."""
-    return recompose_error(cal, Decomposition1Q(cal.arch, (), 0.0, 0.0), target)
+def _recompose(cal, target, **kwargs):
+    """recompose_error of an empty schedule, for the bad-input cases."""
+    return recompose_error(cal, Decomposition1Q(cal.arch, (), 0.0, 0.0), target, **kwargs)
 
 
 @pytest.mark.parametrize("fn, arch, target, kwargs", [
@@ -308,6 +329,11 @@ def _recompose(cal, target):
     pytest.param(_recompose, "opt", np.eye(3), {}, id="recompose-opt-3x3"),
     pytest.param(_recompose, "min", NAN, {}, id="recompose-min-nan"),
     pytest.param(_recompose, "min", np.eye(3), {}, id="recompose-min-3x3"),
+    *(pytest.param(fn, arch, H, {"fold_phase": fold}, id=f"{name}-fold-{fold}")
+      for fn, arch, name in ((decompose_opt, "opt", "opt"), (opt_level_errors, "opt", "levels"),
+                             (decompose_min, "min", "min"), (_recompose, "opt", "recompose-opt"),
+                             (_recompose, "min", "recompose-min"))
+      for fold in (np.nan, np.inf, -np.inf)),
 ])
 def test_decompositions_reject_bad_input(group_cals, fn, arch, target, kwargs):
     cal = group_cals[arch]
