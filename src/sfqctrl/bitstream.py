@@ -174,13 +174,15 @@ def parking_scan(f_lo: float, f_hi: float,
     delay-quantized Rz error at each, and returns one (frequency,
     tolerance) pair per maximal contiguous sub-interval where the error
     stays below ``_PARKING_ERR_BUDGET``.  The tolerance is the half-width
-    of that interval; the frequency is its center.
+    of that interval; the frequency is its center.  Only intervals with a
+    failing grid point on both sides are reported: one that the scan
+    range cuts off has no measured width.
     """
     if f_lo >= f_hi:
         raise ValueError("f_lo must be < f_hi")
     freqs, runs = _good_runs(f_lo, f_hi, resolution)
     return [(float(0.5 * (freqs[i] + freqs[j])), float(0.5 * (freqs[j] - freqs[i])))
-            for i, j in runs]
+            for i, j in runs if 0 < i and j < len(freqs) - 1]
 
 
 def drift_tolerance(freq: float, resolution: float = 0.1e6) -> float:

@@ -35,15 +35,14 @@ styles are supported:
           drift.
 
 Both searches score with the qubit's exact six-level operators: leakage
-accumulates through the sequence and is projected once at the end.
+builds up through the sequence and is projected once at the end.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +59,7 @@ from sfqctrl.transmon import (
     checked_target,
     level_energies,
     phase_gate,
+    projected_fidelity,
     ry,
     rz,
     unitarity_defect,
@@ -112,7 +112,6 @@ class QubitCalibration:
     controller_cycle_sfq: int
     clock_period: float
     idle_index: int | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def opt_engine(self) -> "_OptEngine":
@@ -138,8 +137,7 @@ def calibrate_qubit(
     cycle spans the delay range plus the stream; for min it equals the
     stream length, so all streams must share one length and clock period.
     """
-    if not isinstance(n_max, numbers.Integral) or n_max < 1:
-        raise ValueError(f"n_max must be an integer >= 1, got {n_max}")
+    n_max = _checked_int("n_max", n_max, 1)
     if not shared_bitstreams:
         raise CalibrationError("at least one shared bitstream is required")
     first = shared_bitstreams[0]
@@ -248,12 +246,14 @@ def _free_trailing(e: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     return 1.0 - (norm2 + (abs(a) + abs(b)) ** 2) / 6.0, float(np.angle(a) - np.angle(b))
 
 
-def _exact_err_fixed(e: np.ndarray, v: np.ndarray) -> float:
-    return float(1.0 - (np.sum(np.abs(e) ** 2)
-                        + abs(np.trace(v.conj().T @ e)) ** 2) / 6.0)
+def _fixed_errors(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Gate errors of (N, 2, 2) projected blocks, no free virtual z: (N,)."""
+    norm2 = np.sum(np.abs(blocks) ** 2, axis=(1, 2))
+    tr = np.einsum("ij,nij->n", v.conj(), blocks)
+    return 1.0 - (norm2 + np.abs(tr) ** 2) / 6.0
 
 
-_FIRST_CHUNK = 4096  # three-pulse delay tuples in the first chunk; each next one doubles
+_FIRST_CHUNK = 4096  # (tuple, d_1) scores in the first chunk; each next one doubles
 _TIE = 1e-12  # above the float error of a bound and the width of a rounded-error tie
 
 
@@ -294,12 +294,12 @@ def _rank(t):
 class _OptEngine:
     """Exact delay-tuple search over one qubit's stream unitary.
 
-    One and two pulses score every delay tuple.  Three pulses visit delay
-    pairs in increasing order of a lower bound on their errors and stop
-    once the bound rises above the best error found + margin, so they
-    return the same best and candidates as scoring all (n_max + 1)^3
-    tuples.  The best is the tuple with the lowest (round(err, 14),
-    sum(delays), delays), whatever order the tuples are visited in.
+    Every pulse count L = 1..3 visits its delay tuples in increasing order
+    of a lower bound on their errors and stops once the bound rises above
+    the best error found + margin, so it returns the same best and
+    candidates as scoring all (n_max + 1)^L tuples.  The best is the tuple
+    with the lowest (round(err, 14), sum(delays), delays), whatever order
+    the tuples are visited in.
     """
 
     def __init__(self, cal: QubitCalibration):
@@ -329,76 +329,58 @@ class _OptEngine:
         """P @ U6 @ K(cycle + delta) @ U6 over all deltas: (511, 2, 6)."""
         return np.einsum("ij,dj,jk->dik", self.pu, self.k_deltas, self.u6, optimize=True)
 
-    def _scored_chunks(self, v, fold, n_pulses: int):
-        """Yield (errs, ds, floor) chunks covering every delay tuple that can win.
+    def _chunks(self, v, fold, n_pulses: int):
+        """Yield (errs, ds, floor) chunks: delay tuples in increasing bound order.
 
-        ``errs`` scores each tuple with d_1 on its last axis, ``ds`` holds
-        d_1..d_L broadcast to its shape, and tuples with a delay outside
-        [0, n_max] score inf.  One and two pulses come as one chunk with no
-        floor; three pulses come from ``_pair_chunks``.
+        A tuple (d_1, d_1 + o_2, ..., d_1 + o_L) is given by its offsets o_i =
+        d_i - d_1 and by the projected block E of its pulses, which depends on
+        the offsets alone; d_1 enters only through the lead phase z.  Each
+        error has the form 1 - (|E|^2 + (|a0 + a1 z| + |b0 + b1 z|)^2) / 6, so
+        by the triangle inequality the tuple's errors are at least
+        1 - (|E|^2 + (|a0| + |a1| + |b0| + |b1|)^2) / 6; a tuple with no d_1
+        in [-min o_i, n_max - max o_i] is bounded by inf.  Each chunk scores
+        its tuples at every d_1 (last axis of ``errs``, inf outside that
+        range), ``ds`` holds d_1..d_L broadcast to the shape of ``errs``, and
+        ``floor`` is the bound of the chunk's first tuple, which the later
+        tuples' bounds do not undercut.
         """
-        z = np.exp(-1j * (fold + self.phi_d))  # lead phase of each d_1
-        if n_pulses == 3:
-            yield from self._pair_chunks(v, z)
-            return
-        d1 = np.arange(self.n_max + 1)
-        rows, steps = ((self.pu[None], [d1]) if n_pulses == 1
-                       else (self.t2_rows, [d1, self.deltas[:, None]]))
-        errs = _score_free_trailing(np.ascontiguousarray(rows[..., :2]), z, v)
-        yield *self._masked(errs, steps), -np.inf
-
-    def _masked(self, errs, steps):
-        """(errs, ds) for scored tuples given as ``steps`` = [d_1, delta_1, ...].
-
-        ``ds`` holds the delays d_1, d_1 + delta_1, ... broadcast to ``errs``'
-        shape; ``errs`` comes back with inf wherever one lies outside [0, n_max].
-        """
-        ds = np.broadcast_arrays(errs, *accumulate(steps))[1:]
-        valid = np.all([(d >= 0) & (d <= self.n_max) for d in ds], axis=0)
-        return np.where(valid, errs, np.inf), ds
-
-    def _pair_chunks(self, v, z):
-        """Three-pulse chunks: delay pairs in increasing bound order, every d_1 each.
-
-        The projected block of (d_1, d_1 + delta_1, d_1 + delta_1 + delta_2)
-        depends only on the pair (delta_1, delta_2); d_1 enters through the
-        lead phase z alone.  Each error has the form
-        1 - (|E|^2 + (|a0 + a1 z| + |b0 + b1 z|)^2) / 6, so by the triangle
-        inequality the pair's errors are at least
-        1 - (|E|^2 + (|a0| + |a1| + |b0| + |b1|)^2) / 6; a pair with no d_1 in
-        [0, n_max] is bounded by inf.  Each chunk's floor is the bound of its
-        first pair, which the later pairs' bounds do not undercut.
-        """
-        n, m = self.n_max, len(self.deltas)
-        blocks = np.einsum("eij,cjk->ckei", self.t2_rows,
-                           self.k_deltas[:, :, None] * self.u6[:, :2],
-                           optimize=True)  # (delta_1, column, delta_2, row)
+        n, d1 = self.n_max, np.arange(self.n_max + 1)
+        if n_pulses == 1:
+            blocks, offsets = self.pu[None, :, :2], []
+        elif n_pulses == 2:
+            blocks, offsets = self.t2_rows[..., :2], [self.deltas]
+        else:  # blocks[delta_1, delta_2] = t2_rows[delta_2] @ K(cycle + delta_1) U6 P
+            blocks = np.einsum("eij,cjk->ceik", self.t2_rows,
+                               self.k_deltas[:, :, None] * self.u6[:, :2], optimize=True)
+            offsets = [self.deltas[:, None], self.deltas[:, None] + self.deltas]
+        grid = blocks.shape[:-2]
         mags = np.abs(blocks)
-        norm2 = np.einsum("ckei,ik->ce", mags ** 2, np.ones((2, 2)), optimize=True)
-        reach = np.einsum("ckei,ik->ce", mags, np.abs(v), optimize=True)
-        bound = 1.0 - (norm2 + reach ** 2) / 6.0
-        # some d_1 puts d_1, d_1 + delta_1 and d_1 + delta_1 + delta_2 in [0, n_max]
-        # iff the spread of 0, delta_1 and delta_1 + delta_2 is at most n_max
-        delta1, lead = self.deltas[:, None], self.deltas[:, None] + self.deltas[None, :]
-        spread = np.maximum(0, np.maximum(delta1, lead)) - np.minimum(0, np.minimum(delta1, lead))
-        bound[spread > n] = np.inf
-        order = np.argsort(bound, axis=None)  # pair p is (delta_1, delta_2) = divmod(p, m)
-        d1, start, size = np.arange(n + 1), 0, max(1, _FIRST_CHUNK // (n + 1))
-        while start < len(order):
-            pairs = order[start:start + size]
+        norm2 = np.einsum("...ik,ik->...", mags ** 2, np.ones((2, 2)), optimize=True)
+        reach = np.einsum("...ik,ik->...", mags, np.abs(v), optimize=True)
+        lo = hi = np.zeros((), dtype=int)  # least and largest offset, o_1 = 0 included
+        for off in offsets:
+            lo, hi = np.minimum(lo, off), np.maximum(hi, off)
+        first, last = np.broadcast_to(-lo, grid), np.broadcast_to(n - hi, grid)  # of d_1
+        bound = np.where(first > last, np.inf, 1.0 - (norm2 + reach ** 2) / 6.0)
+        order = np.argsort(bound, axis=None)
+        offsets = [np.broadcast_to(o, grid) for o in offsets]
+        z = np.exp(-1j * (fold + self.phi_d))  # lead phase of each d_1
+        start, size = 0, max(1, _FIRST_CHUNK // (n + 1))
+        while start < order.size:
+            tuples = order[start:start + size]
             start, size = start + size, 2 * size
-            c, e = np.divmod(pairs, m)
-            e_core = np.ascontiguousarray(blocks[c, :, e, :].transpose(0, 2, 1))
-            errs = _score_free_trailing(e_core, z, v)
-            steps = [d1, self.deltas[c, None], self.deltas[e, None]]
-            yield *self._masked(errs, steps), bound.flat[pairs[0]]
+            at = np.unravel_index(tuples, grid)
+            errs = _score_free_trailing(np.ascontiguousarray(blocks[at]), z, v)
+            errs[(d1 < first[at][:, None]) | (d1 > last[at][:, None])] = np.inf
+            ds = [np.broadcast_to(d1, errs.shape)] + [d1 + o[at][:, None] for o in offsets]
+            yield errs, ds, bound.flat[tuples[0]]
 
     def search(self, v, fold, n_pulses: int, margin: float = 0.0):
         """(best err, its delays, every (err, delays) within ``margin`` of it)."""
         if n_pulses == 0:
             err = _free_trailing(self.block((), fold), v)[0]
             return err, (), [(err, ())]
-        return _collect(self._scored_chunks(v, fold, n_pulses), margin)
+        return _collect(self._chunks(v, fold, n_pulses), margin)
 
     def block(self, delays: Sequence[int], fold: float) -> np.ndarray:
         """Projected 2x2 block of a delay schedule, lead phase included.
@@ -488,6 +470,7 @@ class _MinEngine:
         self.half_cap = 14 if self.n_sym == 2 else 7
         self._words: list[np.ndarray] = [np.eye(dim, dtype=complex)[None, :, :]]
         self._trees: dict[int, tuple[object, np.ndarray]] = {}
+        self._results: dict[tuple, Decomposition1Q] = {}  # decompose_min's, by its inputs
 
     # -- tables ---------------------------------------------------------------
 
@@ -532,44 +515,33 @@ class _MinEngine:
 
     # -- search ----------------------------------------------------------------
 
-    def _score_table(self, blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
-        norm2 = np.sum(np.abs(blocks) ** 2, axis=(1, 2))
-        tr = np.einsum("ij,nij->n", v.conj(), blocks)
-        return 1.0 - (norm2 + np.abs(tr) ** 2) / 6.0
-
     def search(self, v_eff: np.ndarray, err_budget: float,
                max_depth: int) -> tuple[float, tuple[int, ...]]:
         """Shortest word (exact match, no free trailing) within the budget.
 
-        Depth-ordered: exhaustive while n_sym^depth stays small, then
+        Depth-ordered: exhaustive up to ``exh_cap`` cycles, then
         meet-in-the-middle with half tables capped at 16384 entries (full
         depth-28 coverage for the two-symbol alphabet, depth 14 for the
         four-symbol one; ``max_depth`` must not exceed it).  When no word
         meets the budget the best found overall is returned (caller flags it).
         """
-        e0 = _exact_err_fixed(np.eye(2, dtype=complex), v_eff)
-        best: tuple[float, tuple[int, ...]] = (max(e0, 0.0), ())
-        if best[0] <= err_budget:
-            return best
-        for depth in range(1, min(max_depth, self.exh_cap) + 1):
-            table = self._word_table(depth)
-            errs = self._score_table(table[:, :2, :2], v_eff)
-            i = int(np.argmin(errs))
-            if errs[i] < best[0]:
-                best = (max(float(errs[i]), 0.0), self.word_digits(i, depth))
-            if best[0] <= err_budget:
-                return best
+        e0 = float(_fixed_errors(np.eye(2, dtype=complex)[None], v_eff)[0])
+        best = (max(e0, 0.0), ())
         radius = max(0.05, 3.5 * np.sqrt(1.5 * err_budget))
-        vq, ok = _su2_quaternions(v_eff[None])
-        if not ok[0]:
-            return best
-        for depth in range(self.exh_cap + 1, max_depth + 1):
-            err, word = self._mitm_depth(v_eff, vq[0], depth, radius)
+        vq = _su2_quaternions(v_eff[None])[0][0]  # a unitary target always has one
+        for depth in range(1, max_depth + 1):
+            if best[0] <= err_budget:
+                break
+            err, word = (self._exhaustive_depth(v_eff, depth) if depth <= self.exh_cap
+                         else self._mitm_depth(v_eff, vq, depth, radius))
             if err < best[0]:
                 best = (max(err, 0.0), word)
-            if best[0] <= err_budget:
-                return best
         return best
+
+    def _exhaustive_depth(self, v, depth):
+        errs = _fixed_errors(self._word_table(depth)[:, :2, :2], v)
+        i = int(np.argmin(errs))
+        return float(errs[i]), self.word_digits(i, depth)
 
     def _mitm_depth(self, v, vq, depth, radius):
         a = depth // 2
@@ -591,7 +563,7 @@ class _MinEngine:
                 continue
             w2s = np.unique(owners[np.asarray(neigh)])
             e = rows[w2s] @ cols[qi]
-            errs = self._score_table(e, v)
+            errs = _fixed_errors(e, v)
             j = int(np.argmin(errs))
             if errs[j] < best_err:
                 best_err = float(errs[j])
@@ -610,13 +582,20 @@ def _checked_finite(name: str, value: float, nonnegative: bool = False) -> float
     return value
 
 
+def _checked_int(name: str, value, lo: int, hi: float = np.inf) -> int:
+    """``value`` as an int if it is an integer in [lo, hi], else a ValueError naming it."""
+    if not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        span = f">= {lo}" if hi == np.inf else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
 def opt_level_errors(cal: QubitCalibration, target: np.ndarray,
                      fold_phase: float = 0.0, lmax: int = 3) -> dict[int, float]:
     """Cumulative best error for pulse counts L = 0..lmax (analysis helper)."""
     v = checked_target(target)
     fold_phase = _checked_finite("fold_phase", fold_phase)
-    if not 0 <= lmax <= 3:
-        raise ValueError(f"lmax must lie in 0..3, got {lmax}")
+    lmax = _checked_int("lmax", lmax, 0, 3)
     eng = cal.opt_engine
     out, best = {}, np.inf
     for n_pulses in range(lmax + 1):
@@ -637,22 +616,21 @@ def decompose_opt(
 
     Searches L = 0 (pure virtual z), then 1, 2, 3 bitstream pulses on
     consecutive controller cycles against the qubit's exact six-level
-    stream unitary.  The search is exact: L <= 2 scores every delay tuple,
-    and L = 3 skips only delay pairs whose error bound rules them out (see
-    ``_OptEngine``).  The first L whose best error meets ``err_budget``
-    returns its tuples within ``margin`` of that best, at most
-    ``max_candidates`` of them, ordered by the key (round(err, 14),
-    sum(delays), delays), so the scheduler can trade accuracy for broadcast
-    sharing.  If no level meets the budget, the tuple with the lowest key
-    across levels is returned flagged; a tie in rounded error keeps the
-    lower L.  Nothing is cached: each call searches afresh.
+    stream unitary.  The search is exact: each L skips only delay tuples
+    whose error bound rules them out (see ``_OptEngine``).  The first L
+    whose best error meets ``err_budget`` returns its tuples within
+    ``margin`` of that best, at most ``max_candidates`` of them, ordered by
+    the key (round(err, 14), sum(delays), delays), so the scheduler can
+    trade accuracy for broadcast sharing.  If no level meets the budget,
+    the tuple with the lowest key across levels is returned flagged; a tie
+    in rounded error keeps the lower L.  Nothing is cached: each call
+    searches afresh.
     """
     v = checked_target(target)
     err_budget = _checked_finite("err_budget", err_budget, nonnegative=True)
     margin = _checked_finite("margin", margin, nonnegative=True)
     fold_phase = _checked_finite("fold_phase", fold_phase)
-    if max_candidates < 1:
-        raise ValueError(f"max_candidates must be >= 1, got {max_candidates}")
+    max_candidates = _checked_int("max_candidates", max_candidates, 1)
     eng = cal.opt_engine
     flagged, best = False, (np.inf, None)
     for n_pulses in range(4):
@@ -692,7 +670,7 @@ def decompose_min(
 ) -> Decomposition1Q:
     """Shortest stored-gate word approximating the target on this qubit.
 
-    Depth-ordered search over per-cycle words (leakage accumulated
+    Depth-ordered search over per-cycle words (leakage carried
     through the full six-level sequence, projected once at the end).
     Returns the shortest word with error <= ``err_budget``, otherwise the
     best word found up to ``max_depth``, flagged.  ``residual_phase``
@@ -705,10 +683,9 @@ def decompose_min(
     err_budget = _checked_finite("err_budget", err_budget, nonnegative=True)
     fold_phase = _checked_finite("fold_phase", fold_phase)
     eng = cal.min_engine
-    if not 0 <= max_depth <= 2 * eng.half_cap:
-        raise ValueError(f"max_depth must lie in 0..{2 * eng.half_cap}, got {max_depth}")
-    key = ("min", v.tobytes(), round(fold_phase, 9), err_budget, max_depth)
-    hit = cal._cache.get(key)
+    max_depth = _checked_int("max_depth", max_depth, 0, 2 * eng.half_cap)
+    key = (v.tobytes(), fold_phase, err_budget, max_depth)
+    hit = eng._results.get(key)
     if hit is not None:
         return hit
     v_eff = v @ phase_gate(fold_phase)
@@ -717,7 +694,7 @@ def decompose_min(
         kind="min", steps=tuple(word),
         residual_phase=float(np.mod(len(word) * eng.phi, 2 * np.pi)),
         err=max(float(err), 0.0), flagged=err > err_budget)
-    cal._cache[key] = res
+    eng._results[key] = res
     return res
 
 
@@ -733,6 +710,5 @@ def recompose_error(cal: QubitCalibration, dec: Decomposition1Q,
     if dec.kind == "opt":
         e = cal.opt_engine.block(dec.steps, fold_phase)
         return max(_free_trailing(e, v)[0], 0.0)
-    v_eff = v @ phase_gate(fold_phase)
     e = cal.min_engine.word_block(dec.steps)
-    return max(_exact_err_fixed(e, v_eff), 0.0)
+    return max(projected_fidelity(e, v @ phase_gate(fold_phase)).error, 0.0)

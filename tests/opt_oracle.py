@@ -1,17 +1,19 @@
-"""Brute-force three-pulse opt scan: the oracle for the pruned search.
+"""Brute-force opt scan: the oracle for the pruned search at every pulse count.
 
-Scores every delay tuple (d_1, d_2, d_3) in [0, n_max]^3 with the same
-block arithmetic and scorer the engine uses, in 16-delta_1 slices, and
-feeds the slices to the same collector without a floor, so nothing is
-pruned.  The tests compare ``_OptEngine.search`` at three pulses against
-it.  Run as a script for the full-size comparison at the default n_max:
+Scores every delay tuple (d_1, ..., d_L) in [0, n_max]^L for L = 1, 2
+and 3 with the same block arithmetic and scorer the engine uses (three
+pulses in 16-delta_1 slices), and feeds the scores to the same collector
+without a floor, so nothing is pruned: this is the score-everything
+path the engine used before it pruned every level.  The tests compare
+``_OptEngine.search`` at each L against it.  Run as a script for the
+full-size comparison at the default n_max:
 
-    PYTHONPATH=src python3 tests/opt_oracle.py --targets 100 --n-max 255
+    PYTHONPATH=src python3 tests/opt_oracle.py --targets 25 --n-max 255
 
 which draws seeded Haar targets at drifts -12, 0, +6 and +12 MHz on the
 designed 6.21286 GHz stream, checks each at fold phases 0 and 0.9, and
-prints the number of checks whose best error, sorted candidate list or
-``opt_level_errors`` differ.
+prints, for each L, the number of checks whose best error, sorted
+candidate list or ``opt_level_errors`` differ.
 """
 
 from __future__ import annotations
@@ -28,42 +30,60 @@ from sfqctrl.calib1q import _collect, _rank, _score_free_trailing, opt_level_err
 DRIFTS = (-12e6, 0.0, 6e6, 12e6)
 FOLDS = (0.0, 0.9)
 MARGIN = 1e-4
+LEVELS = (1, 2, 3)
 
 
-def brute_force_chunks(eng, v, fold):
-    """Every three-pulse delay tuple, scored; tuples outside [0, n_max] score inf."""
+def brute_force_chunks(eng, v, fold, n_pulses):
+    """Every delay tuple of ``n_pulses`` pulses, scored; tuples outside [0, n_max] score inf.
+
+    One pulse is the single block P U6 P, two are the rows of ``t2_rows``
+    over delta_1, three come in 16-delta_1 slices of ``t2_rows`` against
+    K(cycle + delta_1) U6; each tuple is scored at every d_1.
+    """
     z = np.exp(-1j * (fold + eng.phi_d))
-    for lo in range(0, len(eng.deltas), 16):
-        steps = [eng.deltas, eng.deltas[lo:lo + 16]]
-        rows = np.einsum("eij,cjk->ecik", eng.t2_rows,
-                         eng.k_deltas[lo:lo + 16, :, None] * eng.u6, optimize=True)
+    if n_pulses == 1:
+        parts = [(eng.pu[None], [])]
+    elif n_pulses == 2:
+        parts = [(eng.t2_rows, [eng.deltas])]
+    else:
+        parts = ((np.einsum("eij,cjk->ecik", eng.t2_rows,
+                            eng.k_deltas[lo:lo + 16, :, None] * eng.u6, optimize=True),
+                  [eng.deltas, eng.deltas[lo:lo + 16]])
+                 for lo in range(0, len(eng.deltas), 16))
+    for rows, steps in parts:
         e_core = np.ascontiguousarray(rows[..., :2]).reshape(-1, 2, 2)
         errs = _score_free_trailing(e_core, z, v).reshape(
             *(len(s) for s in steps), eng.n_max + 1)
-        mesh = np.ix_(*steps, np.arange(eng.n_max + 1))  # (delta_2, delta_1, d_1)
+        mesh = np.ix_(*steps, np.arange(eng.n_max + 1))  # (delta_{L-1}, ..., delta_1, d_1)
         ds = np.broadcast_arrays(errs, *accumulate(mesh[::-1]))[1:]
         valid = np.all([(d >= 0) & (d <= eng.n_max) for d in ds], axis=0)
         yield np.where(valid, errs, np.inf), ds, -np.inf
 
 
-def brute_force_search(eng, v, fold, margin=MARGIN):
+def brute_force_search(eng, v, fold, n_pulses, margin=MARGIN):
     """(best err, its delays, every (err, delays) within ``margin``) over all tuples."""
-    return _collect(brute_force_chunks(eng, v, fold), margin)
+    return _collect(brute_force_chunks(eng, v, fold, n_pulses), margin)
 
 
-def mismatches(cal, v, fold, margin=MARGIN) -> list[str]:
-    """What the pruned three-pulse search and the brute-force scan disagree on."""
+def mismatches(cal, v, fold, margin=MARGIN, levels=LEVELS) -> list[str]:
+    """What the pruned search and the brute-force scan disagree on, per pulse count.
+
+    ``levels`` are the pulse counts checked; each entry starts with the one
+    it concerns, as "L2 ...".
+    """
     eng = cal.opt_engine
-    err, delays, kept = eng.search(v, fold, 3, margin)
-    b_err, b_delays, b_kept = brute_force_search(eng, v, fold, margin)
+    level_errs = opt_level_errors(cal, v, fold, lmax=max(levels))
     out = []
-    if (err, delays) != (b_err, b_delays):
-        out.append(f"best {err!r} {delays} vs {b_err!r} {b_delays}")
-    if sorted(kept, key=_rank) != sorted(b_kept, key=_rank):
-        out.append(f"candidates {len(kept)} vs {len(b_kept)}")
-    levels = opt_level_errors(cal, v, fold)
-    if levels[3] != min(levels[2], b_err):
-        out.append(f"level 3 {levels[3]!r} vs {min(levels[2], b_err)!r}")
+    for n_pulses in levels:
+        err, delays, kept = eng.search(v, fold, n_pulses, margin)
+        b_err, b_delays, b_kept = brute_force_search(eng, v, fold, n_pulses, margin)
+        if (err, delays) != (b_err, b_delays):
+            out.append(f"L{n_pulses} best {err!r} {delays} vs {b_err!r} {b_delays}")
+        if sorted(kept, key=_rank) != sorted(b_kept, key=_rank):
+            out.append(f"L{n_pulses} candidates {len(kept)} vs {len(b_kept)}")
+        if level_errs[n_pulses] != min(level_errs[n_pulses - 1], b_err):
+            out.append(f"L{n_pulses} level error {level_errs[n_pulses]!r} "
+                       f"vs {min(level_errs[n_pulses - 1], b_err)!r}")
     return out
 
 
@@ -89,7 +109,8 @@ def main(argv=None) -> int:
     spec = TransmonSpec(nominal_freq=6.21286e9, levels=6)
     stream = design_ry_bitstream(spec)
     rng = np.random.default_rng(args.seed)
-    bad = checked = 0
+    bad = dict.fromkeys(LEVELS, 0)
+    checked = 0
     t0 = time.perf_counter()
     for drift in DRIFTS:
         cal = calibrate_qubit(spec.with_drift(drift), [stream], n_max=args.n_max)
@@ -98,14 +119,16 @@ def main(argv=None) -> int:
             for fold in FOLDS:
                 diffs = mismatches(cal, v, fold)
                 checked += 1
-                bad += bool(diffs)
+                for n_pulses in LEVELS:
+                    bad[n_pulses] += any(d.startswith(f"L{n_pulses} ") for d in diffs)
                 for d in diffs:
                     print(f"drift {drift / 1e6:+.0f} MHz target {k} fold {fold}: {d}",
                           flush=True)
-        print(f"# drift {drift / 1e6:+.0f} MHz done: {checked} checked, {bad} mismatched, "
+        print(f"# drift {drift / 1e6:+.0f} MHz done: {checked} checked, "
               f"{time.perf_counter() - t0:.0f} s", flush=True)
-    print(f"{bad} of {checked} checks mismatched")
-    return 1 if bad else 0
+    for n_pulses, n_bad in bad.items():
+        print(f"L={n_pulses}: {n_bad} of {checked} checks mismatched")
+    return 1 if any(bad.values()) else 0
 
 
 if __name__ == "__main__":

@@ -177,6 +177,15 @@ def test_parking_scan_resolution_refinement_stable():
     assert abs(a - b) <= 0.1e6
 
 
+def test_parking_scan_drops_runs_cut_off_by_the_range():
+    # 6.19 GHz itself meets the budget, but the scan cannot see where that
+    # run starts; every reported interval must lie inside the range
+    runs = parking_scan(6.19e9, 6.24e9, resolution=0.1e6)
+    assert runs
+    for centre, tol in runs:
+        assert 6.19e9 < centre - tol and centre + tol < 6.24e9
+
+
 def test_parking_scan_rejects_bad_range():
     with pytest.raises(ValueError):
         parking_scan(6e9, 5e9)

@@ -163,14 +163,29 @@ def test_collect_stops_at_the_floor_and_breaks_ties_by_key():
 @pytest.mark.parametrize("drift", DRIFTS)
 def test_pruned_three_pulse_search_matches_brute_force(ry_bitstream_hi, spec_hi, haar_su2,
                                                       drift):
-    # n_max = 15 keeps the brute-force scan small (16^3 tuples per target);
-    # run tests/opt_oracle.py for more targets and for n_max = 255
+    # every pulse count L = 1..3 against the brute-force scan; n_max = 15
+    # keeps it small (16^3 tuples per target at L = 3); run tests/opt_oracle.py
+    # for more targets and for n_max = 255
     cal = calibrate_qubit(spec_hi.with_drift(drift), [ry_bitstream_hi], n_max=15)
     rng = np.random.default_rng(2024)
     for _ in range(50):
         v = haar_su2(rng)
         for fold in FOLDS:
             assert mismatches(cal, v, fold) == []
+
+
+@pytest.mark.parametrize("drift", [0.0, 12e6])
+def test_pruned_one_and_two_pulse_search_matches_brute_force(ry_bitstream_hi, spec_hi,
+                                                           haar_su2, drift):
+    # at n_max = 15 all two-pulse tuples fit in the first chunk, so only the
+    # default n_max exercises the stop; a 1e-2 margin keeps candidates from
+    # several chunks, so a stop that comes too early loses some of them
+    cal = calibrate_qubit(spec_hi.with_drift(drift), [ry_bitstream_hi])
+    rng = np.random.default_rng(2024)
+    for _ in range(10):
+        v = haar_su2(rng)
+        for fold in FOLDS:
+            assert mismatches(cal, v, fold, margin=1e-2, levels=(1, 2)) == []
 
 
 @pytest.mark.parametrize("other", [
@@ -278,6 +293,18 @@ def test_decompose_min_four_streams_against_brute_force(golden, group_cals, haar
         assert dec.steps == _brute_force_word(cal, _four_streams(golden), v, max_depth=6)
 
 
+def test_decompose_min_caches_each_fold_apart(group_cals):
+    # two folds that agree to 9 decimals are different gates: each call
+    # must get its own word and an err that its own fold reproduces
+    cal = group_cals["min"]
+    first = decompose_min(cal, H, max_depth=8, fold_phase=0.3)
+    fold = 0.3 + 4.9e-10
+    dec = decompose_min(cal, H, max_depth=8, fold_phase=fold)
+    assert dec is not first
+    assert abs(recompose_error(cal, dec, H, fold) - dec.err) <= 1e-12
+    assert decompose_min(cal, H, max_depth=8, fold_phase=fold) is dec
+
+
 NAN = np.full((2, 2), np.nan, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -325,6 +352,9 @@ def _recompose(cal, target, **kwargs):
     pytest.param(decompose_opt, "opt", H, {"margin": np.inf}, id="margin-inf"),
     pytest.param(decompose_opt, "opt", H, {"margin": -1e-4}, id="margin-negative"),
     pytest.param(decompose_opt, "opt", H, {"max_candidates": 0}, id="max-candidates-0"),
+    pytest.param(decompose_opt, "opt", H, {"max_candidates": 2.5}, id="max-candidates-2.5"),
+    pytest.param(opt_level_errors, "opt", H, {"lmax": 2.5}, id="lmax-2.5"),
+    pytest.param(decompose_min, "min", H, {"max_depth": 6.5}, id="depth-6.5"),
     pytest.param(_recompose, "opt", NAN, {}, id="recompose-opt-nan"),
     pytest.param(_recompose, "opt", np.eye(3), {}, id="recompose-opt-3x3"),
     pytest.param(_recompose, "min", NAN, {}, id="recompose-min-nan"),
@@ -337,6 +367,7 @@ def _recompose(cal, target, **kwargs):
 ])
 def test_decompositions_reject_bad_input(group_cals, fn, arch, target, kwargs):
     cal = group_cals[arch]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs), None)):  # names the argument
         fn(cal, target, **kwargs)
-    assert not cal._cache
+    if cal.arch == "min":
+        assert not cal.min_engine._results
