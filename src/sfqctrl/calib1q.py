@@ -43,7 +43,8 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -433,18 +434,41 @@ def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ], axis=-1)
 
 
+class _Halves(NamedTuple):
+    """Target-independent arrays of every min word of one length.
+
+    A meet-in-the-middle depth joins a first half W1 and a second half W2
+    of these words: ``cols`` holds W1 @ P (N, 6, 2) and ``rows`` P @ W2
+    (N, 2, 6).  ``valid`` lists the words whose projected block has an
+    SU(2) quaternion q, ``q_conj`` their conjugates (= inverses), and
+    ``tree`` is a KD-tree whose point i is +-q of word ``owners[i]``.
+    """
+
+    cols: np.ndarray
+    rows: np.ndarray
+    valid: np.ndarray
+    q_conj: np.ndarray
+    tree: object
+    owners: np.ndarray
+
+
+_RESCORE_SLICE = 65536  # (first, second) pairs rescored per batched matmul
+
+
 class _MinEngine:
     """Depth-ordered word search over the min step alphabet.
 
-    Words up to a direct-enumeration bound are scored exhaustively
-    (vectorized six-level products).  Beyond it, a meet-in-the-middle
-    stage splits each depth into two stored halves, generates candidate
-    pairs with a quaternion nearest-neighbour query on the projected
-    blocks, and rescores every hit with the exact six-level row/column
-    tables (E = P W2 W1 P = (P W2)(W1 P), associativity making the
-    rescoring exact).  Falls back to plain enumeration results when the
-    alphabet has several pulse types (meet-in-the-middle half tables stay
-    affordable only for the two-symbol alphabet).
+    Words up to ``exh_cap`` cycles (12 for two symbols, 6 for more) are
+    scored exhaustively (vectorized six-level products).  Every deeper
+    depth, for any alphabet, is a meet-in-the-middle stage: the depth is
+    split into two stored halves, a quaternion nearest-neighbour query on
+    their projected blocks proposes (first, second) pairs, and every pair
+    is rescored exactly with the six-level row/column tables (E = P W2 W1
+    P = (P W2)(W1 P), associativity making the rescoring exact).  The
+    pairs of one depth are rescored as one batch sorted by their
+    (first, second) key, so the lowest key among the lowest errors wins.
+    The half tables stop at ``half_cap`` cycles (14 for two symbols, 7
+    for more), which bounds the depth a search can reach.
     """
 
     def __init__(self, cal: QubitCalibration):
@@ -469,7 +493,7 @@ class _MinEngine:
         self.exh_cap = 12 if self.n_sym == 2 else 6
         self.half_cap = 14 if self.n_sym == 2 else 7
         self._words: list[np.ndarray] = [np.eye(dim, dtype=complex)[None, :, :]]
-        self._trees: dict[int, tuple[object, np.ndarray]] = {}
+        self._halves: dict[int, _Halves] = {}
         self._results: dict[tuple, Decomposition1Q] = {}  # decompose_min's, by its inputs
 
     # -- tables ---------------------------------------------------------------
@@ -483,19 +507,22 @@ class _MinEngine:
             self._words.append(new.reshape(-1, *prev.shape[1:]))
         return self._words[length]
 
-    def _half_tree(self, length: int):
-        """KD-tree over SU(2) quaternions of the length-`length` half words.
-
-        Returns (tree, owners): tree point i is +-q of half word owners[i].
-        """
+    def _half(self, length: int) -> _Halves:
+        """The meet-in-the-middle arrays of the length-``length`` words, built once."""
         from scipy.spatial import cKDTree
 
-        if length not in self._trees:
-            q, ok = _su2_quaternions(self._word_table(length)[:, :2, :2])
+        if length not in self._halves:
+            words = self._word_table(length)
+            q, ok = _su2_quaternions(words[:, :2, :2])
             idx = np.flatnonzero(ok)
-            self._trees[length] = (cKDTree(np.concatenate([q[idx], -q[idx]])),
-                                   np.concatenate([idx, idx]))
-        return self._trees[length]
+            self._halves[length] = _Halves(
+                cols=words[:, :, :2],
+                rows=words[:, :2, :],
+                valid=idx,
+                q_conj=q[idx] * np.array([1.0, -1.0, -1.0, -1.0]),
+                tree=cKDTree(np.concatenate([q[idx], -q[idx]])),
+                owners=np.concatenate([idx, idx]))
+        return self._halves[length]
 
     def word_digits(self, index: int, length: int) -> tuple[int, ...]:
         word = []
@@ -520,10 +547,13 @@ class _MinEngine:
         """Shortest word (exact match, no free trailing) within the budget.
 
         Depth-ordered: exhaustive up to ``exh_cap`` cycles, then
-        meet-in-the-middle with half tables capped at 16384 entries (full
-        depth-28 coverage for the two-symbol alphabet, depth 14 for the
-        four-symbol one; ``max_depth`` must not exceed it).  When no word
-        meets the budget the best found overall is returned (caller flags it).
+        meet-in-the-middle with half tables capped at ``half_cap`` cycles
+        (16384 words: full depth-28 coverage for the two-symbol alphabet,
+        depth 14 for the four-symbol one; ``max_depth`` must not exceed
+        twice the cap).  Each meet-in-the-middle depth makes one KD-tree
+        query for all first halves and rescores the proposed pairs in
+        sorted slices of ``_RESCORE_SLICE``.  When no word meets the budget
+        the best found overall is returned (caller flags it).
         """
         e0 = float(_fixed_errors(np.eye(2, dtype=complex)[None], v_eff)[0])
         best = (max(e0, 0.0), ())
@@ -544,32 +574,37 @@ class _MinEngine:
         return float(errs[i]), self.word_digits(i, depth)
 
     def _mitm_depth(self, v, vq, depth, radius):
+        """(err, word) of the best meet-in-the-middle pair at ``depth``; (inf, ()) if none.
+
+        The wanted second half of a first half W1 is W2 ~ V W1^-1, so one
+        ball query around vq * conj(q1) per first half proposes the
+        pairs.  Their keys first * n_second + second are sorted (a key
+        repeats only when q and -q both lie in one ball, and then next to
+        its twin with the same error) and rescored in slices; a slice's
+        best replaces the running best only when strictly lower, so the
+        lowest key among the lowest errors wins.
+        """
         a = depth // 2
         b = depth - a
-        first = self._word_table(a)
-        cols = np.ascontiguousarray(first[:, :, :2])   # W1 @ P
-        q1, ok1 = _su2_quaternions(first[:, :2, :2])
-        # wanted second half: W2 ~ V W1^{-1}; unit quaternion inverse = conj
-        q1_inv = q1 * np.array([1.0, -1.0, -1.0, -1.0])
-        targets = _quat_mul(vq[None, :], q1_inv)
-        tree, owners = self._half_tree(b)
-        second = self._word_table(b)
-        rows = np.ascontiguousarray(second[:, :2, :])  # P @ W2
-        hits = tree.query_ball_point(targets[ok1], r=radius)
-        idx_ok = np.flatnonzero(ok1)
-        best_err, best_word = np.inf, ()
-        for qi, neigh in zip(idx_ok, hits):
-            if not neigh:
-                continue
-            w2s = np.unique(owners[np.asarray(neigh)])
-            e = rows[w2s] @ cols[qi]
-            errs = _fixed_errors(e, v)
+        first, second = self._half(a), self._half(b)
+        hits = second.tree.query_ball_point(_quat_mul(vq[None, :], first.q_conj), r=radius,
+                                          return_sorted=False)
+        counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+        if not counts.any():
+            return np.inf, ()
+        n_second = self.n_sym ** b
+        owners = second.owners[np.fromiter(chain.from_iterable(hits), dtype=np.intp,
+                                            count=int(counts.sum()))]
+        keys = np.sort(np.repeat(first.valid, counts) * n_second + owners)
+        best_err, best_key = np.inf, -1
+        for lo in range(0, keys.size, _RESCORE_SLICE):
+            qi, w2 = np.divmod(keys[lo:lo + _RESCORE_SLICE], n_second)
+            errs = _fixed_errors(second.rows[w2] @ first.cols[qi], v)
             j = int(np.argmin(errs))
             if errs[j] < best_err:
-                best_err = float(errs[j])
-                best_word = (self.word_digits(int(qi), a)
-                             + self.word_digits(int(w2s[j]), b))
-        return best_err, best_word
+                best_err, best_key = float(errs[j]), int(keys[lo + j])
+        qi, w2 = divmod(best_key, n_second)
+        return best_err, self.word_digits(qi, a) + self.word_digits(w2, b)
 
 
 # --- public ops ----------------------------------------------------------------------

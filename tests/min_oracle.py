@@ -1,0 +1,134 @@
+"""Per-first-half meet-in-the-middle loop: the oracle for the batched min search.
+
+``loop_mitm_depth`` is the search ``_MinEngine._mitm_depth`` made before it
+rescored a whole depth as one sorted batch: it builds its own quaternions
+and KD-tree from the engine's word tables, then, for each first half in
+index order, rescores the distinct second halves its ball query found
+and keeps a first half's best only when it is strictly lower than the
+running best.  The tests compare ``_MinEngine._mitm_depth`` against it.
+Run as a script for the full comparison on the min equality set:
+
+    PYTHONPATH=src python3 tests/min_oracle.py
+
+which calibrates BS=2 groups from the frozen ``min_*`` streams at drifts
+-12, -6, 0, +6 and +12 MHz, takes 50 seeded Haar targets and H, T, X, Y,
+Z, S at each (280 gates), compares every meet-in-the-middle depth 13..28
+at the default budget's radius, and prints the number of mismatched
+gates per depth.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+from scipy.spatial import cKDTree
+
+from opt_oracle import haar_su2
+from sfqctrl.calib1q import _fixed_errors, _quat_mul, _su2_quaternions
+
+GOLDEN_STREAMS = Path(__file__).resolve().parents[1] / "perfbench/fixtures/streams.json"
+DRIFTS = (-12e6, -6e6, 0.0, 6e6, 12e6)
+RADIUS = 0.05  # _MinEngine.search's ball radius at the default 1e-4 budget
+NAMED = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "T": np.diag([1, np.exp(0.25j * np.pi)]),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1.0 + 0j, -1.0]),
+    "S": np.diag([1, 1j]),
+}
+
+
+def loop_mitm_depth(eng, v, vq, depth, radius=RADIUS):
+    """(err, word) of the best meet-in-the-middle pair at ``depth``, one first half a pass."""
+    a = depth // 2
+    b = depth - a
+    first = eng._word_table(a)
+    cols = np.ascontiguousarray(first[:, :, :2])   # W1 @ P
+    q1, ok1 = _su2_quaternions(first[:, :2, :2])
+    # wanted second half: W2 ~ V W1^{-1}; unit quaternion inverse = conj
+    q1_inv = q1 * np.array([1.0, -1.0, -1.0, -1.0])
+    targets = _quat_mul(vq[None, :], q1_inv)
+    second = eng._word_table(b)
+    q2, ok2 = _su2_quaternions(second[:, :2, :2])
+    idx2 = np.flatnonzero(ok2)
+    tree = cKDTree(np.concatenate([q2[idx2], -q2[idx2]]))
+    owners = np.concatenate([idx2, idx2])
+    rows = np.ascontiguousarray(second[:, :2, :])  # P @ W2
+    hits = tree.query_ball_point(targets[ok1], r=radius)
+    best_err, best_word = np.inf, ()
+    for qi, neigh in zip(np.flatnonzero(ok1), hits):
+        if not neigh:
+            continue
+        w2s = np.unique(owners[np.asarray(neigh)])
+        errs = _fixed_errors(rows[w2s] @ cols[qi], v)
+        j = int(np.argmin(errs))
+        if errs[j] < best_err:
+            best_err = float(errs[j])
+            best_word = eng.word_digits(int(qi), a) + eng.word_digits(int(w2s[j]), b)
+    return best_err, best_word
+
+
+def target_quaternion(v):
+    """The SU(2) quaternion ``_MinEngine.search`` queries with for target ``v``."""
+    return _su2_quaternions(v[None])[0][0]
+
+
+def leakage(block):
+    """1 - |E|_F^2 / 2 of a projected 2x2 block: a lower bound on its error to any unitary."""
+    return 1.0 - float(np.sum(np.abs(block) ** 2)) / 2.0
+
+
+def min_streams():
+    """The frozen BS=2 min streams (Ry(pi/2) and idle) at 6.21286 GHz."""
+    from sfqctrl.bitstream import Bitstream
+
+    entries = json.loads(GOLDEN_STREAMS.read_text())["streams"]
+    return [Bitstream.from_string(entries[n]["bits"], entries[n]["clock_period"],
+                                  entries[n]["tip_angle"])
+            for n in ("min_ry_6212MHz", "min_idle_6212MHz")]
+
+
+def main(argv=None) -> int:
+    from sfqctrl.calib1q import calibrate_qubit
+    from sfqctrl.transmon import TransmonSpec
+
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--targets", type=int, default=50, help="Haar targets per drift")
+    p.add_argument("--seed", type=int, default=2024)
+    args = p.parse_args(argv)
+
+    spec = TransmonSpec(nominal_freq=6.21286e9, levels=6)
+    streams = min_streams()
+    rng = np.random.default_rng(args.seed)
+    gates = [(f"haar{k}", haar_su2(rng)) for k in range(args.targets)] + list(NAMED.items())
+    depths = range(13, 29)
+    bad = dict.fromkeys(depths, 0)
+    checked = 0
+    t0 = time.perf_counter()
+    for drift in DRIFTS:
+        eng = calibrate_qubit(spec.with_drift(drift), streams, arch="min").min_engine
+        for name, v in gates:
+            vq = target_quaternion(v)
+            checked += 1
+            for depth in depths:
+                got = eng._mitm_depth(v, vq, depth, RADIUS)
+                want = loop_mitm_depth(eng, v, vq, depth)
+                if got != want:
+                    bad[depth] += 1
+                    print(f"drift {drift / 1e6:+.0f} MHz {name} depth {depth}: "
+                          f"{got} vs {want}", flush=True)
+        print(f"# drift {drift / 1e6:+.0f} MHz done: {checked} gates, "
+              f"{time.perf_counter() - t0:.0f} s", flush=True)
+    for depth, n_bad in bad.items():
+        print(f"depth {depth}: {n_bad} of {checked} gates mismatched")
+    return 1 if any(bad.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

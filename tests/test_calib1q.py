@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from min_oracle import RADIUS, leakage, loop_mitm_depth, target_quaternion
 from opt_oracle import DRIFTS, FOLDS, mismatches
+from sfqctrl import calib1q
 from sfqctrl.bitstream import Bitstream
 from sfqctrl.calib1q import (
     CalibrationError,
@@ -303,6 +305,93 @@ def test_decompose_min_caches_each_fold_apart(group_cals):
     assert dec is not first
     assert abs(recompose_error(cal, dec, H, fold) - dec.err) <= 1e-12
     assert decompose_min(cal, H, max_depth=8, fold_phase=fold) is dec
+
+
+@pytest.fixture(scope="module")
+def mitm_cals(golden, spec_hi):
+    """BS=2 min calibrations at 0, +6 and +12 MHz and the four-symbol one at 0 MHz.
+
+    Module-scoped, so the tests below share their half tables.
+    """
+    streams = [golden["min_ry_6212MHz"], golden["min_idle_6212MHz"]]
+    cals = {drift: calibrate_qubit(spec_hi.with_drift(drift), streams, arch="min")
+            for drift in (0.0, 6e6, 12e6)}
+    cals["min4"] = calibrate_qubit(spec_hi, _four_streams(golden), arch="min")
+    return cals
+
+
+def _mitm_matches_loop(cal, v, depths):
+    """``_mitm_depth`` equals the per-first-half loop in (err, word) at every depth.
+
+    Returns the loop's results, depth by depth.
+    """
+    eng, vq = cal.min_engine, target_quaternion(v)
+    out = []
+    for depth in depths:
+        out.append(loop_mitm_depth(eng, v, vq, depth))
+        assert eng._mitm_depth(v, vq, depth, RADIUS) == out[-1], depth
+    return out
+
+
+def _above_leakage_floor(cal, v, max_depth):
+    """decompose_min's word at the default budget: err reproduced and above its leakage."""
+    dec = decompose_min(cal, v, max_depth=max_depth)
+    assert dec.err >= leakage(cal.min_engine.word_block(dec.steps)) - 1e-15
+    assert abs(recompose_error(cal, dec, v) - dec.err) <= 1e-12
+
+
+def test_mitm_depth_matches_loop_oracle_dense(mitm_cals, monkeypatch):
+    # H at zero drift is dense (47,111 pairs at depth 24); depths 25..28
+    # (up to 712,069 pairs) are left to tests/min_oracle.py, since the loop
+    # alone takes about 2.4 s there.  A 4096-pair slice splits depths 19..24
+    # into up to 12 slices, so a slice's best must be found at its offset and
+    # kept only when strictly lower.
+    cal = mitm_cals[0.0]
+    _mitm_matches_loop(cal, H, range(13, 25))
+    monkeypatch.setattr(calib1q, "_RESCORE_SLICE", 4096)
+    _mitm_matches_loop(cal, H, range(19, 25))
+    _above_leakage_floor(cal, H, max_depth=24)
+
+
+@pytest.mark.parametrize("drift, draws", [(6e6, (0, 1)), (12e6, (2,))])
+def test_mitm_depth_matches_loop_oracle_drifted(mitm_cals, haar_su2, drift, draws):
+    # the +12 MHz qubit's idle step is nearly the identity: no first half
+    # of its Haar target (the third seeded draw) has a second half within
+    # the radius at any depth
+    cal = mitm_cals[drift]
+    rng = np.random.default_rng(5)
+    targets = [haar_su2(rng) for _ in range(3)]
+    for v in (targets[i] for i in draws):
+        found = _mitm_matches_loop(cal, v, range(13, 29))
+        if drift == 12e6:
+            assert set(found) == {(np.inf, ())}
+        else:
+            assert found[-1][0] < np.inf
+        _above_leakage_floor(cal, v, max_depth=28)
+
+
+def test_mitm_depth_matches_loop_oracle_four_streams(mitm_cals):
+    # depths 7..14 are every meet-in-the-middle depth of the four-symbol alphabet
+    _mitm_matches_loop(mitm_cals["min4"], H, range(7, 15))
+
+
+def test_mitm_depth_breaks_ties_like_the_loop(golden, spec_hi, monkeypatch):
+    # two copies of the Ry stream make every word with a Ry step tie, bit for
+    # bit, with the words that swap the copies: the lowest (first, second)
+    # key must win, across the boundaries of 64-pair slices too
+    ry, idle = golden["min_ry_6212MHz"], golden["min_idle_6212MHz"]
+    cal = calibrate_qubit(spec_hi, [ry, ry, idle], arch="min")
+    monkeypatch.setattr(calib1q, "_RESCORE_SLICE", 64)
+    for v in (H, T):
+        _mitm_matches_loop(cal, v, range(7, 13))
+
+
+def test_min_stream_leakage_floor(mitm_cals):
+    # every min error is at least the word's leakage 1 - |E|^2 / 2, since
+    # |tr V^dag E|^2 <= 2 |E|^2; one Ry step of the frozen stream leaks 8.66e-5
+    eng = mitm_cals[0.0].min_engine
+    assert leakage(eng.word_block((0,))) == pytest.approx(8.66e-5, abs=1e-6)
+    assert abs(leakage(eng.word_block((1,)))) <= 1e-15  # the idle step is unitary
 
 
 NAN = np.full((2, 2), np.nan, dtype=complex)
