@@ -440,19 +440,53 @@ class _Halves(NamedTuple):
     A meet-in-the-middle depth joins a first half W1 and a second half W2
     of these words: ``cols`` holds W1 @ P (N, 6, 2) and ``rows`` P @ W2
     (N, 2, 6).  ``valid`` lists the words whose projected block has an
-    SU(2) quaternion q, ``q_conj`` their conjugates (= inverses), and
-    ``tree`` is a KD-tree whose point i is +-q of word ``owners[i]``.
+    SU(2) quaternion, and ``q`` holds those quaternions.
     """
 
     cols: np.ndarray
     rows: np.ndarray
     valid: np.ndarray
-    q_conj: np.ndarray
+    q: np.ndarray
+
+
+class _Ball(NamedTuple):
+    """KD-tree of the second halves that the first halves of one length ``a`` meet.
+
+    Depths 2a and 2a+1 both split off a first half of length a, so one
+    tree holds +-q of the valid words of length a (points below ``split``)
+    and of length a + 1 (the rest, absent when a + 1 exceeds the half
+    cap); point i belongs to word ``owners[i]`` of its length.
+    """
+
     tree: object
     owners: np.ndarray
+    split: int
 
 
-_RESCORE_SLICE = 65536  # (first, second) pairs rescored per batched matmul
+_RESCORE_SLICE = 65536  # (first, second) pairs rescored per slice
+
+
+def _pair_blocks(keys: np.ndarray, n_second: int, cols: np.ndarray, rows: np.ndarray):
+    """Yield (offset, blocks) for each ``_RESCORE_SLICE`` slice of sorted pair keys.
+
+    A key is first * n_second + second, and ``blocks`` equals
+    rows[second] @ cols[first] over the slice, bit for bit.  Sorted keys
+    keep each first half's pairs together, so a run of k pairs with one
+    first half is one (2k, 6) @ (6, 2) product; the runs of each length k
+    in a slice are stacked into one batched product.
+    """
+    for lo in range(0, keys.size, _RESCORE_SLICE):
+        qi, w2 = np.divmod(keys[lo:lo + _RESCORE_SLICE], n_second)
+        starts = np.flatnonzero(np.diff(qi, prepend=-1))
+        sizes = np.diff(starts, append=qi.size)
+        by_size = np.argsort(sizes, kind="stable")
+        blocks = np.empty((qi.size, 2, 2), dtype=complex)
+        for runs in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+            k = int(sizes[runs[0]])
+            at = (starts[runs][:, None] + np.arange(k)).ravel()
+            prod = rows[w2[at]].reshape(runs.size, 2 * k, -1) @ cols[qi[starts[runs]]]
+            blocks[at] = prod.reshape(-1, 2, 2)
+        yield lo, blocks
 
 
 class _MinEngine:
@@ -461,14 +495,18 @@ class _MinEngine:
     Words up to ``exh_cap`` cycles (12 for two symbols, 6 for more) are
     scored exhaustively (vectorized six-level products).  Every deeper
     depth, for any alphabet, is a meet-in-the-middle stage: the depth is
-    split into two stored halves, a quaternion nearest-neighbour query on
-    their projected blocks proposes (first, second) pairs, and every pair
-    is rescored exactly with the six-level row/column tables (E = P W2 W1
-    P = (P W2)(W1 P), associativity making the rescoring exact).  The
-    pairs of one depth are rescored as one batch sorted by their
-    (first, second) key, so the lowest key among the lowest errors wins.
-    The half tables stop at ``half_cap`` cycles (14 for two symbols, 7
-    for more), which bounds the depth a search can reach.
+    split into a first half of a = depth // 2 cycles and a second half of
+    the rest, a quaternion nearest-neighbour query on their projected
+    blocks proposes (first, second) pairs, and every pair is rescored
+    exactly with the six-level row/column tables (E = P W2 W1 P =
+    (P W2)(W1 P), associativity making the rescoring exact).  Depths 2a
+    and 2a+1 share one ball query per first half, against one KD-tree of
+    the second halves of both lengths; 2a+1 keeps its share of the hits
+    until it runs.  The pairs of one depth are rescored as one batch
+    sorted by their (first, second) key, one matrix product per first
+    half, so the lowest key among the lowest errors wins.  The half tables
+    stop at ``half_cap`` cycles (14 for two symbols, 7 for more), which
+    bounds the depth a search can reach.
     """
 
     def __init__(self, cal: QubitCalibration):
@@ -494,6 +532,8 @@ class _MinEngine:
         self.half_cap = 14 if self.n_sym == 2 else 7
         self._words: list[np.ndarray] = [np.eye(dim, dtype=complex)[None, :, :]]
         self._halves: dict[int, _Halves] = {}
+        self._balls: dict[int, _Ball] = {}
+        self._odd_keys: tuple | None = None  # ((vq bytes, a, radius), depth 2a+1's pair keys)
         self._results: dict[tuple, Decomposition1Q] = {}  # decompose_min's, by its inputs
 
     # -- tables ---------------------------------------------------------------
@@ -509,8 +549,6 @@ class _MinEngine:
 
     def _half(self, length: int) -> _Halves:
         """The meet-in-the-middle arrays of the length-``length`` words, built once."""
-        from scipy.spatial import cKDTree
-
         if length not in self._halves:
             words = self._word_table(length)
             q, ok = _su2_quaternions(words[:, :2, :2])
@@ -519,10 +557,20 @@ class _MinEngine:
                 cols=words[:, :, :2],
                 rows=words[:, :2, :],
                 valid=idx,
-                q_conj=q[idx] * np.array([1.0, -1.0, -1.0, -1.0]),
-                tree=cKDTree(np.concatenate([q[idx], -q[idx]])),
-                owners=np.concatenate([idx, idx]))
+                q=q[idx])
         return self._halves[length]
+
+    def _ball(self, a: int) -> _Ball:
+        """The KD-tree of the second halves of lengths a and a + 1, built once."""
+        from scipy.spatial import cKDTree
+
+        if a not in self._balls:
+            halves = [self._half(n) for n in range(a, min(a + 1, self.half_cap) + 1)]
+            self._balls[a] = _Ball(
+                tree=cKDTree(np.concatenate([x for h in halves for x in (h.q, -h.q)])),
+                owners=np.concatenate([x for h in halves for x in (h.valid, h.valid)]),
+                split=2 * halves[0].valid.size)
+        return self._balls[a]
 
     def word_digits(self, index: int, length: int) -> tuple[int, ...]:
         word = []
@@ -548,12 +596,15 @@ class _MinEngine:
 
         Depth-ordered: exhaustive up to ``exh_cap`` cycles, then
         meet-in-the-middle with half tables capped at ``half_cap`` cycles
-        (16384 words: full depth-28 coverage for the two-symbol alphabet,
-        depth 14 for the four-symbol one; ``max_depth`` must not exceed
-        twice the cap).  Each meet-in-the-middle depth makes one KD-tree
-        query for all first halves and rescores the proposed pairs in
-        sorted slices of ``_RESCORE_SLICE``.  When no word meets the budget
-        the best found overall is returned (caller flags it).
+        (2^14 = 16,384 half words and depth 28 for the two-symbol
+        alphabet; 3^7 = 2,187 and 4^7 = 16,384 half words and depth 14
+        for three and four symbols; ``max_depth`` must not exceed twice
+        the cap).  Depths 2a and 2a+1 share one KD-tree query of all first
+        halves of length a, made at whichever of them runs first; a
+        search that stops at depth 2a never rescores 2a+1's pairs.  Each
+        depth rescores its pairs in sorted slices of ``_RESCORE_SLICE``.
+        When no word meets the budget the best found overall is returned
+        (caller flags it).
         """
         e0 = float(_fixed_errors(np.eye(2, dtype=complex)[None], v_eff)[0])
         best = (max(e0, 0.0), ())
@@ -573,33 +624,64 @@ class _MinEngine:
         i = int(np.argmin(errs))
         return float(errs[i]), self.word_digits(i, depth)
 
+    def _pair_keys(self, vq, a, radius):
+        """Unsorted pair keys of depths 2a and 2a+1 (None past the half cap) from one query.
+
+        The wanted second half of a first half W1 is W2 ~ V W1^-1, so one
+        ball query around vq * conj(q1) per first half of length a, in the
+        tree of both second-half lengths, proposes the pairs of both
+        depths.  A key is first * n_second + second, n_second the number
+        of words of the second half's length.
+        """
+        first, ball = self._half(a), self._ball(a)
+        q1_inv = first.q * np.array([1.0, -1.0, -1.0, -1.0])  # unit quaternion: conj
+        hits = ball.tree.query_ball_point(_quat_mul(vq[None, :], q1_inv), r=radius,
+                                          return_sorted=False)
+        counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+        points = np.fromiter(chain.from_iterable(hits), dtype=np.intp,
+                             count=int(counts.sum()))
+        del hits
+        firsts = np.repeat(first.valid, counts)
+        owners = ball.owners[points]
+        odd = points >= ball.split
+        n_even = self.n_sym ** a
+        even_keys = firsts[~odd] * n_even + owners[~odd]
+        odd_keys = (firsts[odd] * (n_even * self.n_sym) + owners[odd]
+                    if ball.split < ball.owners.size else None)
+        return even_keys, odd_keys
+
     def _mitm_depth(self, v, vq, depth, radius):
         """(err, word) of the best meet-in-the-middle pair at ``depth``; (inf, ()) if none.
 
-        The wanted second half of a first half W1 is W2 ~ V W1^-1, so one
-        ball query around vq * conj(q1) per first half proposes the
-        pairs.  Their keys first * n_second + second are sorted (a key
-        repeats only when q and -q both lie in one ball, and then next to
-        its twin with the same error) and rescored in slices; a slice's
-        best replaces the running best only when strictly lower, so the
-        lowest key among the lowest errors wins.
+        The pairs come from ``_pair_keys`` for a = depth // 2.  Depth 2a
+        keeps 2a+1's share, keyed on (vq, a, radius), and the next call
+        takes it (used when its key matches, dropped otherwise), so at
+        most one share is held.  The keys are sorted (a key repeats only
+        when q and -q both lie in one ball, and then next to its twin with
+        the same error) and rescored in slices by ``_pair_blocks``; a
+        slice's best replaces the running best only when strictly lower,
+        so the lowest key among the lowest errors wins.
         """
         a = depth // 2
         b = depth - a
-        first, second = self._half(a), self._half(b)
-        hits = second.tree.query_ball_point(_quat_mul(vq[None, :], first.q_conj), r=radius,
-                                          return_sorted=False)
-        counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
-        if not counts.any():
+        share = (vq.tobytes(), a, radius)
+        held, self._odd_keys = self._odd_keys, None
+        keys = held[1] if b > a and held is not None and held[0] == share else None
+        del held  # a share that does not match is freed before the query
+        if keys is None:
+            keys, odd_keys = self._pair_keys(vq, a, radius)
+            if b > a:
+                keys = odd_keys
+            elif odd_keys is not None:
+                self._odd_keys = (share, odd_keys)
+        if not keys.size:
             return np.inf, ()
+        keys.sort()
         n_second = self.n_sym ** b
-        owners = second.owners[np.fromiter(chain.from_iterable(hits), dtype=np.intp,
-                                            count=int(counts.sum()))]
-        keys = np.sort(np.repeat(first.valid, counts) * n_second + owners)
+        first, second = self._half(a), self._half(b)
         best_err, best_key = np.inf, -1
-        for lo in range(0, keys.size, _RESCORE_SLICE):
-            qi, w2 = np.divmod(keys[lo:lo + _RESCORE_SLICE], n_second)
-            errs = _fixed_errors(second.rows[w2] @ first.cols[qi], v)
+        for lo, blocks in _pair_blocks(keys, n_second, first.cols, second.rows):
+            errs = _fixed_errors(blocks, v)
             j = int(np.argmin(errs))
             if errs[j] < best_err:
                 best_err, best_key = float(errs[j]), int(keys[lo + j])

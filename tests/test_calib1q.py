@@ -386,6 +386,51 @@ def test_mitm_depth_breaks_ties_like_the_loop(golden, spec_hi, monkeypatch):
         _mitm_matches_loop(cal, v, range(7, 13))
 
 
+def test_mitm_depth_reuses_only_its_own_hits(mitm_cals, haar_su2):
+    # depth 18 keeps depth 19's share of its ball query for the next call;
+    # another target, radius or first-half length must query afresh, and
+    # 19 may run before 18.  At radius 0.05 the Haar target has no depth-18
+    # pair but a depth-19 one, which a radius of 0.035 loses.
+    eng = mitm_cals[0.0].min_engine
+    rng = np.random.default_rng(5)
+    a_target = [haar_su2(rng) for _ in range(3)][2]
+    calls = [(a_target, 18, RADIUS), (H, 19, RADIUS), (a_target, 19, RADIUS),
+             (a_target, 18, RADIUS), (a_target, 19, 0.035),
+             (a_target, 18, RADIUS), (a_target, 21, RADIUS),
+             (H, 19, RADIUS), (H, 18, RADIUS), (H, 19, RADIUS)]
+    want = {}
+    for v, depth, radius in calls:
+        vq = target_quaternion(v)
+        want[v.tobytes(), depth, radius] = loop_mitm_depth(eng, v, vq, depth, radius)
+        assert eng._mitm_depth(v, vq, depth, radius) == want[v.tobytes(), depth, radius]
+        assert (eng._odd_keys is None) == (depth % 2 == 1)  # one share held, until used
+    assert want[a_target.tobytes(), 18, RADIUS] == (np.inf, ())
+    assert want[a_target.tobytes(), 19, 0.035] != want[a_target.tobytes(), 19, RADIUS]
+
+
+@pytest.mark.parametrize("slice_pairs", [None, 64])
+def test_pair_blocks_equal_one_product_per_pair(mitm_cals, monkeypatch, slice_pairs):
+    # one first half per run of 1..70 pairs: each run is one (2k, 6) @ (6, 2)
+    # product, stacked with the runs of its length, and must give the rows
+    # of the per-pair products bit for bit, also where a 64-pair slice cuts
+    # a run (the 70-pair one at least)
+    if slice_pairs is not None:
+        monkeypatch.setattr(calib1q, "_RESCORE_SLICE", slice_pairs)
+    eng = mitm_cals[0.0].min_engine
+    first, second = eng._half(7), eng._half(8)
+    n_second = 2 ** 8
+    rng = np.random.default_rng(11)
+    firsts = rng.choice(first.valid, size=70, replace=False)
+    keys = np.sort(np.concatenate([
+        qi * n_second + rng.choice(n_second, size=k, replace=False)
+        for k, qi in enumerate(firsts, start=1)]))
+    got = list(calib1q._pair_blocks(keys, n_second, first.cols, second.rows))
+    assert [lo for lo, _ in got] == list(range(0, keys.size, calib1q._RESCORE_SLICE))
+    qi, w2 = np.divmod(keys, n_second)
+    assert np.array_equal(np.concatenate([b for _, b in got]),
+                          second.rows[w2] @ first.cols[qi])
+
+
 def test_min_stream_leakage_floor(mitm_cals):
     # every min error is at least the word's leakage 1 - |E|^2 / 2, since
     # |tr V^dag E|^2 <= 2 |E|^2; one Ry step of the frozen stream leaks 8.66e-5
