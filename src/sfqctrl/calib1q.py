@@ -27,12 +27,14 @@ styles are supported:
           (the T-like gate: at 6.21286 GHz / 253 cycles the step angle
           is 0.7908 rad, within 0.006 of pi/4 -- and it drifts with the
           qubit, which is what makes outlier qubits possible).  Words
-          over the step alphabet are searched in order of depth:
+          over the step alphabet are searched by one lazy walk in order
+          of depth, stopped at the first depth within the budget:
           exhaustively up to 12 cycles (two symbols) or 6 (more), then
           by a radius-limited meet-in-the-middle search over two stored
-          halves.  Stored streams are designed against D^dag-compensated
-          targets so their steps equal the advertised gates at zero
-          drift.
+          halves, one ball query serving the two depths that split off
+          each first-half length.  Stored streams are designed against
+          D^dag-compensated targets so their steps equal the advertised
+          gates at zero drift.
 
 Both searches score with the qubit's exact six-level operators: leakage
 builds up through the sequence and is projected once at the end.
@@ -138,6 +140,8 @@ def calibrate_qubit(
     cycle spans the delay range plus the stream; for min it equals the
     stream length, so all streams must share one length and clock period.
     """
+    if arch not in ("opt", "min"):
+        raise ValueError(f"unknown architecture {arch!r}")
     n_max = _checked_int("n_max", n_max, 1)
     if not shared_bitstreams:
         raise CalibrationError("at least one shared bitstream is required")
@@ -151,13 +155,7 @@ def calibrate_qubit(
         if unitarity_defect(u) > 1e-8:
             raise CalibrationError("bitstream evolution lost unitarity")
         ops.append(u)
-    stream_len = len(first)
-    if arch == "opt":
-        cycle = (n_max + 1) + stream_len
-    elif arch == "min":
-        cycle = stream_len
-    else:
-        raise ValueError(f"unknown architecture {arch!r}")
+    cycle = (n_max + 1) + len(first) if arch == "opt" else len(first)
     idle = None
     for i, bs in enumerate(shared_bitstreams):
         if bs.n_pulses == 0:
@@ -186,7 +184,8 @@ def min_basis_targets(cycle_phase: float, bs: int) -> list[np.ndarray | None]:
     turns.  A stored pi rotation does not fit one controller cycle at the
     calibrated tip angle, and a second pure-phase stream would duplicate
     the idle step, so the advertised {Ry(pi/2), T, X, Tdg} set is not
-    realizable as stored streams.
+    realizable as stored streams.  Of these targets the designer reaches
+    only BS=2 at 6.21286 GHz (see ``design_min_bitstreams``).
     """
     comp = phase_gate(cycle_phase)  # D^dag on the computational block
     quarter = {
@@ -206,7 +205,17 @@ def min_basis_targets(cycle_phase: float, bs: int) -> list[np.ndarray | None]:
 
 
 def design_min_bitstreams(spec: TransmonSpec, bs: int = 2) -> list[Bitstream]:
-    """Design the BS stored streams for a min-architecture group."""
+    """Design the BS stored streams for a min-architecture group.
+
+    Only BS=2 at a nominal 6.21286 GHz is supported; any other pair is a
+    ValueError before any search.  The greedy designer stalls above its
+    1e-4 error target on the others: at 6.21286 GHz the x-axis quarter
+    turn of BS=3/4 stops at 1.158e-4, and at 4.14238 GHz even Ry stops
+    at 2.608e-4.
+    """
+    if bs != 2 or abs(spec.nominal_freq - 6.21286e9) >= 1.0:
+        raise ValueError(f"design_min_bitstreams supports only BS=2 at 6.21286 GHz, "
+                         f"got BS={bs} at {spec.nominal_freq / 1e9:g} GHz")
     n_cycles = gate_length_cycles(spec.nominal_freq)
     cycle_phase = float(np.mod(2 * np.pi * spec.nominal_freq * n_cycles * SFQ_CLOCK_PERIOD,
                                2 * np.pi))
@@ -435,16 +444,13 @@ def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Halves(NamedTuple):
-    """Target-independent arrays of every min word of one length.
+    """Target-independent arrays of the min words of one length.
 
-    A meet-in-the-middle depth joins a first half W1 and a second half W2
-    of these words: ``cols`` holds W1 @ P (N, 6, 2) and ``rows`` P @ W2
-    (N, 2, 6).  ``valid`` lists the words whose projected block has an
-    SU(2) quaternion, and ``q`` holds those quaternions.
+    ``valid`` lists the words whose projected block has an SU(2)
+    quaternion, and ``q`` holds those quaternions; the words' six-level
+    products stay in the engine's word table.
     """
 
-    cols: np.ndarray
-    rows: np.ndarray
     valid: np.ndarray
     q: np.ndarray
 
@@ -490,7 +496,7 @@ def _pair_blocks(keys: np.ndarray, n_second: int, cols: np.ndarray, rows: np.nda
 
 
 class _MinEngine:
-    """Depth-ordered word search over the min step alphabet.
+    """Depth-ordered word search over the min step alphabet, as one lazy walk.
 
     Words up to ``exh_cap`` cycles (12 for two symbols, 6 for more) are
     scored exhaustively (vectorized six-level products).  Every deeper
@@ -498,15 +504,17 @@ class _MinEngine:
     split into a first half of a = depth // 2 cycles and a second half of
     the rest, a quaternion nearest-neighbour query on their projected
     blocks proposes (first, second) pairs, and every pair is rescored
-    exactly with the six-level row/column tables (E = P W2 W1 P =
-    (P W2)(W1 P), associativity making the rescoring exact).  Depths 2a
-    and 2a+1 share one ball query per first half, against one KD-tree of
-    the second halves of both lengths; 2a+1 keeps its share of the hits
-    until it runs.  The pairs of one depth are rescored as one batch
-    sorted by their (first, second) key, one matrix product per first
-    half, so the lowest key among the lowest errors wins.  The half tables
-    stop at ``half_cap`` cycles (14 for two symbols, 7 for more), which
-    bounds the depth a search can reach.
+    exactly with the six-level word tables (E = P W2 W1 P =
+    (P W2)(W1 P), associativity making the rescoring exact).  One ball
+    query per first-half length a, against one KD-tree of the second
+    halves of lengths a and a + 1, serves depths 2a and 2a+1, and the
+    walk (``_depths``) keeps its hits only while it scores them.  The
+    pairs of one depth are rescored as one batch sorted by their (first,
+    second) key, one matrix product per first half, so the lowest key
+    among the lowest errors wins.  The half tables stop at ``half_cap``
+    cycles (14 for two symbols, 7 for more), which bounds the depth a
+    search can reach.  The engine holds only target-independent tables
+    and ``decompose_min``'s results.
     """
 
     def __init__(self, cal: QubitCalibration):
@@ -533,7 +541,6 @@ class _MinEngine:
         self._words: list[np.ndarray] = [np.eye(dim, dtype=complex)[None, :, :]]
         self._halves: dict[int, _Halves] = {}
         self._balls: dict[int, _Ball] = {}
-        self._odd_keys: tuple | None = None  # ((vq bytes, a, radius), depth 2a+1's pair keys)
         self._results: dict[tuple, Decomposition1Q] = {}  # decompose_min's, by its inputs
 
     # -- tables ---------------------------------------------------------------
@@ -548,16 +555,11 @@ class _MinEngine:
         return self._words[length]
 
     def _half(self, length: int) -> _Halves:
-        """The meet-in-the-middle arrays of the length-``length`` words, built once."""
+        """The quaternions of the length-``length`` words, built once."""
         if length not in self._halves:
-            words = self._word_table(length)
-            q, ok = _su2_quaternions(words[:, :2, :2])
+            q, ok = _su2_quaternions(self._word_table(length)[:, :2, :2])
             idx = np.flatnonzero(ok)
-            self._halves[length] = _Halves(
-                cols=words[:, :, :2],
-                rows=words[:, :2, :],
-                valid=idx,
-                q=q[idx])
+            self._halves[length] = _Halves(valid=idx, q=q[idx])
         return self._halves[length]
 
     def _ball(self, a: int) -> _Ball:
@@ -594,44 +596,58 @@ class _MinEngine:
                max_depth: int) -> tuple[float, tuple[int, ...]]:
         """Shortest word (exact match, no free trailing) within the budget.
 
-        Depth-ordered: exhaustive up to ``exh_cap`` cycles, then
-        meet-in-the-middle with half tables capped at ``half_cap`` cycles
-        (2^14 = 16,384 half words and depth 28 for the two-symbol
-        alphabet; 3^7 = 2,187 and 4^7 = 16,384 half words and depth 14
-        for three and four symbols; ``max_depth`` must not exceed twice
-        the cap).  Depths 2a and 2a+1 share one KD-tree query of all first
-        halves of length a, made at whichever of them runs first; a
-        search that stops at depth 2a never rescores 2a+1's pairs.  Each
-        depth rescores its pairs in sorted slices of ``_RESCORE_SLICE``.
-        When no word meets the budget the best found overall is returned
-        (caller flags it).
+        Consumes ``_depths`` from depth 0 (the empty word) and stops at the
+        first depth whose best word meets the budget, so no deeper depth is
+        scored.  The half tables are capped at ``half_cap`` cycles (2^14 =
+        16,384 half words and depth 28 for the two-symbol alphabet; 3^7 =
+        2,187 and 4^7 = 16,384 half words and depth 14 for three and four
+        symbols; ``max_depth`` must not exceed twice the cap).  When no
+        word meets the budget the best found overall is returned (caller
+        flags it).
         """
-        e0 = float(_fixed_errors(np.eye(2, dtype=complex)[None], v_eff)[0])
-        best = (max(e0, 0.0), ())
+        best = (np.inf, ())
         radius = max(0.05, 3.5 * np.sqrt(1.5 * err_budget))
-        vq = _su2_quaternions(v_eff[None])[0][0]  # a unitary target always has one
-        for depth in range(1, max_depth + 1):
-            if best[0] <= err_budget:
-                break
-            err, word = (self._exhaustive_depth(v_eff, depth) if depth <= self.exh_cap
-                         else self._mitm_depth(v_eff, vq, depth, radius))
+        for err, word in self._depths(v_eff, radius, 0, max_depth):
             if err < best[0]:
                 best = (max(err, 0.0), word)
+            if best[0] <= err_budget:
+                break
         return best
 
-    def _exhaustive_depth(self, v, depth):
-        errs = _fixed_errors(self._word_table(depth)[:, :2, :2], v)
-        i = int(np.argmin(errs))
-        return float(errs[i]), self.word_digits(i, depth)
+    def _depths(self, v, radius, first, last):
+        """Yield the best (err, word) of each depth first..last, in order, lazily.
+
+        Depths up to ``exh_cap`` score every word.  Past it, one
+        ``_pair_keys`` query per first-half length a gives the pairs of
+        depths 2a and 2a+1; each share is dropped once scored, so the walk
+        holds at most one query's keys, and a consumer that stops at 2a
+        never rescores 2a+1.  A depth with no pair yields (inf, ()).
+        """
+        for depth in range(first, min(last, self.exh_cap) + 1):
+            errs = _fixed_errors(self._word_table(depth)[:, :2, :2], v)
+            i = int(np.argmin(errs))
+            yield float(errs[i]), self.word_digits(i, depth)
+        first = max(first, self.exh_cap + 1)
+        if first > last:
+            return
+        vq = _su2_quaternions(v[None])[0][0]  # a unitary target always has one
+        for a in range(first // 2, last // 2 + 1):
+            shares = self._pair_keys(vq, a, radius)
+            for b in (a, a + 1):
+                keys = shares.pop(0)
+                if first <= a + b <= last:
+                    yield self._best_pair(v, keys, a, b)
+                del keys
 
     def _pair_keys(self, vq, a, radius):
-        """Unsorted pair keys of depths 2a and 2a+1 (None past the half cap) from one query.
+        """[depth 2a's, depth 2a+1's] unsorted pair keys from one ball query.
 
         The wanted second half of a first half W1 is W2 ~ V W1^-1, so one
         ball query around vq * conj(q1) per first half of length a, in the
         tree of both second-half lengths, proposes the pairs of both
-        depths.  A key is first * n_second + second, n_second the number
-        of words of the second half's length.
+        depths (2a+1's are empty at a = ``half_cap``).  A key is first *
+        n_second + second, n_second the number of words of the second
+        half's length.
         """
         first, ball = self._half(a), self._ball(a)
         q1_inv = first.q * np.array([1.0, -1.0, -1.0, -1.0])  # unit quaternion: conj
@@ -645,42 +661,25 @@ class _MinEngine:
         owners = ball.owners[points]
         odd = points >= ball.split
         n_even = self.n_sym ** a
-        even_keys = firsts[~odd] * n_even + owners[~odd]
-        odd_keys = (firsts[odd] * (n_even * self.n_sym) + owners[odd]
-                    if ball.split < ball.owners.size else None)
-        return even_keys, odd_keys
+        return [firsts[~odd] * n_even + owners[~odd],
+                firsts[odd] * (n_even * self.n_sym) + owners[odd]]
 
-    def _mitm_depth(self, v, vq, depth, radius):
-        """(err, word) of the best meet-in-the-middle pair at ``depth``; (inf, ()) if none.
+    def _best_pair(self, v, keys, a, b):
+        """(err, word) of the best (first, second) pair of ``keys``; (inf, ()) if none.
 
-        The pairs come from ``_pair_keys`` for a = depth // 2.  Depth 2a
-        keeps 2a+1's share, keyed on (vq, a, radius), and the next call
-        takes it (used when its key matches, dropped otherwise), so at
-        most one share is held.  The keys are sorted (a key repeats only
+        The keys (lengths a and b) are sorted in place (a key repeats only
         when q and -q both lie in one ball, and then next to its twin with
         the same error) and rescored in slices by ``_pair_blocks``; a
         slice's best replaces the running best only when strictly lower,
         so the lowest key among the lowest errors wins.
         """
-        a = depth // 2
-        b = depth - a
-        share = (vq.tobytes(), a, radius)
-        held, self._odd_keys = self._odd_keys, None
-        keys = held[1] if b > a and held is not None and held[0] == share else None
-        del held  # a share that does not match is freed before the query
-        if keys is None:
-            keys, odd_keys = self._pair_keys(vq, a, radius)
-            if b > a:
-                keys = odd_keys
-            elif odd_keys is not None:
-                self._odd_keys = (share, odd_keys)
         if not keys.size:
             return np.inf, ()
         keys.sort()
         n_second = self.n_sym ** b
-        first, second = self._half(a), self._half(b)
         best_err, best_key = np.inf, -1
-        for lo, blocks in _pair_blocks(keys, n_second, first.cols, second.rows):
+        for lo, blocks in _pair_blocks(keys, n_second, self._word_table(a)[:, :, :2],
+                                       self._word_table(b)[:, :2, :]):
             errs = _fixed_errors(blocks, v)
             j = int(np.argmin(errs))
             if errs[j] < best_err:

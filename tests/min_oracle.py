@@ -1,20 +1,23 @@
 """Per-first-half meet-in-the-middle loop: the oracle for the batched min search.
 
-``loop_mitm_depth`` is the search ``_MinEngine._mitm_depth`` made before it
-rescored a whole depth as one sorted batch: it builds its own quaternions
-and KD-tree from the engine's word tables, then, for each first half in
-index order, rescores the distinct second halves its ball query found
-and keeps a first half's best only when it is strictly lower than the
-running best.  The tests compare ``_MinEngine._mitm_depth`` against it.
-Run as a script for the full comparison on the min equality set:
+``loop_mitm_depth`` is the search the min engine made at one depth before
+it rescored a whole depth as one sorted batch: it builds its own
+quaternions and KD-tree of one depth's second halves from the engine's
+word tables, then, for each first half in index order, rescores the
+distinct second halves its ball query found and keeps a first half's
+best only when it is strictly lower than the running best.  The tests
+compare each depth that the engine's lazy walk ``_MinEngine._depths``
+yields against it.  Run as a script for the full comparison on the min
+equality set:
 
     PYTHONPATH=src python3 tests/min_oracle.py
 
 which calibrates BS=2 groups from the frozen ``min_*`` streams at drifts
 -12, -6, 0, +6 and +12 MHz, takes 50 seeded Haar targets and H, T, X, Y,
-Z, S at each (280 gates), compares every meet-in-the-middle depth 13..28
-at the default budget's radius, and prints the number of mismatched
-gates per depth.
+Z, S at each (280 gates), runs one walk per gate over the
+meet-in-the-middle depths 13..28 at the default budget's radius,
+compares every depth it yields with the loop, and prints the number of
+mismatched gates per depth.
 """
 
 from __future__ import annotations
@@ -116,8 +119,8 @@ def main(argv=None) -> int:
         for name, v in gates:
             vq = target_quaternion(v)
             checked += 1
-            for depth in depths:
-                got = eng._mitm_depth(v, vq, depth, RADIUS)
+            walk = eng._depths(v, RADIUS, depths[0], depths[-1])
+            for depth, got in zip(depths, walk, strict=True):
                 want = loop_mitm_depth(eng, v, vq, depth)
                 if got != want:
                     bad[depth] += 1

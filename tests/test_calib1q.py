@@ -21,6 +21,7 @@ from sfqctrl.calib1q import (
     recompose_error,
 )
 from sfqctrl.transmon import (
+    TransmonSpec,
     level_energies,
     phase_gate,
     projected_fidelity,
@@ -32,6 +33,8 @@ MARGIN = 1e-4  # decompose_opt's default
 GOLDEN_STREAMS = Path(__file__).resolve().parents[1] / "perfbench/fixtures/streams.json"
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 T = np.diag([1, np.exp(0.25j * np.pi)])
+S = np.diag([1, 1j])
+X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +51,15 @@ def test_min_designer_matches_golden_fixtures(spec_hi, golden):
     for bs, name in ((ry_bs, "min_ry_6212MHz"), (idle, "min_idle_6212MHz")):
         assert bs.bits == golden[name].bits
         assert bs.tip_angle == golden[name].tip_angle
+
+
+@pytest.mark.parametrize("freq, bs", [(6.21286e9, 3), (6.21286e9, 4), (4.14238e9, 2)])
+def test_min_designer_rejects_pairs_it_cannot_design(monkeypatch, freq, bs):
+    # the greedy designer stalls above its error target on these pairs, so
+    # they must fail before any search
+    monkeypatch.setattr(calib1q, "design_bitstream", None)
+    with pytest.raises(ValueError, match=f"BS={bs} at {freq / 1e9:g} GHz"):
+        design_min_bitstreams(TransmonSpec(nominal_freq=freq, levels=6), bs=bs)
 
 
 def _two_pulse_targets(haar_su2, cal, seed, n, fold_phase):
@@ -204,6 +216,12 @@ def test_calibrate_rejects_n_max_below_one(spec_hi):
         calibrate_qubit(spec_hi, [Bitstream(bits=(1, 0, 0))], n_max=0)
 
 
+def test_calibrate_rejects_unknown_arch_before_simulating(spec_hi, monkeypatch):
+    monkeypatch.setattr(Bitstream, "simulate", None)
+    with pytest.raises(ValueError, match="'mid'"):
+        calibrate_qubit(spec_hi, [Bitstream(bits=(1, 0, 0))], arch="mid")
+
+
 def test_calibrate_rejects_non_integer_n_max(spec_hi):
     with pytest.raises(ValueError, match="n_max"):
         calibrate_qubit(spec_hi, [Bitstream(bits=(1, 0, 0))], n_max=15.5)
@@ -321,15 +339,15 @@ def mitm_cals(golden, spec_hi):
 
 
 def _mitm_matches_loop(cal, v, depths):
-    """``_mitm_depth`` equals the per-first-half loop in (err, word) at every depth.
+    """One walk over ``depths`` equals the per-first-half loop in (err, word) at each.
 
     Returns the loop's results, depth by depth.
     """
     eng, vq = cal.min_engine, target_quaternion(v)
     out = []
-    for depth in depths:
+    for depth, got in zip(depths, eng._depths(v, RADIUS, depths[0], depths[-1]), strict=True):
         out.append(loop_mitm_depth(eng, v, vq, depth))
-        assert eng._mitm_depth(v, vq, depth, RADIUS) == out[-1], depth
+        assert got == out[-1], depth
     return out
 
 
@@ -386,26 +404,29 @@ def test_mitm_depth_breaks_ties_like_the_loop(golden, spec_hi, monkeypatch):
         _mitm_matches_loop(cal, v, range(7, 13))
 
 
-def test_mitm_depth_reuses_only_its_own_hits(mitm_cals, haar_su2):
-    # depth 18 keeps depth 19's share of its ball query for the next call;
-    # another target, radius or first-half length must query afresh, and
-    # 19 may run before 18.  At radius 0.05 the Haar target has no depth-18
-    # pair but a depth-19 one, which a radius of 0.035 loses.
-    eng = mitm_cals[0.0].min_engine
-    rng = np.random.default_rng(5)
-    a_target = [haar_su2(rng) for _ in range(3)][2]
-    calls = [(a_target, 18, RADIUS), (H, 19, RADIUS), (a_target, 19, RADIUS),
-             (a_target, 18, RADIUS), (a_target, 19, 0.035),
-             (a_target, 18, RADIUS), (a_target, 21, RADIUS),
-             (H, 19, RADIUS), (H, 18, RADIUS), (H, 19, RADIUS)]
-    want = {}
-    for v, depth, radius in calls:
-        vq = target_quaternion(v)
-        want[v.tobytes(), depth, radius] = loop_mitm_depth(eng, v, vq, depth, radius)
-        assert eng._mitm_depth(v, vq, depth, radius) == want[v.tobytes(), depth, radius]
-        assert (eng._odd_keys is None) == (depth % 2 == 1)  # one share held, until used
-    assert want[a_target.tobytes(), 18, RADIUS] == (np.inf, ())
-    assert want[a_target.tobytes(), 19, 0.035] != want[a_target.tobytes(), 19, RADIUS]
+@pytest.mark.parametrize("v, budget, depth", [(X, 1e-3, 20), (S, 3e-4, 26)], ids=["X", "S"])
+def test_min_walk_queries_once_per_first_half(golden, spec_hi, monkeypatch, v, budget, depth):
+    # depths 2a and 2a+1 share one ball query, and a search that meets the
+    # budget at depth 2a never rescores depth 2a+1
+    queried, scored = [], []
+    pair_keys, best_pair = calib1q._MinEngine._pair_keys, calib1q._MinEngine._best_pair
+
+    def counted_pair_keys(eng, vq, a, radius):
+        queried.append(a)
+        return pair_keys(eng, vq, a, radius)
+
+    def counted_best_pair(eng, v, keys, a, b):
+        scored.append(a + b)
+        return best_pair(eng, v, keys, a, b)
+
+    monkeypatch.setattr(calib1q._MinEngine, "_pair_keys", counted_pair_keys)
+    monkeypatch.setattr(calib1q._MinEngine, "_best_pair", counted_best_pair)
+    streams = [golden["min_ry_6212MHz"], golden["min_idle_6212MHz"]]
+    cal = calibrate_qubit(spec_hi.with_drift(-6e6), streams, arch="min")
+    dec = decompose_min(cal, v, err_budget=budget)
+    assert not dec.flagged and dec.depth == depth
+    assert queried == list(range(6, depth // 2 + 1))
+    assert scored == list(range(13, depth + 1))
 
 
 @pytest.mark.parametrize("slice_pairs", [None, 64])
@@ -417,18 +438,17 @@ def test_pair_blocks_equal_one_product_per_pair(mitm_cals, monkeypatch, slice_pa
     if slice_pairs is not None:
         monkeypatch.setattr(calib1q, "_RESCORE_SLICE", slice_pairs)
     eng = mitm_cals[0.0].min_engine
-    first, second = eng._half(7), eng._half(8)
+    cols, rows = eng._word_table(7)[:, :, :2], eng._word_table(8)[:, :2, :]
     n_second = 2 ** 8
     rng = np.random.default_rng(11)
-    firsts = rng.choice(first.valid, size=70, replace=False)
+    firsts = rng.choice(eng._half(7).valid, size=70, replace=False)
     keys = np.sort(np.concatenate([
         qi * n_second + rng.choice(n_second, size=k, replace=False)
         for k, qi in enumerate(firsts, start=1)]))
-    got = list(calib1q._pair_blocks(keys, n_second, first.cols, second.rows))
+    got = list(calib1q._pair_blocks(keys, n_second, cols, rows))
     assert [lo for lo, _ in got] == list(range(0, keys.size, calib1q._RESCORE_SLICE))
     qi, w2 = np.divmod(keys, n_second)
-    assert np.array_equal(np.concatenate([b for _, b in got]),
-                          second.rows[w2] @ first.cols[qi])
+    assert np.array_equal(np.concatenate([b for _, b in got]), rows[w2] @ cols[qi])
 
 
 def test_min_stream_leakage_floor(mitm_cals):
@@ -440,7 +460,6 @@ def test_min_stream_leakage_floor(mitm_cals):
 
 
 NAN = np.full((2, 2), np.nan, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def test_decompose_opt_truncates_each_call_alone(group_cals):
