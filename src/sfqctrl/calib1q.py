@@ -104,7 +104,8 @@ class QubitCalibration:
     """Actual basis operations realized on one qubit by the shared bitstreams.
 
     ``n_max`` is the longest opt delay in SFQ cycles; ``idle_index`` is
-    the position of the all-zeros stream, if any.
+    the position of the all-zeros stream, if any.  ``opt_engine`` keeps the
+    opt search's target-independent tables (36 MB at n_max = 255 with L = 3).
     """
 
     qubit_id: int
@@ -149,18 +150,11 @@ def calibrate_qubit(
     if any(len(bs) != len(first) or bs.clock_period != first.clock_period
            for bs in shared_bitstreams):
         raise CalibrationError("shared bitstreams differ in length or clock period")
-    ops = []
-    for bs in shared_bitstreams:
-        u = bs.simulate(spec)
-        if unitarity_defect(u) > 1e-8:
-            raise CalibrationError("bitstream evolution lost unitarity")
-        ops.append(u)
+    ops = [bs.simulate(spec) for bs in shared_bitstreams]
+    if any(unitarity_defect(u) > 1e-8 for u in ops):
+        raise CalibrationError("bitstream evolution lost unitarity")
     cycle = (n_max + 1) + len(first) if arch == "opt" else len(first)
-    idle = None
-    for i, bs in enumerate(shared_bitstreams):
-        if bs.n_pulses == 0:
-            idle = i
-            break
+    idle = next((i for i, bs in enumerate(shared_bitstreams) if bs.n_pulses == 0), None)
     return QubitCalibration(
         qubit_id=qubit_id,
         spec=spec,
@@ -264,6 +258,7 @@ def _fixed_errors(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 _FIRST_CHUNK = 4096  # (tuple, d_1) scores in the first chunk; each next one doubles
+_WINDOW = 4096  # lowest bounds partitioned out and sorted first; each next window doubles
 _TIE = 1e-12  # above the float error of a bound and the width of a rounded-error tie
 
 
@@ -307,9 +302,10 @@ class _OptEngine:
     Every pulse count L = 1..3 visits its delay tuples in increasing order
     of a lower bound on their errors and stops once the bound rises above
     the best error found + margin, so it returns the same best and
-    candidates as scoring all (n_max + 1)^L tuples.  The best is the tuple
-    with the lowest (round(err, 14), sum(delays), delays), whatever order
-    the tuples are visited in.
+    candidates as scoring all (n_max + 1)^L tuples: the tuple with the
+    lowest (round(err, 14), sum(delays), delays), in any visiting order.
+    It keeps no result, only each L's target-independent ``_table`` from
+    its first search on (36 MB for L = 3 at n_max = 255).
     """
 
     def __init__(self, cal: QubitCalibration):
@@ -326,6 +322,7 @@ class _OptEngine:
         self.phi_d = np.mod(self.phi1 * np.arange(self.n_max + 1), 2 * np.pi)
         self.deltas = np.arange(-self.n_max, self.n_max + 1)
         self.k_deltas = self.k_diag(self.cycle + self.deltas)  # K(cycle + delta)
+        self._tables: dict[int, tuple[np.ndarray, ...]] = {}
 
     def k_diag(self, sfq_cycles) -> np.ndarray:
         """Free-evolution diagonals exp(-i*e_tau*n) for integer cycle counts.
@@ -339,6 +336,28 @@ class _OptEngine:
         """P @ U6 @ K(cycle + delta) @ U6 over all deltas: (511, 2, 6)."""
         return np.einsum("ij,dj,jk->dik", self.pu, self.k_deltas, self.u6, optimize=True)
 
+    def _table(self, n_pulses: int) -> tuple[np.ndarray, ...]:
+        """(E, |E|^2, |E|, first, last, o_2..o_L) of every tuple, read-only (``_chunks``)."""
+        if n_pulses not in self._tables:
+            if n_pulses == 1:
+                blocks, offsets = self.pu[None, :, :2], []
+            elif n_pulses == 2:
+                blocks, offsets = self.t2_rows[..., :2], [self.deltas]
+            else:  # blocks[delta_1, delta_2] = t2_rows[delta_2] @ K(cycle + delta_1) U6 P
+                blocks = np.einsum("eij,cjk->ceik", self.t2_rows,
+                                   self.k_deltas[:, :, None] * self.u6[:, :2], optimize=True)
+                offsets = [self.deltas[:, None], self.deltas[:, None] + self.deltas]
+            o = np.array([np.broadcast_to(x, blocks.shape[:-2]).ravel()
+                          for x in [0, *offsets]])  # o_1 = 0, o_2, ..., o_L
+            first, last = -o.min(axis=0), self.n_max - o.max(axis=0)  # of d_1
+            blocks = np.ascontiguousarray(blocks).reshape(-1, 2, 2)
+            mags = np.abs(blocks).reshape(-1, 4)
+            norm2 = np.where(first > last, -np.inf, np.sum(mags ** 2, axis=1))
+            self._tables[n_pulses] = (blocks, norm2, mags, first, last, *o[1:].copy())
+            for x in self._tables[n_pulses]:
+                x.setflags(write=False)
+        return self._tables[n_pulses]
+
     def _chunks(self, v, fold, n_pulses: int):
         """Yield (errs, ds, floor) chunks: delay tuples in increasing bound order.
 
@@ -347,43 +366,29 @@ class _OptEngine:
         the offsets alone; d_1 enters only through the lead phase z.  Each
         error has the form 1 - (|E|^2 + (|a0 + a1 z| + |b0 + b1 z|)^2) / 6, so
         by the triangle inequality the tuple's errors are at least
-        1 - (|E|^2 + (|a0| + |a1| + |b0| + |b1|)^2) / 6; a tuple with no d_1
-        in [-min o_i, n_max - max o_i] is bounded by inf.  Each chunk scores
-        its tuples at every d_1 (last axis of ``errs``, inf outside that
-        range), ``ds`` holds d_1..d_L broadcast to the shape of ``errs``, and
-        ``floor`` is the bound of the chunk's first tuple, which the later
-        tuples' bounds do not undercut.
+        1 - (|E|^2 + (|a0| + |a1| + |b0| + |b1|)^2) / 6, inf (|E|^2 = -inf)
+        with no d_1 in [first, last] = [-min o_i, n_max - max o_i].  Windows
+        of the lowest bounds left (``_WINDOW``, then twice as many each time)
+        come from ``argpartition``, sorted.  Each chunk scores its tuples at
+        every d_1 (last axis of ``errs``, inf outside [first, last]), ``ds``
+        holds d_1..d_L broadcast to the shape of ``errs``, and ``floor`` is
+        the bound of its first tuple, which later tuples' bounds do not undercut.
         """
-        n, d1 = self.n_max, np.arange(self.n_max + 1)
-        if n_pulses == 1:
-            blocks, offsets = self.pu[None, :, :2], []
-        elif n_pulses == 2:
-            blocks, offsets = self.t2_rows[..., :2], [self.deltas]
-        else:  # blocks[delta_1, delta_2] = t2_rows[delta_2] @ K(cycle + delta_1) U6 P
-            blocks = np.einsum("eij,cjk->ceik", self.t2_rows,
-                               self.k_deltas[:, :, None] * self.u6[:, :2], optimize=True)
-            offsets = [self.deltas[:, None], self.deltas[:, None] + self.deltas]
-        grid = blocks.shape[:-2]
-        mags = np.abs(blocks)
-        norm2 = np.einsum("...ik,ik->...", mags ** 2, np.ones((2, 2)), optimize=True)
-        reach = np.einsum("...ik,ik->...", mags, np.abs(v), optimize=True)
-        lo = hi = np.zeros((), dtype=int)  # least and largest offset, o_1 = 0 included
-        for off in offsets:
-            lo, hi = np.minimum(lo, off), np.maximum(hi, off)
-        first, last = np.broadcast_to(-lo, grid), np.broadcast_to(n - hi, grid)  # of d_1
-        bound = np.where(first > last, np.inf, 1.0 - (norm2 + reach ** 2) / 6.0)
-        order = np.argsort(bound, axis=None)
-        offsets = [np.broadcast_to(o, grid) for o in offsets]
-        z = np.exp(-1j * (fold + self.phi_d))  # lead phase of each d_1
-        start, size = 0, max(1, _FIRST_CHUNK // (n + 1))
-        while start < order.size:
-            tuples = order[start:start + size]
-            start, size = start + size, 2 * size
-            at = np.unravel_index(tuples, grid)
-            errs = _score_free_trailing(np.ascontiguousarray(blocks[at]), z, v)
-            errs[(d1 < first[at][:, None]) | (d1 > last[at][:, None])] = np.inf
-            ds = [np.broadcast_to(d1, errs.shape)] + [d1 + o[at][:, None] for o in offsets]
-            yield errs, ds, bound.flat[tuples[0]]
+        blocks, norm2, mags, first, last, *offsets = self._table(n_pulses)
+        bound = 1.0 - (norm2 + (mags @ np.abs(v).ravel()) ** 2) / 6.0
+        d1, z = np.arange(self.n_max + 1), np.exp(-1j * (fold + self.phi_d))  # z: lead phase
+        rest, window, size = np.arange(bound.size), _WINDOW, max(1, _FIRST_CHUNK // d1.size)
+        while rest.size:
+            part = np.argpartition(bound[rest], min(window, rest.size) - 1)
+            order = rest[part[:window]]
+            order = order[np.argsort(bound[order])]
+            while order.size:
+                at, order, size = order[:size], order[size:], 2 * size
+                errs = _score_free_trailing(blocks[at], z, v)
+                errs[(d1 < first[at, None]) | (d1 > last[at, None])] = np.inf
+                ds = [np.broadcast_to(d1, errs.shape)] + [d1 + o[at, None] for o in offsets]
+                yield errs, ds, bound[at[0]]
+            rest, window = rest[part[window:]], 2 * window  # only when a search goes on
 
     def search(self, v, fold, n_pulses: int, margin: float = 0.0):
         """(best err, its delays, every (err, delays) within ``margin`` of it)."""
@@ -575,12 +580,7 @@ class _MinEngine:
         return self._balls[a]
 
     def word_digits(self, index: int, length: int) -> tuple[int, ...]:
-        word = []
-        x = index
-        for _ in range(length):
-            word.append(x % self.n_sym)
-            x //= self.n_sym
-        return tuple(word)
+        return tuple(index // self.n_sym ** j % self.n_sym for j in range(length))
 
     def word_block(self, steps: Sequence[int]) -> np.ndarray:
         """Projected 2x2 block of an explicit per-cycle word (plain product)."""
@@ -739,8 +739,8 @@ def decompose_opt(
     the key (round(err, 14), sum(delays), delays), so the scheduler can
     trade accuracy for broadcast sharing.  If no level meets the budget,
     the tuple with the lowest key across levels is returned flagged; a tie
-    in rounded error keeps the lower L.  Nothing is cached: each call
-    searches afresh.
+    in rounded error keeps the lower L.  No result is cached: each call
+    searches afresh, on the tables ``cal.opt_engine`` keeps per L.
     """
     v = checked_target(target)
     err_budget = _checked_finite("err_budget", err_budget, nonnegative=True)

@@ -202,6 +202,86 @@ def test_pruned_one_and_two_pulse_search_matches_brute_force(ry_bitstream_hi, sp
             assert mismatches(cal, v, fold, margin=1e-2, levels=(1, 2)) == []
 
 
+def _opt_results(decs):
+    return [(d.steps, d.err.hex(), d.residual_phase.hex(), d.flagged) for d in decs]
+
+
+def test_opt_engine_reuse_equals_fresh_calibrations(ry_bitstream_hi, spec_hi, haar_su2):
+    # one engine keeps its tables across interleaved targets, folds and pulse
+    # counts, with opt_level_errors in between; every result must equal, bit
+    # for bit, that of a fresh calibration, whose tables are built anew
+    spec = spec_hi.with_drift(6e6)
+    cal = calibrate_qubit(spec, [ry_bitstream_hi])
+    rng = np.random.default_rng(11)
+    targets = [haar_su2(rng) for _ in range(3)]
+    steps = [(3, 0, 0.0), (1, 1, 0.9), (2, 2, 0.0), (3, 1, 0.9), (1, 0, 0.0), (3, 2, 0.9),
+             (2, 0, 0.9), (3, 0, 0.0)]
+    for k, (n_pulses, t, fold) in enumerate(steps):
+        v = targets[t]
+        opt_level_errors(cal, targets[(t + 1) % 3], 0.9 - fold, lmax=k % 4)
+        fresh = calibrate_qubit(spec, [ry_bitstream_hi])
+        got = cal.opt_engine.search(v, fold, n_pulses, MARGIN)
+        want = fresh.opt_engine.search(v, fold, n_pulses, MARGIN)
+        assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+        assert sorted(got[2]) == sorted(want[2])
+        for kwargs in ({"max_candidates": 10**6}, {"err_budget": 1e-12}):
+            assert (_opt_results(decompose_opt(cal, v, fold_phase=fold, **kwargs))
+                    == _opt_results(decompose_opt(fresh, v, fold_phase=fold, **kwargs)))
+    tables = cal.opt_engine._tables
+    assert sorted(tables) == [1, 2, 3]
+    for table in tables.values():
+        for x in table:
+            with pytest.raises(ValueError, match="read-only"):
+                x[...] = 0
+
+
+@pytest.mark.parametrize("window, first_chunk", [(1, 4096), (5, 16)])
+def test_opt_search_across_windows_matches_brute_force(ry_bitstream_hi, spec_hi, haar_su2,
+                                                       monkeypatch, window, first_chunk):
+    # at n_max = 15 all 961 three-pulse tuples fit in the first 4096-tuple
+    # window; windows of a few tuples, cut into chunks of 1, 2, 4, ... tuples
+    # by the smaller first chunk, make every search cross window boundaries
+    monkeypatch.setattr(calib1q, "_WINDOW", window)
+    monkeypatch.setattr(calib1q, "_FIRST_CHUNK", first_chunk)
+    cal = calibrate_qubit(spec_hi.with_drift(-6e6), [ry_bitstream_hi], n_max=15)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        v = haar_su2(rng)
+        for fold in FOLDS:
+            for margin in (1e-4, 1e-2):
+                assert mismatches(cal, v, fold, margin=margin) == []
+
+
+@pytest.mark.parametrize("n_pulses", [1, 2, 3])
+def test_opt_chunks_yield_each_tuple_once_in_bound_order(ry_bitstream_hi, spec_hi, haar_su2,
+                                                         monkeypatch, n_pulses):
+    # drain the generator without the collector's stop, across windows of 5
+    # tuples: every tuple with a valid d_1 comes out exactly once, in
+    # increasing order of its bound (recomputed from plain products), and a
+    # chunk's floor is its first bound, below every error of it and of all
+    # later chunks (up to the float slack the collector allows)
+    monkeypatch.setattr(calib1q, "_WINDOW", 5)
+    monkeypatch.setattr(calib1q, "_FIRST_CHUNK", 16)
+    n, tie = 15, calib1q._TIE
+    cal = calibrate_qubit(spec_hi.with_drift(3e6), [ry_bitstream_hi], n_max=n)
+    v = haar_su2(np.random.default_rng(3))
+    chunks = list(cal.opt_engine._chunks(v, 0.9, n_pulses))
+    rows = [(k, tuple(int(d[r, 0]) for d in ds))  # delays at d_1 = 0: the offsets
+            for k, (errs, ds, _) in enumerate(chunks) for r in range(errs.shape[0])
+            if np.isfinite(errs[r]).any()]
+    steps = range(-n, n + 1)
+    offsets = {(0, *np.cumsum(s)) for s in product(steps, repeat=n_pulses - 1)}
+    assert sorted(o for _, o in rows) == sorted(o for o in offsets if max(o) - min(o) <= n)
+    assert sum(errs.shape[0] for errs, _, _ in chunks) == len(steps) ** (n_pulses - 1)
+    mags = [np.abs(cal.opt_engine.block(o, 0.0)) for _, o in rows]
+    bounds = np.array([1 - (np.sum(m ** 2) + np.sum(m * np.abs(v)) ** 2) / 6 for m in mags])
+    assert np.all(np.diff(bounds) >= -tie)
+    later = np.minimum.accumulate([errs.min() for errs, _, _ in chunks][::-1])[::-1]
+    for k, (_, _, floor) in enumerate(chunks[:rows[-1][0] + 1]):
+        assert abs(floor - bounds[[c for c, _ in rows].index(k)]) <= tie
+        assert floor <= later[k] + tie
+
+
 @pytest.mark.parametrize("other", [
     Bitstream(bits=(1, 0, 0, 0)),
     Bitstream(bits=(1, 0, 0), clock_period=50e-12),
