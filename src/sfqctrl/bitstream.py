@@ -37,13 +37,13 @@ The descent scores candidates without re-simulating the train.  At a
 sweep's fixed tip angle the anchored train is the ordered product of one
 anchored kick per pulse (see ``sfqctrl.transmon``), so with the products
 of the kicks before cycle i (prefix) and from cycle i on (suffix) a bit
-flip at i costs two small products: the suffix from i+1 on, the kick or
-nothing, and the running prefix, which advances as the sweep moves left
-to right.  A pulse move i -> j multiplies the train with j lit by the
-inverse of the kick at i, conjugated by the prefix (j > i) or the suffix
-(j < i); prefix and suffix products are rebuilt only after an accepted
-move.  Stage 1 and the tip-angle refinement change every kick and still
-simulate from scratch.
+flip at i is suffix(i+1) @ (kick or nothing) @ prefix(i), and a pulse
+move i -> j multiplies the train with j lit by the inverse of the kick at
+i, conjugated by the prefix (j > i) or the suffix (j < i).  Each pass
+scores all its candidates as one stack and takes the first that lowers
+the error; prefixes are rebuilt past an accepted flip, prefixes and
+suffixes after an accepted move.  Stage 1 and the tip-angle refinement
+change every kick and still simulate from scratch.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from sfqctrl.transmon import (
     TransmonSpec,
     checked_target,
     level_energies,
+    projected_errors,
     projected_fidelity,
     pulse_train_unitary,
     ry,
@@ -246,25 +247,29 @@ def _cycle_kicks(spec: TransmonSpec, n_cycles: int, tip_angle: float) -> np.ndar
     return f.conj()[:, :, None] * sfq_kick(spec, tip_angle) * f[:, None, :]
 
 
+def _prefixes(kicks: np.ndarray, bits, start: int, pref: np.ndarray) -> np.ndarray:
+    """Kick products of the pulses before cycles start..n; ``pref`` is the one before start."""
+    out = [pref]
+    for i in range(start, len(bits)):
+        out.append(kicks[i] @ out[-1] if bits[i] else out[-1])
+    return np.array(out)
+
+
 def _prefix_suffix(kicks: np.ndarray, bits) -> tuple[np.ndarray, np.ndarray]:
     """Products of the anchored kicks of the pulses before cycle i (pref[i]) and
     from cycle i on (suf[i]), i = 0..n; suf[i] @ pref[i] is the whole train."""
-    n, d = kicks.shape[:2]
-    pref = np.empty((n + 1, d, d), dtype=complex)
-    suf = np.empty_like(pref)
-    pref[0] = suf[n] = np.eye(d)
-    for i in range(n):
-        pref[i + 1] = kicks[i] @ pref[i] if bits[i] else pref[i]
-    for i in range(n - 1, -1, -1):
-        suf[i] = suf[i + 1] @ kicks[i] if bits[i] else suf[i + 1]
-    return pref, suf
+    suf = [np.eye(kicks.shape[1], dtype=complex)]
+    for i in range(len(bits) - 1, -1, -1):
+        suf.append(suf[-1] @ kicks[i] if bits[i] else suf[-1])
+    return _prefixes(kicks, bits, 0, suf[0]), np.array(suf[::-1])
 
 
-def _flip_block(pref: np.ndarray, kick: np.ndarray, suf_next: np.ndarray,
-                lit: bool) -> np.ndarray:
-    """2x2 block of ``suf_next @ (kick if lit else 1) @ pref``: one cycle set or cleared."""
-    rows = suf_next[:2] @ kick if lit else suf_next[:2]
-    return rows @ pref[:, :2]
+def _flip_blocks(kicks, prefs, suf, bits, start: int) -> np.ndarray:
+    """2x2 blocks of the trains with one cycle i >= start set or cleared:
+    suf[i+1] @ (K(i) if bits[i] is 0 else 1) @ prefs[i - start]."""
+    rows = suf[start + 1:, :2]
+    rows = np.where((bits[start:] == 0)[:, None, None], rows @ kicks[start:], rows)
+    return rows @ prefs[:-1, :, :2]
 
 
 def _move_blocks(kicks: np.ndarray, pref: np.ndarray, suf: np.ndarray, i: int,
@@ -282,10 +287,27 @@ def _move_blocks(kicks: np.ndarray, pref: np.ndarray, suf: np.ndarray, i: int,
     return np.where((js > i)[:, None, None], lit[:, :2] @ x[:, :2], w[:2] @ lit[:, :, :2])
 
 
-def _window_phase(freq: float, n_cycles: int, centre: float) -> np.ndarray:
-    """Qubit phase at each cycle relative to ``centre``, wrapped to [-pi, pi)."""
-    return np.mod(2.0 * np.pi * freq * np.arange(n_cycles) * SFQ_CLOCK_PERIOD
-                  - centre + np.pi, 2.0 * np.pi) - np.pi
+def _window_scan(spec, target, window_centres, n_cycles):
+    """Stage 1 of ``design_bitstream``: (err, slots, tip angle) of the best window pattern."""
+    best = (np.inf, None, None)  # err, slots, tip
+    for centre in window_centres:  # qubit phase at each cycle from centre, in [-pi, pi)
+        ph = np.mod(2.0 * np.pi * spec.nominal_freq * np.arange(n_cycles) * SFQ_CLOCK_PERIOD
+                    - centre + np.pi, 2.0 * np.pi) - np.pi
+        for w in np.linspace(0.15, 1.25, 23):
+            all_slots = np.flatnonzero(np.abs(ph) <= w)
+            if len(all_slots) < 8:
+                continue
+            base = (np.pi / 2) / len(all_slots)
+            for scale in np.linspace(0.85, 1.35, 11):
+                dt = base * scale
+                cap = int(np.ceil((np.pi / 2) / dt))
+                slots = all_slots[:cap]
+                err = _train_error(spec, slots, n_cycles, dt, target)
+                if err < best[0]:
+                    best = (err, slots, dt)
+    if best[1] is None:
+        raise BitstreamDesignError("no pulse pattern found within the window scan")
+    return best
 
 
 def design_bitstream(spec: TransmonSpec, target: np.ndarray,
@@ -297,10 +319,11 @@ def design_bitstream(spec: TransmonSpec, target: np.ndarray,
     cycle i when the qubit phase (2*pi*f*i*tau mod 2*pi) lies within +-w
     of a scanned window centre, stopping after ceil((pi/2)/dtheta)
     pulses; dtheta is refined by golden section.  Stage 2 runs a
-    deterministic greedy descent from the best scanned pattern (bit
-    flips plus pulse relocations in a fixed visiting order, tip-angle
-    refinement after each sweep) to cancel the coherent level-2 leakage
-    the window family cannot reach on its own.
+    deterministic greedy descent from the best scanned pattern (passes of
+    bit flips and of pulse relocations in a fixed visiting order, each
+    scored at once and taking the first candidate that lowers the error;
+    tip-angle refinement after each sweep) to cancel the coherent level-2
+    leakage the window family cannot reach on its own.
 
     Raises
     ------
@@ -310,30 +333,8 @@ def design_bitstream(spec: TransmonSpec, target: np.ndarray,
         If no candidate reaches the 1e-4 projected gate-error target.
     """
     target = checked_target(target)
-    freq = spec.nominal_freq
-    design_spec = spec.with_drift(0.0)
-    n_cycles = gate_length_cycles(freq)
-
-    # ---- stage 1: (w, dtheta) scan over window centres
-    best = (np.inf, None, None)  # err, slots, tip
-    for centre in window_centres:
-        ph = _window_phase(freq, n_cycles, centre)
-        for w in np.linspace(0.15, 1.25, 23):
-            all_slots = np.flatnonzero(np.abs(ph) <= w)
-            if len(all_slots) < 8:
-                continue
-            base = (np.pi / 2) / len(all_slots)
-            for scale in np.linspace(0.85, 1.35, 11):
-                dt = base * scale
-                cap = int(np.ceil((np.pi / 2) / dt))
-                slots = all_slots[:cap]
-                err = _train_error(design_spec, slots, n_cycles, dt, target)
-                if err < best[0]:
-                    best = (err, slots, dt)
-    if best[1] is None:
-        raise BitstreamDesignError("no pulse pattern found within the window scan")
-
-    err, slots, dt = best
+    design_spec, n_cycles = spec.with_drift(0.0), gate_length_cycles(spec.nominal_freq)
+    _, slots, dt = _window_scan(design_spec, target, window_centres, n_cycles)
     err, dt = _golden_tip_angle(design_spec, slots, n_cycles, dt * 0.92, dt * 1.08, target)
 
     # ---- stage 2: deterministic greedy descent (bit flips + pulse moves)
@@ -344,20 +345,17 @@ def design_bitstream(spec: TransmonSpec, target: np.ndarray,
     for _ in range(_POLISH_SWEEPS):
         improved = False
         kicks = _cycle_kicks(design_spec, n_cycles, dt)
-        _, suf = _prefix_suffix(kicks, bits)
-        pref, n_on = np.eye(design_spec.levels, dtype=complex), int(bits.sum())
-        for i in range(n_cycles):
-            # an accepted flip at i changes no suffix of a later cycle; an empty
-            # train is never accepted
-            if not (bits[i] and n_on == 1):
-                block = _flip_block(pref, kicks[i], suf[i + 1], lit=not bits[i])
-                e = projected_fidelity(block, target).error
-                if e < err:
-                    bits[i] ^= 1
-                    n_on += 1 if bits[i] else -1
-                    err, improved = e, True
-            if bits[i]:
-                pref = kicks[i] @ pref
+        (prefs, suf), at = _prefix_suffix(kicks, bits), 0
+        while at < n_cycles:
+            # a flip at i changes no later suffix; an empty train is never accepted
+            e = projected_errors(_flip_blocks(kicks, prefs, suf, bits, at), target)
+            hit = np.flatnonzero((e < err) & ((bits[at:] == 0) | (bits.sum() > 1)))
+            if not hit.size:
+                break
+            i = at + hit[0]
+            bits[i] ^= 1
+            err, improved = float(e[hit[0]]), True
+            prefs, at = _prefixes(kicks, bits, i, prefs[hit[0]])[1:], i + 1
         if err > stop_at:
             # relocating a pulse preserves the rotation budget while moving
             # the level-2 leakage phasor, which single flips cannot do cheaply
@@ -366,15 +364,12 @@ def design_bitstream(spec: TransmonSpec, target: np.ndarray,
                 if err <= stop_at:
                     break
                 js = np.flatnonzero(bits == 0)
-                for j, block in zip(js, _move_blocks(kicks, pref, suf, i, js)):
-                    e = projected_fidelity(block, target).error
-                    if e < err:
-                        bits[i], bits[j] = 0, 1
-                        err, improved = e, True
-                        pref, suf = _prefix_suffix(kicks, bits)
-                        break
-        cur = np.flatnonzero(bits)
-        err, dt = _golden_tip_angle(design_spec, cur, n_cycles,
+                e = projected_errors(_move_blocks(kicks, pref, suf, i, js), target)
+                for k in np.flatnonzero(e < err)[:1]:
+                    bits[i], bits[js[k]] = 0, 1
+                    err, improved = float(e[k]), True
+                    pref, suf = _prefix_suffix(kicks, bits)
+        err, dt = _golden_tip_angle(design_spec, np.flatnonzero(bits), n_cycles,
                                     dt * 0.98, dt * 1.02, target, iters=24)
         if err <= stop_at or not improved:
             break

@@ -105,7 +105,7 @@ class QubitCalibration:
 
     ``n_max`` is the longest opt delay in SFQ cycles; ``idle_index`` is
     the position of the all-zeros stream, if any.  ``opt_engine`` keeps the
-    opt search's target-independent tables (36 MB at n_max = 255 with L = 3).
+    opt search's target-independent tables (29 MB at n_max = 255 with L = 3).
     """
 
     qubit_id: int
@@ -305,7 +305,7 @@ class _OptEngine:
     candidates as scoring all (n_max + 1)^L tuples: the tuple with the
     lowest (round(err, 14), sum(delays), delays), in any visiting order.
     It keeps no result, only each L's target-independent ``_table`` from
-    its first search on (36 MB for L = 3 at n_max = 255).
+    its first search on (29 MB for L = 3 at n_max = 255).
     """
 
     def __init__(self, cal: QubitCalibration):
@@ -347,8 +347,8 @@ class _OptEngine:
                 blocks = np.einsum("eij,cjk->ceik", self.t2_rows,
                                    self.k_deltas[:, :, None] * self.u6[:, :2], optimize=True)
                 offsets = [self.deltas[:, None], self.deltas[:, None] + self.deltas]
-            o = np.array([np.broadcast_to(x, blocks.shape[:-2]).ravel()
-                          for x in [0, *offsets]])  # o_1 = 0, o_2, ..., o_L
+            o = np.array([np.broadcast_to(x, blocks.shape[:-2]).ravel() for x in [0, *offsets]],
+                         dtype=np.min_scalar_type(-2 * self.n_max - 1))  # |o_i| <= 2 n_max
             first, last = -o.min(axis=0), self.n_max - o.max(axis=0)  # of d_1
             blocks = np.ascontiguousarray(blocks).reshape(-1, 2, 2)
             mags = np.abs(blocks).reshape(-1, 4)

@@ -166,21 +166,26 @@ def pulse_train_unitary(
     return u
 
 
-def projected_fidelity(actual: np.ndarray, target: np.ndarray) -> FidelityReport:
-    """Average gate fidelity of ``actual`` projected onto levels {0, 1}.
+def projected_errors(blocks: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Error ``1 - Fbar`` of each (..., >=2, >=2) block projected onto levels {0, 1}.
 
-    With ``E`` the 2x2 block of ``actual`` on levels 0 and 1,
-
-        Fbar = (Tr(E E^dag) + |Tr(target^dag E)|^2) / 6
-
-    so any population leaking out of the qubit levels is captured as
-    additional error.  ``target`` is the 2x2 gate wanted on those levels.
+    Fbar = (Tr(E E^dag) + |Tr(target^dag E)|^2) / 6 with ``E`` a block's 2x2 corner
+    and ``target`` a 2x2 gate, so leakage out of the qubit levels counts as error.
     """
-    if target.shape != (2, 2):
-        raise ValueError(f"target must be 2x2, got shape {target.shape}")
-    e = np.ascontiguousarray(actual[:2, :2])
-    fbar = float((np.trace(e @ e.conj().T).real + abs(np.trace(target.conj().T @ e)) ** 2) / 6)
-    return FidelityReport(avg_gate_fidelity=fbar, error=1.0 - fbar)
+    if target.shape != (2, 2) or np.ndim(blocks) < 2 or min(blocks.shape[-2:]) < 2:
+        raise ValueError(f"target must be 2x2 and blocks at least 2x2, got shapes "
+                         f"{target.shape} and {np.shape(blocks)}")
+    e = np.ascontiguousarray(blocks[..., :2, :2])
+    ee, tr = e @ e.conj().swapaxes(-1, -2), target.conj().T @ e
+    tr = tr[..., 0, 0] + tr[..., 1, 1]
+    mag = np.hypot(tr.real, tr.imag)  # the scalar abs bit for bit, which np.abs is not
+    return 1.0 - ((ee[..., 0, 0] + ee[..., 1, 1]).real + mag * mag) / 6
+
+
+def projected_fidelity(actual: np.ndarray, target: np.ndarray) -> FidelityReport:
+    """:func:`projected_errors` of the one evolution ``actual``, as a report."""
+    err = float(projected_errors(actual, target))
+    return FidelityReport(avg_gate_fidelity=1.0 - err, error=err)
 
 
 # --- small gate constructors used throughout the toolkit --------------------

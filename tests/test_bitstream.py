@@ -5,21 +5,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import design_oracle
 from sfqctrl.transmon import TransmonSpec, projected_fidelity, pulse_train_unitary, ry
 from sfqctrl.bitstream import (
     DEFAULT_N_MAX,
+    SFQ_CLOCK_PERIOD,
     Bitstream,
+    BitstreamDesignError,
     _cycle_kicks,
-    _flip_block,
+    _flip_blocks,
     _move_blocks,
     _prefix_suffix,
+    _prefixes,
     design_bitstream,
     drift_tolerance,
     parking_scan,
     rz_grid_error,
     worst_rz_error,
 )
-from sfqctrl.calib1q import calibrate_qubit
+from sfqctrl.calib1q import calibrate_qubit, min_basis_targets
 
 TAU = 40e-12
 GOLDEN_STREAMS = Path(__file__).resolve().parents[1] / "perfbench/fixtures/streams.json"
@@ -237,7 +241,9 @@ def test_design_bitstream_rejects_bad_target(spec_hi, target):
 
 @pytest.mark.parametrize("freq", [6.21286e9, 4.14238e9], ids=["6212MHz", "4142MHz"])
 def test_greedy_scores_match_whole_train(freq):
-    # every flip and move block the descent scores, against one from-scratch train
+    # every flip and move block the descent scores, against one from-scratch
+    # train; a flip pass's batched blocks and running prefixes from any cycle
+    # on equal the per-cycle products bit for bit
     spec = TransmonSpec(nominal_freq=freq)
     rng = np.random.default_rng(7)
     n, tip = 253, 0.04
@@ -251,10 +257,17 @@ def test_greedy_scores_match_whole_train(freq):
     whole = pulse_train_unitary(spec, np.flatnonzero(bits), n, tip, TAU)
     assert np.abs(suf[0] - whole).max() < 1e-12
     assert np.abs(pref[n] - whole).max() < 1e-12
-    for i in range(n):
+    for start in (0, 97, n - 1):
+        prefs = _prefixes(kicks, bits, start, pref[start])
+        assert (prefs == pref[start:]).all()
+        got = _flip_blocks(kicks, prefs, suf, bits, start)
+        assert got.shape == (n - start, 2, 2)
+        for i in range(start, n):
+            rows = suf[i + 1][:2] @ kicks[i] if bits[i] == 0 else suf[i + 1][:2]
+            assert (got[i - start] == rows @ pref[i][:, :2]).all()
+    for i, got in enumerate(_flip_blocks(kicks, pref, suf, bits, 0)):
         flipped = bits.copy()
         flipped[i] ^= 1
-        got = _flip_block(pref[i], kicks[i], suf[i + 1], lit=not bits[i])
         assert np.abs(got - block(flipped)).max() < 1e-12
     js = np.flatnonzero(bits == 0)
     for i in rng.choice(np.flatnonzero(bits[20:-20]) + 20, size=4, replace=False):
@@ -263,6 +276,30 @@ def test_greedy_scores_match_whole_train(freq):
             moved = bits.copy()
             moved[i], moved[j] = 0, 1
             assert np.abs(got - block(moved)).max() < 1e-12
+
+
+def _design_against_oracle(spec, target, centres):
+    """design_bitstream gives the oracle's stream, or raises with its error; that error."""
+    bits, tip, err = design_oracle.design(spec, target, centres)
+    if err > 1e-4:
+        with pytest.raises(BitstreamDesignError, match=f"best design error {err:.3e} "):
+            design_bitstream(spec, target, centres)
+    else:
+        assert design_bitstream(spec, target, centres) == Bitstream(bits, tip_angle=tip)
+    return err
+
+
+def test_design_matches_per_candidate_oracle(spec_lo, spec_hi, haar_su2):
+    # batched passes take the same first improving candidate as scoring one by one
+    assert _design_against_oracle(spec_lo, ry(np.pi / 2), design_oracle.CENTRES) <= 1e-4
+    _design_against_oracle(spec_hi, haar_su2(np.random.default_rng(2)), (0.0,))
+
+
+def test_design_oracle_stalls_on_the_bs3_x_axis_turn(spec_hi):
+    # the known stall of the min designer's BS=3 stream, reproduced by both
+    phase = float(np.mod(2 * np.pi * spec_hi.nominal_freq * 253 * SFQ_CLOCK_PERIOD, 2 * np.pi))
+    err = _design_against_oracle(spec_hi, min_basis_targets(phase, 3)[1], design_oracle.CENTRES)
+    assert f"{err:.3e}" == "1.158e-04"
 
 
 def test_designed_bitstream_drift_sensitivity(ry_bitstream_hi, spec_hi):

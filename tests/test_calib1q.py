@@ -282,6 +282,22 @@ def test_opt_chunks_yield_each_tuple_once_in_bound_order(ry_bitstream_hi, spec_h
         assert floor <= later[k] + tie
 
 
+def test_opt_table_integers_fit_the_smallest_type(ry_bitstream_hi, spec_hi):
+    # first, last and o_2..o_L span +-2 n_max: int16 at n_max = 255, where
+    # the three-pulse table holds 29.2 MB, and at n_max = 64, where +128
+    # does not fit int8
+    table = calibrate_qubit(spec_hi, [ry_bitstream_hi]).opt_engine._table(3)
+    assert [x.dtype for x in table[3:]] == [np.int16] * 4
+    assert [x.nbytes // 511 ** 2 for x in table] == [64, 8, 32, 2, 2, 2, 2]
+    assert sum(x.nbytes for x in table) == 29_245_552
+    eng = calibrate_qubit(spec_hi, [ry_bitstream_hi], n_max=64).opt_engine
+    _, _, _, first, last, o_2, o_3 = eng._table(3)
+    d = np.arange(-64, 65)
+    assert (o_3.astype(int) == (d[:, None] + d).ravel()).all()
+    assert (first.min(), first.max(), last.min(), last.max()) == (0, 128, -64, 64)
+    assert o_2.dtype == np.int16
+
+
 @pytest.mark.parametrize("other", [
     Bitstream(bits=(1, 0, 0, 0)),
     Bitstream(bits=(1, 0, 0), clock_period=50e-12),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from sfqctrl.transmon import (
     annihilation,
     level_energies,
     phase_gate,
+    projected_errors,
     projected_fidelity,
     pulse_train_unitary,
     ry,
@@ -132,6 +135,43 @@ def test_fidelity_global_phase_invariant(haar_su2):
 def test_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
         projected_fidelity(np.eye(6), np.eye(3))
+
+
+@pytest.mark.parametrize("shape", [(3, 6, 6), (3, 2, 2), (6, 6)])
+def test_projected_errors_rejects_bad_target(shape):
+    with pytest.raises(ValueError, match=rf"got shapes \(3, 3\) and \({shape[0]}, {shape[1]}"):
+        projected_errors(np.zeros(shape, dtype=complex), np.eye(3))
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (1, 1), (4, 1, 6), (2,)])
+def test_projected_errors_rejects_blocks_below_2x2(shape):
+    for f in (projected_errors, projected_fidelity):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"at least 2x2, got shapes (2, 2) and {shape}")):
+            f(np.ones(shape, dtype=complex), np.eye(2))
+
+
+@pytest.mark.parametrize("levels", [6, 2])
+def test_projected_errors_equal_one_block_at_a_time(haar_su2, levels):
+    # exact equality: the designer scores a pass's candidates as one stack and
+    # must take the same one as scoring them one block at a time.  The formula
+    # takes |Tr| by np.hypot: np.abs on a complex stack differs from the scalar
+    # abs in the last bit on about a third of random blocks, hypot on none
+    rng = np.random.default_rng(levels)
+    v = haar_su2(rng)
+    blocks = (rng.normal(size=(500, levels, levels))
+              + 1j * rng.normal(size=(500, levels, levels))) / levels
+    blocks[:8, :2, :2] = [np.exp(1j * a) * v for a in rng.uniform(0, 2 * np.pi, 8)]
+    got = projected_errors(blocks, v)
+    assert got.shape == (500,)
+    assert (got == [projected_fidelity(b, v).error for b in blocks]).all()
+    assert projected_errors(blocks[3], v) == projected_fidelity(blocks[3], v).error
+    assert np.abs(got[:8]).max() < 1e-12
+    # the scalar form (np.trace, abs(.) ** 2) agrees to one rounding of 1 - Fbar
+    for b, e in zip(blocks, got):
+        tr = np.trace(v.conj().T @ b[:2, :2])
+        fbar = (np.trace(b[:2, :2] @ b[:2, :2].conj().T).real + abs(tr) ** 2) / 6
+        assert abs(e - (1.0 - fbar)) <= np.spacing(1.0)
 
 
 @settings(max_examples=60, deadline=None)
