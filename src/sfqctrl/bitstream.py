@@ -55,6 +55,7 @@ import numpy as np
 
 from sfqctrl.transmon import (
     TransmonSpec,
+    checked_finite,
     checked_target,
     level_energies,
     projected_errors,
@@ -157,8 +158,8 @@ def _good_runs(f_lo: float, f_hi: float, resolution: float):
     per contiguous run whose worst-case delay-quantized Rz error over the
     delays 0..DEFAULT_N_MAX stays below ``_PARKING_ERR_BUDGET``.
     """
-    if not resolution > 0:
-        raise ValueError(f"resolution must be > 0, got {resolution}")
+    if not (np.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     freqs = np.arange(f_lo, f_hi + 0.5 * resolution, resolution)
     d = np.arange(DEFAULT_N_MAX + 1)
     worst = worst_rz_error(np.mod(2.0 * np.pi * freqs[:, None] * d * SFQ_CLOCK_PERIOD,
@@ -179,6 +180,7 @@ def parking_scan(f_lo: float, f_hi: float,
     failing grid point on both sides are reported: one that the scan
     range cuts off has no measured width.
     """
+    f_lo, f_hi = checked_finite("f_lo", f_lo), checked_finite("f_hi", f_hi)
     if f_lo >= f_hi:
         raise ValueError("f_lo must be < f_hi")
     freqs, runs = _good_runs(f_lo, f_hi, resolution)
@@ -192,6 +194,7 @@ def drift_tolerance(freq: float, resolution: float = 0.1e6) -> float:
     Frequencies within ``_DRIFT_SPAN`` of ``freq`` are scanned; 0 if ``freq``
     itself misses the budget.
     """
+    freq = checked_finite("freq", freq)
     freqs, runs = _good_runs(freq - _DRIFT_SPAN, freq + _DRIFT_SPAN, resolution)
     i0 = int(np.argmin(np.abs(freqs - freq)))
     for i, j in runs:
@@ -328,11 +331,16 @@ def design_bitstream(spec: TransmonSpec, target: np.ndarray,
     Raises
     ------
     ValueError
-        If ``target`` is not a finite unitary 2x2 matrix.
+        If ``target`` is not a finite unitary 2x2 matrix, or
+        ``window_centres`` is empty or holds a non-finite angle.
     BitstreamDesignError
         If no candidate reaches the 1e-4 projected gate-error target.
     """
     target = checked_target(target)
+    centres = np.asarray(window_centres, dtype=float)
+    if centres.ndim != 1 or not centres.size or not np.isfinite(centres).all():
+        raise ValueError(f"window_centres must be a non-empty sequence of finite angles, "
+                         f"got {window_centres!r}")
     design_spec, n_cycles = spec.with_drift(0.0), gate_length_cycles(spec.nominal_freq)
     _, slots, dt = _window_scan(design_spec, target, window_centres, n_cycles)
     err, dt = _golden_tip_angle(design_spec, slots, n_cycles, dt * 0.92, dt * 1.08, target)

@@ -23,10 +23,11 @@ styles are supported:
 *min*  -- a discrete stored-gate set applied one per controller cycle.
           Composing consecutive cycles inserts a fixed frame factor
           D = exp(-i*H0*T_cycle), so the per-cycle *step* operators are
-          D @ B_j and the all-zeros stream's step is a fixed z-phase
-          (the T-like gate: at 6.21286 GHz / 253 cycles the step angle
-          is 0.7908 rad, within 0.006 of pi/4 -- and it drifts with the
-          qubit, which is what makes outlier qubits possible).  Words
+          D @ B_j.  The all-zeros stream, which calibration requires,
+          simulates to the identity, so its step is D itself: a fixed
+          z-phase (the T-like gate: at 6.21286 GHz / 253 cycles the step
+          angle is 0.7908 rad, within 0.006 of pi/4 -- and it drifts with
+          the qubit, which is what makes outlier qubits possible).  Words
           over the step alphabet are searched by one lazy walk in order
           of depth, stopped at the first depth within the budget:
           exhaustively up to 12 cycles (two symbols) or 6 (more), then
@@ -59,6 +60,7 @@ from sfqctrl.bitstream import (
 )
 from sfqctrl.transmon import (
     TransmonSpec,
+    checked_finite,
     checked_target,
     level_energies,
     phase_gate,
@@ -84,7 +86,11 @@ class Decomposition1Q:
     ``phase_gate(residual_phase) @ U @ phase_gate(-fold_phase)`` has error
     ``err``, U being the anchored ``pulse_train_unitary`` of one train with
     application i at SFQ cycle i * controller_cycle_sfq + d_i (U = 1 at
-    L=0).  ``err`` is the six-level projected average-gate-fidelity error;
+    L=0).  For min, ``phase_gate(residual_phase) @ word_block(steps)`` is
+    the 2x2 block of the anchored train of the whole word, the stream of
+    step j starting at SFQ cycle j * controller_cycle_sfq; the word's
+    error is taken against target @ phase_gate(fold_phase).
+    ``err`` is the six-level projected average-gate-fidelity error;
     ``flagged`` marks best-effort results that missed the budget.
     """
 
@@ -103,9 +109,9 @@ class Decomposition1Q:
 class QubitCalibration:
     """Actual basis operations realized on one qubit by the shared bitstreams.
 
-    ``n_max`` is the longest opt delay in SFQ cycles; ``idle_index`` is
-    the position of the all-zeros stream, if any.  ``opt_engine`` keeps the
-    opt search's target-independent tables (29 MB at n_max = 255 with L = 3).
+    ``n_max`` is the longest opt delay in SFQ cycles.  ``opt_engine`` keeps
+    the opt search's target-independent tables (29 MB at n_max = 255 with
+    L = 3), ``min_engine`` the min search's word tables and results.
     """
 
     qubit_id: int
@@ -115,7 +121,6 @@ class QubitCalibration:
     n_max: int
     controller_cycle_sfq: int
     clock_period: float
-    idle_index: int | None = None
 
     @cached_property
     def opt_engine(self) -> "_OptEngine":
@@ -139,7 +144,9 @@ def calibrate_qubit(
     of a group receives the same streams); drift enters only through the
     qubit's own free evolution.  For the opt architecture the controller
     cycle spans the delay range plus the stream; for min it equals the
-    stream length, so all streams must share one length and clock period.
+    stream length, so all streams must share one length and clock period,
+    and one of them must be all zeros (the idle step).  Both checks, like
+    the architecture's, come before any simulation.
     """
     if arch not in ("opt", "min"):
         raise ValueError(f"unknown architecture {arch!r}")
@@ -150,11 +157,12 @@ def calibrate_qubit(
     if any(len(bs) != len(first) or bs.clock_period != first.clock_period
            for bs in shared_bitstreams):
         raise CalibrationError("shared bitstreams differ in length or clock period")
+    if arch == "min" and all(bs.n_pulses for bs in shared_bitstreams):
+        raise CalibrationError("min architecture requires an all-zeros stream")
     ops = [bs.simulate(spec) for bs in shared_bitstreams]
     if any(unitarity_defect(u) > 1e-8 for u in ops):
         raise CalibrationError("bitstream evolution lost unitarity")
     cycle = (n_max + 1) + len(first) if arch == "opt" else len(first)
-    idle = next((i for i, bs in enumerate(shared_bitstreams) if bs.n_pulses == 0), None)
     return QubitCalibration(
         qubit_id=qubit_id,
         spec=spec,
@@ -163,7 +171,6 @@ def calibrate_qubit(
         n_max=n_max,
         controller_cycle_sfq=cycle,
         clock_period=first.clock_period,
-        idle_index=idle,
     )
 
 
@@ -181,21 +188,12 @@ def min_basis_targets(cycle_phase: float, bs: int) -> list[np.ndarray | None]:
     realizable as stored streams.  Of these targets the designer reaches
     only BS=2 at 6.21286 GHz (see ``design_min_bitstreams``).
     """
+    bs = _checked_int("bs", bs, 2, 4)
     comp = phase_gate(cycle_phase)  # D^dag on the computational block
-    quarter = {
-        0.0: ry(np.pi / 2),
-        np.pi / 2: rz(np.pi / 2) @ ry(np.pi / 2) @ rz(-np.pi / 2),
-        np.pi: ry(-np.pi / 2),
-    }
-    if bs == 2:
-        axes = [0.0]
-    elif bs == 3:
-        axes = [0.0, np.pi / 2]
-    elif bs == 4:
-        axes = [0.0, np.pi / 2, np.pi]
-    else:
-        raise ValueError("min architecture supports BS in {2, 3, 4}")
-    return [comp @ quarter[a] for a in axes] + [None]
+    quarters = [ry(np.pi / 2),  # about the y, x and -y axes
+                rz(np.pi / 2) @ ry(np.pi / 2) @ rz(-np.pi / 2),
+                ry(-np.pi / 2)]
+    return [comp @ q for q in quarters[:bs - 1]] + [None]
 
 
 def design_min_bitstreams(spec: TransmonSpec, bs: int = 2) -> list[Bitstream]:
@@ -448,16 +446,23 @@ def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ], axis=-1)
 
 
-class _Halves(NamedTuple):
+class _Words(NamedTuple):
     """Target-independent arrays of the min words of one length.
 
-    ``valid`` lists the words whose projected block has an SU(2)
-    quaternion, and ``q`` holds those quaternions; the words' six-level
-    products stay in the engine's word table.
+    ``products`` holds the six-level products of all n_sym^length words
+    (digit j = cycle j), ``valid`` the words whose projected block has an
+    SU(2) quaternion, and ``q`` those quaternions.
     """
 
+    products: np.ndarray
     valid: np.ndarray
     q: np.ndarray
+
+    @classmethod
+    def of(cls, products: np.ndarray) -> "_Words":
+        q, ok = _su2_quaternions(products[:, :2, :2])
+        valid = np.flatnonzero(ok)
+        return cls(products, valid, q[valid])
 
 
 class _Ball(NamedTuple):
@@ -503,76 +508,58 @@ def _pair_blocks(keys: np.ndarray, n_second: int, cols: np.ndarray, rows: np.nda
 class _MinEngine:
     """Depth-ordered word search over the min step alphabet, as one lazy walk.
 
-    Words up to ``exh_cap`` cycles (12 for two symbols, 6 for more) are
-    scored exhaustively (vectorized six-level products).  Every deeper
-    depth, for any alphabet, is a meet-in-the-middle stage: the depth is
-    split into a first half of a = depth // 2 cycles and a second half of
-    the rest, a quaternion nearest-neighbour query on their projected
-    blocks proposes (first, second) pairs, and every pair is rescored
-    exactly with the six-level word tables (E = P W2 W1 P =
+    The steps are D @ B_j for every stored stream alike (the all-zeros
+    stream's B_j is the identity), and ``_word_table`` keeps one ``_Words``
+    record per length.  Words up to ``exh_cap`` cycles (12 for two symbols,
+    6 for more) are scored exhaustively (vectorized six-level products).
+    Every deeper depth, for any alphabet, is a meet-in-the-middle stage:
+    the depth is split into a first half of a = depth // 2 cycles and a
+    second half of the rest, a quaternion nearest-neighbour query on their
+    projected blocks proposes (first, second) pairs, and every pair is
+    rescored exactly with the six-level word products (E = P W2 W1 P =
     (P W2)(W1 P), associativity making the rescoring exact).  One ball
     query per first-half length a, against one KD-tree of the second
     halves of lengths a and a + 1, serves depths 2a and 2a+1, and the
     walk (``_depths``) keeps its hits only while it scores them.  The
     pairs of one depth are rescored as one batch sorted by their (first,
     second) key, one matrix product per first half, so the lowest key
-    among the lowest errors wins.  The half tables stop at ``half_cap``
-    cycles (14 for two symbols, 7 for more), which bounds the depth a
-    search can reach.  The engine holds only target-independent tables
-    and ``decompose_min``'s results.
+    among the lowest errors wins.  The word tables of the halves stop at
+    ``half_cap`` cycles (14 for two symbols, 7 for more), which bounds the
+    depth a search can reach.  The engine holds only target-independent
+    tables and ``decompose_min``'s results.
     """
 
     def __init__(self, cal: QubitCalibration):
         if cal.arch != "min":
             raise CalibrationError(f"decompose_min needs arch 'min', got {cal.arch!r}")
-        self.cal = cal
         spec = cal.spec
-        self.e_tau_cycle = (level_energies(spec.actual_freq, spec.anharmonicity,
-                                           spec.levels)
-                            * cal.clock_period * cal.controller_cycle_sfq)
-        self.d_vec = np.exp(-1j * self.e_tau_cycle)
-        self.phi = float(np.mod(self.e_tau_cycle[1], 2 * np.pi))
-        if cal.idle_index is None:
-            raise CalibrationError("min architecture requires an all-zeros stream")
-        # step operators D @ B for every basis entry (idle included)
-        dim = spec.levels
-        self.steps6 = []
-        for i, b in enumerate(cal.basis_ops):
-            mat = np.eye(dim, dtype=complex) if i == cal.idle_index else b
-            self.steps6.append(self.d_vec[:, None] * mat)
+        e_tau_cycle = (level_energies(spec.actual_freq, spec.anharmonicity, spec.levels)
+                       * cal.clock_period * cal.controller_cycle_sfq)
+        self.phi = float(np.mod(e_tau_cycle[1], 2 * np.pi))
+        self.steps6 = np.exp(-1j * e_tau_cycle)[:, None] * np.array(cal.basis_ops)  # D @ B
         self.n_sym = len(self.steps6)
         self.exh_cap = 12 if self.n_sym == 2 else 6
         self.half_cap = 14 if self.n_sym == 2 else 7
-        self._words: list[np.ndarray] = [np.eye(dim, dtype=complex)[None, :, :]]
-        self._halves: dict[int, _Halves] = {}
+        self._words = [_Words.of(np.eye(spec.levels, dtype=complex)[None])]
         self._balls: dict[int, _Ball] = {}
         self._results: dict[tuple, Decomposition1Q] = {}  # decompose_min's, by its inputs
 
     # -- tables ---------------------------------------------------------------
 
-    def _word_table(self, length: int) -> np.ndarray:
-        """Six-level products of all n_sym^length words (digit j = cycle j)."""
+    def _word_table(self, length: int) -> _Words:
+        """The words of length ``length``, each shorter table built on the way."""
         while len(self._words) <= length:
-            prev = self._words[-1]
-            step = np.stack(self.steps6)  # (S,6,6)
-            new = np.einsum("sij,njk->snik", step, prev, optimize=True)
-            self._words.append(new.reshape(-1, *prev.shape[1:]))
+            prev = self._words[-1].products
+            new = np.einsum("sij,njk->snik", self.steps6, prev, optimize=True)
+            self._words.append(_Words.of(new.reshape(-1, *prev.shape[1:])))
         return self._words[length]
-
-    def _half(self, length: int) -> _Halves:
-        """The quaternions of the length-``length`` words, built once."""
-        if length not in self._halves:
-            q, ok = _su2_quaternions(self._word_table(length)[:, :2, :2])
-            idx = np.flatnonzero(ok)
-            self._halves[length] = _Halves(valid=idx, q=q[idx])
-        return self._halves[length]
 
     def _ball(self, a: int) -> _Ball:
         """The KD-tree of the second halves of lengths a and a + 1, built once."""
         from scipy.spatial import cKDTree
 
         if a not in self._balls:
-            halves = [self._half(n) for n in range(a, min(a + 1, self.half_cap) + 1)]
+            halves = [self._word_table(n) for n in range(a, min(a + 1, self.half_cap) + 1)]
             self._balls[a] = _Ball(
                 tree=cKDTree(np.concatenate([x for h in halves for x in (h.q, -h.q)])),
                 owners=np.concatenate([x for h in halves for x in (h.valid, h.valid)]),
@@ -584,8 +571,7 @@ class _MinEngine:
 
     def word_block(self, steps: Sequence[int]) -> np.ndarray:
         """Projected 2x2 block of an explicit per-cycle word (plain product)."""
-        dim = self.cal.spec.levels
-        m = np.eye(dim, dtype=complex)
+        m = np.eye(self.steps6.shape[1], dtype=complex)
         for s in steps:
             m = self.steps6[s] @ m
         return m[:2, :2]
@@ -607,15 +593,15 @@ class _MinEngine:
         """
         best = (np.inf, ())
         radius = max(0.05, 3.5 * np.sqrt(1.5 * err_budget))
-        for err, word in self._depths(v_eff, radius, 0, max_depth):
+        for err, word in self._depths(v_eff, radius, max_depth):
             if err < best[0]:
-                best = (max(err, 0.0), word)
+                best = (err, word)
             if best[0] <= err_budget:
                 break
         return best
 
-    def _depths(self, v, radius, first, last):
-        """Yield the best (err, word) of each depth first..last, in order, lazily.
+    def _depths(self, v, radius, last):
+        """Yield the best (err, word) of each depth 0..last, in order, lazily.
 
         Depths up to ``exh_cap`` score every word.  Past it, one
         ``_pair_keys`` query per first-half length a gives the pairs of
@@ -623,19 +609,18 @@ class _MinEngine:
         holds at most one query's keys, and a consumer that stops at 2a
         never rescores 2a+1.  A depth with no pair yields (inf, ()).
         """
-        for depth in range(first, min(last, self.exh_cap) + 1):
-            errs = _fixed_errors(self._word_table(depth)[:, :2, :2], v)
+        for depth in range(min(last, self.exh_cap) + 1):
+            errs = _fixed_errors(self._word_table(depth).products[:, :2, :2], v)
             i = int(np.argmin(errs))
             yield float(errs[i]), self.word_digits(i, depth)
-        first = max(first, self.exh_cap + 1)
-        if first > last:
+        if last <= self.exh_cap:
             return
         vq = _su2_quaternions(v[None])[0][0]  # a unitary target always has one
-        for a in range(first // 2, last // 2 + 1):
+        for a in range((self.exh_cap + 1) // 2, last // 2 + 1):
             shares = self._pair_keys(vq, a, radius)
             for b in (a, a + 1):
                 keys = shares.pop(0)
-                if first <= a + b <= last:
+                if self.exh_cap < a + b <= last:
                     yield self._best_pair(v, keys, a, b)
                 del keys
 
@@ -649,7 +634,7 @@ class _MinEngine:
         n_second + second, n_second the number of words of the second
         half's length.
         """
-        first, ball = self._half(a), self._ball(a)
+        first, ball = self._word_table(a), self._ball(a)
         q1_inv = first.q * np.array([1.0, -1.0, -1.0, -1.0])  # unit quaternion: conj
         hits = ball.tree.query_ball_point(_quat_mul(vq[None, :], q1_inv), r=radius,
                                           return_sorted=False)
@@ -678,8 +663,8 @@ class _MinEngine:
         keys.sort()
         n_second = self.n_sym ** b
         best_err, best_key = np.inf, -1
-        for lo, blocks in _pair_blocks(keys, n_second, self._word_table(a)[:, :, :2],
-                                       self._word_table(b)[:, :2, :]):
+        cols, rows = self._word_table(a).products[:, :, :2], self._word_table(b).products[:, :2]
+        for lo, blocks in _pair_blocks(keys, n_second, cols, rows):
             errs = _fixed_errors(blocks, v)
             j = int(np.argmin(errs))
             if errs[j] < best_err:
@@ -689,14 +674,6 @@ class _MinEngine:
 
 
 # --- public ops ----------------------------------------------------------------------
-
-def _checked_finite(name: str, value: float, nonnegative: bool = False) -> float:
-    value = float(value)
-    if not np.isfinite(value) or (nonnegative and value < 0.0):
-        bound = " and >= 0" if nonnegative else ""
-        raise ValueError(f"{name} must be finite{bound}, got {value}")
-    return value
-
 
 def _checked_int(name: str, value, lo: int, hi: float = np.inf) -> int:
     """``value`` as an int if it is an integer in [lo, hi], else a ValueError naming it."""
@@ -710,7 +687,7 @@ def opt_level_errors(cal: QubitCalibration, target: np.ndarray,
                      fold_phase: float = 0.0, lmax: int = 3) -> dict[int, float]:
     """Cumulative best error for pulse counts L = 0..lmax (analysis helper)."""
     v = checked_target(target)
-    fold_phase = _checked_finite("fold_phase", fold_phase)
+    fold_phase = checked_finite("fold_phase", fold_phase)
     lmax = _checked_int("lmax", lmax, 0, 3)
     eng = cal.opt_engine
     out, best = {}, np.inf
@@ -743,9 +720,9 @@ def decompose_opt(
     searches afresh, on the tables ``cal.opt_engine`` keeps per L.
     """
     v = checked_target(target)
-    err_budget = _checked_finite("err_budget", err_budget, nonnegative=True)
-    margin = _checked_finite("margin", margin, nonnegative=True)
-    fold_phase = _checked_finite("fold_phase", fold_phase)
+    err_budget = checked_finite("err_budget", err_budget, nonnegative=True)
+    margin = checked_finite("margin", margin, nonnegative=True)
+    fold_phase = checked_finite("fold_phase", fold_phase)
     max_candidates = _checked_int("max_candidates", max_candidates, 1)
     eng = cal.opt_engine
     flagged, best = False, (np.inf, None)
@@ -796,8 +773,8 @@ def decompose_min(
     cycles for the two-symbol alphabet, 14 otherwise.
     """
     v = checked_target(target)
-    err_budget = _checked_finite("err_budget", err_budget, nonnegative=True)
-    fold_phase = _checked_finite("fold_phase", fold_phase)
+    err_budget = checked_finite("err_budget", err_budget, nonnegative=True)
+    fold_phase = checked_finite("fold_phase", fold_phase)
     eng = cal.min_engine
     max_depth = _checked_int("max_depth", max_depth, 0, 2 * eng.half_cap)
     key = (v.tobytes(), fold_phase, err_budget, max_depth)
@@ -822,7 +799,7 @@ def recompose_error(cal: QubitCalibration, dec: Decomposition1Q,
     returned ``err`` is reproducible to 1e-12.
     """
     v = checked_target(target)
-    fold_phase = _checked_finite("fold_phase", fold_phase)
+    fold_phase = checked_finite("fold_phase", fold_phase)
     if dec.kind == "opt":
         e = cal.opt_engine.block(dec.steps, fold_phase)
         return max(_free_trailing(e, v)[0], 0.0)

@@ -126,6 +126,15 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(d).max())
 
 
+def checked_finite(name: str, value: float, nonnegative: bool = False) -> float:
+    """``value`` as a float; ValueError naming it unless finite (and >= 0 if asked)."""
+    value = float(value)
+    if not np.isfinite(value) or (nonnegative and value < 0.0):
+        bound = " and >= 0" if nonnegative else ""
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
+    return value
+
+
 def checked_target(target) -> np.ndarray:
     """``target`` as a complex array; ValueError unless a finite unitary 2x2 matrix."""
     v = np.asarray(target, dtype=complex)

@@ -7,7 +7,8 @@ word tables, then, for each first half in index order, rescores the
 distinct second halves its ball query found and keeps a first half's
 best only when it is strictly lower than the running best.  The tests
 compare each depth that the engine's lazy walk ``_MinEngine._depths``
-yields against it.  Run as a script for the full comparison on the min
+yields against it (the walk starts at depth 0, so they skip its
+exhaustive depths).  Run as a script for the full comparison on the min
 equality set:
 
     PYTHONPATH=src python3 tests/min_oracle.py
@@ -26,6 +27,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +53,13 @@ def loop_mitm_depth(eng, v, vq, depth, radius=RADIUS):
     """(err, word) of the best meet-in-the-middle pair at ``depth``, one first half a pass."""
     a = depth // 2
     b = depth - a
-    first = eng._word_table(a)
+    first = eng._word_table(a).products
     cols = np.ascontiguousarray(first[:, :, :2])   # W1 @ P
     q1, ok1 = _su2_quaternions(first[:, :2, :2])
     # wanted second half: W2 ~ V W1^{-1}; unit quaternion inverse = conj
     q1_inv = q1 * np.array([1.0, -1.0, -1.0, -1.0])
     targets = _quat_mul(vq[None, :], q1_inv)
-    second = eng._word_table(b)
+    second = eng._word_table(b).products
     q2, ok2 = _su2_quaternions(second[:, :2, :2])
     idx2 = np.flatnonzero(ok2)
     tree = cKDTree(np.concatenate([q2[idx2], -q2[idx2]]))
@@ -119,7 +121,7 @@ def main(argv=None) -> int:
         for name, v in gates:
             vq = target_quaternion(v)
             checked += 1
-            walk = eng._depths(v, RADIUS, depths[0], depths[-1])
+            walk = islice(eng._depths(v, RADIUS, depths[-1]), depths[0], None)
             for depth, got in zip(depths, walk, strict=True):
                 want = loop_mitm_depth(eng, v, vq, depth)
                 if got != want:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import design_oracle
+from sfqctrl import bitstream
 from sfqctrl.transmon import TransmonSpec, projected_fidelity, pulse_train_unitary, ry
 from sfqctrl.bitstream import (
     DEFAULT_N_MAX,
@@ -191,17 +192,28 @@ def test_parking_scan_drops_runs_cut_off_by_the_range():
 
 
 def test_parking_scan_rejects_bad_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="f_lo"):
         parking_scan(6e9, 5e9)
+
+
+@pytest.mark.parametrize("scan, name", [
+    (lambda x: parking_scan(x, 6.24e9), "f_lo"),
+    (lambda x: parking_scan(6.19e9, x), "f_hi"),
+    (lambda x: drift_tolerance(x), "freq"),
+], ids=["f_lo", "f_hi", "freq"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_scan_rejects_non_finite_frequency(scan, name, value):
+    with pytest.raises(ValueError, match=name):
+        scan(value)
 
 
 @pytest.mark.parametrize("scan", [
     lambda res: parking_scan(6.19e9, 6.24e9, resolution=res),
     lambda res: drift_tolerance(6.21286e9, resolution=res),
 ], ids=["parking_scan", "drift_tolerance"])
-@pytest.mark.parametrize("resolution", [0.0, -0.1e6])
+@pytest.mark.parametrize("resolution", [0.0, -0.1e6, np.nan, np.inf])
 def test_scan_rejects_non_positive_resolution(scan, resolution):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="resolution"):
         scan(resolution)
 
 
@@ -237,6 +249,16 @@ def test_designed_bitstreams_match_golden_fixtures(ry_bitstream_hi, ry_bitstream
 def test_design_bitstream_rejects_bad_target(spec_hi, target):
     with pytest.raises(ValueError, match="target"):
         design_bitstream(spec_hi, target)
+
+
+@pytest.mark.parametrize("centres", [(), [], (np.nan,), (0.0, np.inf), (-np.inf, 1.0)],
+                         ids=["empty-tuple", "empty-list", "nan", "inf", "minus-inf"])
+def test_design_bitstream_rejects_bad_window_centres(spec_hi, monkeypatch, centres):
+    # bad input, not a design failure: the ValueError names the argument
+    # and comes before any simulation
+    monkeypatch.setattr(bitstream, "pulse_train_unitary", None)
+    with pytest.raises(ValueError, match="window_centres"):
+        design_bitstream(spec_hi, ry(np.pi / 2), window_centres=centres)
 
 
 @pytest.mark.parametrize("freq", [6.21286e9, 4.14238e9], ids=["6212MHz", "4142MHz"])

@@ -1,5 +1,5 @@
 import json
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ from sfqctrl.calib1q import (
     decompose_min,
     design_min_bitstreams,
     decompose_opt,
+    min_basis_targets,
     opt_level_errors,
     recompose_error,
 )
@@ -60,6 +61,12 @@ def test_min_designer_rejects_pairs_it_cannot_design(monkeypatch, freq, bs):
     monkeypatch.setattr(calib1q, "design_bitstream", None)
     with pytest.raises(ValueError, match=f"BS={bs} at {freq / 1e9:g} GHz"):
         design_min_bitstreams(TransmonSpec(nominal_freq=freq, levels=6), bs=bs)
+
+
+@pytest.mark.parametrize("bs", [1, 5, 2.0])
+def test_min_basis_targets_rejects_bs_outside_two_to_four(bs):
+    with pytest.raises(ValueError, match="bs"):
+        min_basis_targets(0.0, bs)
 
 
 def _two_pulse_targets(haar_su2, cal, seed, n, fold_phase):
@@ -318,6 +325,27 @@ def test_calibrate_rejects_unknown_arch_before_simulating(spec_hi, monkeypatch):
         calibrate_qubit(spec_hi, [Bitstream(bits=(1, 0, 0))], arch="mid")
 
 
+def test_calibrate_min_requires_an_all_zeros_stream_before_simulating(spec_hi, monkeypatch):
+    # the min engine takes every stream's step alike, so the idle step D must
+    # come from a stored all-zeros stream; opt has no such need
+    streams = [Bitstream(bits=(1, 0, 0))]
+    with monkeypatch.context() as m:
+        m.setattr(Bitstream, "simulate", None)
+        with pytest.raises(CalibrationError, match="all-zeros"):
+            calibrate_qubit(spec_hi, streams, arch="min")
+    assert calibrate_qubit(spec_hi, streams, arch="opt").arch == "opt"
+
+
+@pytest.mark.parametrize("freq, n_cycles", [(6.21286e9, 253), (4.14238e9, 225)])
+@pytest.mark.parametrize("drift", [-12e6, 0.0, 12e6])
+def test_all_zeros_stream_simulates_to_the_identity_bit_for_bit(freq, n_cycles, drift):
+    # the min engine's idle step D @ B equals D only because B is the
+    # identity byte for byte, signed zeros included
+    spec = TransmonSpec(nominal_freq=freq, levels=6).with_drift(drift)
+    u = Bitstream(bits=(0,) * n_cycles).simulate(spec)
+    assert u.tobytes() == np.eye(spec.levels, dtype=complex).tobytes()
+
+
 def test_calibrate_rejects_non_integer_n_max(spec_hi):
     with pytest.raises(ValueError, match="n_max"):
         calibrate_qubit(spec_hi, [Bitstream(bits=(1, 0, 0))], n_max=15.5)
@@ -348,18 +376,23 @@ def _brute_force_word(cal, streams, v, max_depth):
     return best[1]
 
 
-def _lab_word_error(cal, streams, word, v):
-    """Error of one pulse train holding the whole word, in the lab frame.
+def _word_train(cal, streams, word):
+    """Anchored unitary of one pulse train holding the whole word.
 
-    Step j's stream starts at SFQ cycle j * cycle; the anchored train is
-    returned to the lab frame by exp(-i*H0*T_word).
+    Step j's stream starts at SFQ cycle j * cycle.
     """
-    spec, cycle = cal.spec, cal.controller_cycle_sfq
+    cycle = cal.controller_cycle_sfq
     (tip,) = {s.tip_angle for s in streams if s.n_pulses}
     slots = [j * cycle + s for j, k in enumerate(word) for s in streams[k].pulse_slots]
-    u = pulse_train_unitary(spec, slots, len(word) * cycle, tip, cal.clock_period)
+    return pulse_train_unitary(cal.spec, slots, len(word) * cycle, tip, cal.clock_period)
+
+
+def _lab_word_error(cal, streams, word, v):
+    """Error of ``_word_train``, returned to the lab frame by exp(-i*H0*T_word)."""
+    spec, cycle = cal.spec, cal.controller_cycle_sfq
     energies = level_energies(spec.actual_freq, spec.anharmonicity, spec.levels)
-    lab = np.exp(-1j * energies * len(word) * cycle * cal.clock_period)[:, None] * u
+    lab = (np.exp(-1j * energies * len(word) * cycle * cal.clock_period)[:, None]
+           * _word_train(cal, streams, word))
     return projected_fidelity(lab, v).error
 
 
@@ -441,7 +474,8 @@ def _mitm_matches_loop(cal, v, depths):
     """
     eng, vq = cal.min_engine, target_quaternion(v)
     out = []
-    for depth, got in zip(depths, eng._depths(v, RADIUS, depths[0], depths[-1]), strict=True):
+    walk = islice(eng._depths(v, RADIUS, depths[-1]), depths[0], None)  # walks from depth 0
+    for depth, got in zip(depths, walk, strict=True):
         out.append(loop_mitm_depth(eng, v, vq, depth))
         assert got == out[-1], depth
     return out
@@ -534,10 +568,10 @@ def test_pair_blocks_equal_one_product_per_pair(mitm_cals, monkeypatch, slice_pa
     if slice_pairs is not None:
         monkeypatch.setattr(calib1q, "_RESCORE_SLICE", slice_pairs)
     eng = mitm_cals[0.0].min_engine
-    cols, rows = eng._word_table(7)[:, :, :2], eng._word_table(8)[:, :2, :]
+    cols, rows = eng._word_table(7).products[:, :, :2], eng._word_table(8).products[:, :2, :]
     n_second = 2 ** 8
     rng = np.random.default_rng(11)
-    firsts = rng.choice(eng._half(7).valid, size=70, replace=False)
+    firsts = rng.choice(eng._word_table(7).valid, size=70, replace=False)
     keys = np.sort(np.concatenate([
         qi * n_second + rng.choice(n_second, size=k, replace=False)
         for k, qi in enumerate(firsts, start=1)]))
@@ -545,6 +579,20 @@ def test_pair_blocks_equal_one_product_per_pair(mitm_cals, monkeypatch, slice_pa
     assert [lo for lo, _ in got] == list(range(0, keys.size, calib1q._RESCORE_SLICE))
     qi, w2 = np.divmod(keys, n_second)
     assert np.array_equal(np.concatenate([b for _, b in got]), rows[w2] @ cols[qi])
+
+
+@pytest.mark.parametrize("drift", [-12e6, 0.0, 6e6, 12e6])
+def test_min_residual_phase_frames_the_word_train(golden, spec_hi, mitm_cals, haar_su2, drift):
+    # Decomposition1Q's min frame: phase_gate(residual_phase) @ word_block(steps)
+    # is the 2x2 block of the anchored train of the whole word
+    streams = [golden["min_ry_6212MHz"], golden["min_idle_6212MHz"]]
+    cal = mitm_cals.get(drift) or calibrate_qubit(spec_hi.with_drift(drift), streams, arch="min")
+    for v in (H, haar_su2(np.random.default_rng(9))):
+        for fold in (0.0, 0.7):
+            dec = decompose_min(cal, v, fold_phase=fold)
+            framed = phase_gate(dec.residual_phase) @ cal.min_engine.word_block(dec.steps)
+            train = _word_train(cal, streams, dec.steps)[:2, :2]
+            assert np.abs(framed - train).max() <= 1e-11, dec.steps
 
 
 def test_min_stream_leakage_floor(mitm_cals):
