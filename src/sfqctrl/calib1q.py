@@ -224,28 +224,22 @@ def design_min_bitstreams(spec: TransmonSpec, bs: int = 2) -> list[Bitstream]:
 # --- scoring core ---------------------------------------------------------------
 
 def _score_free_trailing(e_core: np.ndarray, z_lead: np.ndarray, v: np.ndarray):
-    """Gate error with an optimally chosen trailing virtual z.
+    """Gate errors with an optimally chosen trailing virtual z, and its two terms.
 
     ``e_core``: (M, 2, 2) projected candidate blocks (before the leading
-    phase); ``z_lead``: (K,) unit phases applied to column 1.  Returns an
-    (M, K) error matrix.
+    phase); ``z_lead``: (K,) unit phases applied to column 1.  Returns
+    (errs, a, b), each (M, K): a and b are the rows of E @ P(z) traced
+    against those of ``v``, whose angles give the trailing z (``_trailing``).
     """
     norm2 = np.sum(np.abs(e_core) ** 2, axis=(1, 2)).real
-    a0 = e_core[:, 0, 0] * np.conj(v[0, 0])
-    a1 = e_core[:, 0, 1] * np.conj(v[0, 1])
-    b0 = e_core[:, 1, 0] * np.conj(v[1, 0])
-    b1 = e_core[:, 1, 1] * np.conj(v[1, 1])
-    mag = (np.abs(a0[:, None] + a1[:, None] * z_lead[None, :])
-           + np.abs(b0[:, None] + b1[:, None] * z_lead[None, :]))
-    return 1.0 - (norm2[:, None] + mag ** 2) / 6.0
+    a0, a1, b0, b1 = (e_core.reshape(-1, 4) * np.conj(v).ravel()).T[..., None]
+    a, b = a0 + a1 * z_lead, b0 + b1 * z_lead
+    return 1.0 - (norm2[:, None] + (np.abs(a) + np.abs(b)) ** 2) / 6.0, a, b
 
 
-def _free_trailing(e: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """(error, optimal trailing virtual-z angle) of a single 2x2 candidate."""
-    a = e[0, 0] * np.conj(v[0, 0]) + e[0, 1] * np.conj(v[0, 1])
-    b = e[1, 0] * np.conj(v[1, 0]) + e[1, 1] * np.conj(v[1, 1])
-    norm2 = float(np.sum(np.abs(e) ** 2))
-    return 1.0 - (norm2 + (abs(a) + abs(b)) ** 2) / 6.0, float(np.angle(a) - np.angle(b))
+def _trailing(a, b, theta):
+    """Optimal trailing z, angle(a) - angle(b), less the phase ``theta``, in [0, 2 pi)."""
+    return np.mod(np.angle(a) - np.angle(b) - theta, 2 * np.pi)
 
 
 def _fixed_errors(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -260,35 +254,26 @@ _WINDOW = 4096  # lowest bounds partitioned out and sorted first; each next wind
 _TIE = 1e-12  # above the float error of a bound and the width of a rounded-error tie
 
 
-def _collect(chunks, margin: float):
-    """One pass: (best err, its delays, every (err, delays) within ``margin``).
+def _bound_order(bound: np.ndarray, size: int):
+    """Yield index chunks of ``bound``, each index once, in increasing bound order.
 
-    ``chunks`` yields (errs, ds, floor): ds holds the delays d_1..d_L of
-    each entry of ``errs``, and ``floor`` is at most every error of this
-    chunk and of all later ones; the pass stops at the first chunk whose
-    floor lies above the lowest error so far + ``margin``.  The best is the entry
-    with the lowest key (round(err, 14), sum(delays), delays), so it does not
-    depend on the order of the chunks.  Each chunk keeps what lies within
-    ``margin`` of the running lowest error, which never falls below the
-    final one, so neither the stop nor the closing filter loses an entry.
+    Windows of the lowest bounds left (``_WINDOW``, then twice as many) come
+    from ``argpartition``, sorted; chunks hold ``size`` indices, then twice as many.
     """
-    low, best, kept = np.inf, None, []
-    for errs, ds, floor in chunks:
-        if floor > low + margin + _TIE:
-            break
-        low = min(low, float(errs.min()))
-        for i in map(tuple, np.argwhere(errs <= low + _TIE)):
-            t = (float(errs[i]), tuple(int(d[i]) for d in ds))
-            if best is None or _rank(t) < _rank(best):
-                best = t
-        sel = errs <= low + margin
-        kept += zip(errs[sel].tolist(), zip(*(d[sel].tolist() for d in ds)))
-    return *best, [t for t in kept if t[0] <= low + margin]
+    rest, window = np.arange(bound.size), _WINDOW
+    while rest.size:
+        part = np.argpartition(bound[rest], min(window, rest.size) - 1)
+        order = rest[part[:window]]
+        order = order[np.argsort(bound[order])]
+        while order.size:
+            at, order, size = order[:size], order[size:], 2 * size
+            yield at
+        rest, window = rest[part[window:]], 2 * window  # only when a search goes on
 
 
 def _rank(t):
-    """Sort key of an (err, delays) candidate: rounded error, total delay, delays."""
-    err, delays = t
+    """Sort key of an (err, delays, ...) candidate: rounded error, total delay, delays."""
+    err, delays = t[:2]
     return round(err, 14), sum(delays), delays
 
 
@@ -298,12 +283,14 @@ class _OptEngine:
     """Exact delay-tuple search over one qubit's stream unitary.
 
     Every pulse count L = 1..3 visits its delay tuples in increasing order
-    of a lower bound on their errors and stops once the bound rises above
-    the best error found + margin, so it returns the same best and
-    candidates as scoring all (n_max + 1)^L tuples: the tuple with the
-    lowest (round(err, 14), sum(delays), delays), in any visiting order.
-    It keeps no result, only each L's target-independent ``_table`` from
-    its first search on (29 MB for L = 3 at n_max = 255).
+    of a lower bound on their errors and stops before the first chunk
+    whose bound lies above the lowest error found + margin, so it returns
+    the list scoring all (n_max + 1)^L tuples would give: every tuple
+    within margin of the lowest error or tied with it at 14 decimals (which
+    adds entries only below a 1e-14 margin), each with the trailing virtual
+    z its score chose, ranked by (round(err, 14), sum(delays), delays).  It
+    keeps no result, only each L's target-independent ``_table`` from its
+    first search on (29 MB for L = 3 at n_max = 255).
     """
 
     def __init__(self, cal: QubitCalibration):
@@ -335,7 +322,7 @@ class _OptEngine:
         return np.einsum("ij,dj,jk->dik", self.pu, self.k_deltas, self.u6, optimize=True)
 
     def _table(self, n_pulses: int) -> tuple[np.ndarray, ...]:
-        """(E, |E|^2, |E|, first, last, o_2..o_L) of every tuple, read-only (``_chunks``)."""
+        """(E, |E|^2, |E|, first, last, o_2..o_L) of every tuple, read-only (``search``)."""
         if n_pulses not in self._tables:
             if n_pulses == 1:
                 blocks, offsets = self.pu[None, :, :2], []
@@ -356,44 +343,44 @@ class _OptEngine:
                 x.setflags(write=False)
         return self._tables[n_pulses]
 
-    def _chunks(self, v, fold, n_pulses: int):
-        """Yield (errs, ds, floor) chunks: delay tuples in increasing bound order.
+    def search(self, v, fold, n_pulses: int, margin: float = 0.0):
+        """[(err, delays, residual_phase)] of ``n_pulses`` pulses, best first.
 
-        A tuple (d_1, d_1 + o_2, ..., d_1 + o_L) is given by its offsets o_i =
-        d_i - d_1 and by the projected block E of its pulses, which depends on
-        the offsets alone; d_1 enters only through the lead phase z.  Each
-        error has the form 1 - (|E|^2 + (|a0 + a1 z| + |b0 + b1 z|)^2) / 6, so
-        by the triangle inequality the tuple's errors are at least
-        1 - (|E|^2 + (|a0| + |a1| + |b0| + |b1|)^2) / 6, inf (|E|^2 = -inf)
-        with no d_1 in [first, last] = [-min o_i, n_max - max o_i].  Windows
-        of the lowest bounds left (``_WINDOW``, then twice as many each time)
-        come from ``argpartition``, sorted.  Each chunk scores its tuples at
-        every d_1 (last axis of ``errs``, inf outside [first, last]), ``ds``
-        holds d_1..d_L broadcast to the shape of ``errs``, and ``floor`` is
-        the bound of its first tuple, which later tuples' bounds do not undercut.
+        A tuple (d_1, d_1 + o_2, ..., d_1 + o_L) is its offsets o_i = d_i -
+        d_1, which fix the projected block E, and d_1, which enters only
+        through the lead phase z.  By the triangle inequality its errors
+        1 - (|E|^2 + (|a0 + a1 z| + |b0 + b1 z|)^2) / 6 are at least the
+        bound 1 - (|E|^2 + (|a0| + |a1| + |b0| + |b1|)^2) / 6, inf with no
+        d_1 in [first, last].  Chunks from ``_bound_order`` are scored at
+        every d_1 until one's first bound lies above the lowest error so far
+        + ``margin`` + ``_TIE``.  Each keeps what lies that close to the
+        running lowest, which never rises, and the list what lies within
+        ``margin`` of the final one or ties it at 14 decimals.
+        ``residual_phase`` is the trailing z less theta_L, the qubit phase at
+        the last application's start: the frame ``Decomposition1Q`` states.
         """
+        if n_pulses == 0:  # no pulses: theta_0 = 0
+            errs, a, b = _score_free_trailing(self.block((), fold)[None], np.ones(1), v)
+            return [(float(errs[0, 0]), (), float(_trailing(a, b, 0.0)[0, 0]))]
         blocks, norm2, mags, first, last, *offsets = self._table(n_pulses)
         bound = 1.0 - (norm2 + (mags @ np.abs(v).ravel()) ** 2) / 6.0
         d1, z = np.arange(self.n_max + 1), np.exp(-1j * (fold + self.phi_d))  # z: lead phase
-        rest, window, size = np.arange(bound.size), _WINDOW, max(1, _FIRST_CHUNK // d1.size)
-        while rest.size:
-            part = np.argpartition(bound[rest], min(window, rest.size) - 1)
-            order = rest[part[:window]]
-            order = order[np.argsort(bound[order])]
-            while order.size:
-                at, order, size = order[:size], order[size:], 2 * size
-                errs = _score_free_trailing(blocks[at], z, v)
-                errs[(d1 < first[at, None]) | (d1 > last[at, None])] = np.inf
-                ds = [np.broadcast_to(d1, errs.shape)] + [d1 + o[at, None] for o in offsets]
-                yield errs, ds, bound[at[0]]
-            rest, window = rest[part[window:]], 2 * window  # only when a search goes on
-
-    def search(self, v, fold, n_pulses: int, margin: float = 0.0):
-        """(best err, its delays, every (err, delays) within ``margin`` of it)."""
-        if n_pulses == 0:
-            err = _free_trailing(self.block((), fold), v)[0]
-            return err, (), [(err, ())]
-        return _collect(self._chunks(v, fold, n_pulses), margin)
+        theta = (n_pulses - 1) * (self.phi1 * self.cycle) + self.phi_d  # by d_L
+        low, kept = np.inf, []
+        for at in _bound_order(bound, max(1, _FIRST_CHUNK // d1.size)):
+            if bound[at[0]] > low + margin + _TIE:
+                break
+            errs, a, b = _score_free_trailing(blocks[at], z, v)
+            errs[(d1 < first[at, None]) | (d1 > last[at, None])] = np.inf
+            low = min(low, float(errs.min()))
+            row, col = np.nonzero(errs <= low + margin + _TIE)
+            ds = [col] + [col + o[at[row]] for o in offsets]
+            residual = _trailing(a[row, col], b[row, col], theta[ds[-1]])
+            kept += zip(errs[row, col].tolist(), zip(*(d.tolist() for d in ds)),
+                        residual.tolist())
+        tie = round(low, 14)
+        return sorted((t for t in kept if t[0] <= low + margin or round(t[0], 14) == tie),
+                      key=_rank)
 
     def block(self, delays: Sequence[int], fold: float) -> np.ndarray:
         """Projected 2x2 block of a delay schedule, lead phase included.
@@ -685,14 +672,18 @@ def _checked_int(name: str, value, lo: int, hi: float = np.inf) -> int:
 
 def opt_level_errors(cal: QubitCalibration, target: np.ndarray,
                      fold_phase: float = 0.0, lmax: int = 3) -> dict[int, float]:
-    """Cumulative best error for pulse counts L = 0..lmax (analysis helper)."""
+    """Cumulative best error for pulse counts L = 0..lmax.
+
+    Each level's best is the first entry of its ``_OptEngine.search`` list
+    at margin 0; the ``opt_haar`` benchmark screens its targets with it.
+    """
     v = checked_target(target)
     fold_phase = checked_finite("fold_phase", fold_phase)
     lmax = _checked_int("lmax", lmax, 0, 3)
     eng = cal.opt_engine
     out, best = {}, np.inf
     for n_pulses in range(lmax + 1):
-        best = min(best, eng.search(v, fold_phase, n_pulses)[0])
+        best = min(best, eng.search(v, fold_phase, n_pulses)[0][0])
         out[n_pulses] = best
     return out
 
@@ -711,13 +702,15 @@ def decompose_opt(
     consecutive controller cycles against the qubit's exact six-level
     stream unitary.  The search is exact: each L skips only delay tuples
     whose error bound rules them out (see ``_OptEngine``).  The first L
-    whose best error meets ``err_budget`` returns its tuples within
-    ``margin`` of that best, at most ``max_candidates`` of them, ordered by
-    the key (round(err, 14), sum(delays), delays), so the scheduler can
-    trade accuracy for broadcast sharing.  If no level meets the budget,
-    the tuple with the lowest key across levels is returned flagged; a tie
-    in rounded error keeps the lower L.  No result is cached: each call
-    searches afresh, on the tables ``cal.opt_engine`` keeps per L.
+    whose best error meets ``err_budget`` returns its ranked list, at
+    most ``max_candidates`` entries: its tuples within ``margin`` of the
+    lowest error, and below a 1e-14 margin also those that tie it at 14
+    decimals, ordered by the key (round(err, 14), sum(delays), delays), so
+    the scheduler can trade accuracy for broadcast sharing.  If no level
+    meets the budget, the tuple with the lowest key across levels is
+    returned flagged; a tie in rounded error keeps the lower L.  No result
+    is cached: each call searches afresh, on the tables ``cal.opt_engine``
+    keeps per L.
     """
     v = checked_target(target)
     err_budget = checked_finite("err_budget", err_budget, nonnegative=True)
@@ -725,33 +718,19 @@ def decompose_opt(
     fold_phase = checked_finite("fold_phase", fold_phase)
     max_candidates = _checked_int("max_candidates", max_candidates, 1)
     eng = cal.opt_engine
-    flagged, best = False, (np.inf, None)
+    flagged, best = False, (np.inf,)
     for n_pulses in range(4):
-        err, delays, kept = eng.search(v, fold_phase, n_pulses, margin)
-        if err <= err_budget:
-            candidates = sorted(kept, key=_rank)[:max_candidates]
+        found = eng.search(v, fold_phase, n_pulses, margin)
+        if found[0][0] <= err_budget:
+            candidates = found[:max_candidates]
             break
-        if round(err, 14) < round(best[0], 14):
-            best = (err, delays)
+        if round(found[0][0], 14) < round(best[0], 14):
+            best = found[0]
     else:
         flagged, candidates = True, [best]
-    return [Decomposition1Q(kind="opt", steps=delays,
-                            residual_phase=_residual_for(eng, v, fold_phase, delays),
+    return [Decomposition1Q(kind="opt", steps=delays, residual_phase=residual,
                             err=max(err, 0.0), flagged=flagged)
-            for err, delays in candidates]
-
-
-def _residual_for(eng: _OptEngine, v, fold, delays) -> float:
-    """Trailing virtual z of a delay tuple, in the frame ``Decomposition1Q`` states.
-
-    rho is the optimal trailing z of ``block``; the anchored train of the
-    whole schedule needs rho - theta_L, theta_L the qubit phase at the
-    last application's start (0 without applications).
-    """
-    rho = _free_trailing(eng.block(delays, fold), v)[1]
-    theta_l = ((len(delays) - 1) * (eng.phi1 * eng.cycle) + eng.phi_d[delays[-1]]
-               if delays else 0.0)
-    return float(np.mod(rho - theta_l, 2 * np.pi))
+            for err, delays, residual in candidates]
 
 
 def decompose_min(
@@ -796,12 +775,19 @@ def recompose_error(cal: QubitCalibration, dec: Decomposition1Q,
     """Recompute a decomposition's error from plain six-level products.
 
     Independent of the vectorized search tables; verifies that any
-    returned ``err`` is reproducible to 1e-12.
+    returned ``err`` is reproducible to 1e-12.  ``dec`` must be of the
+    calibration's architecture, with every step an opt delay in 0..n_max
+    or a min symbol index, else a ValueError naming ``dec``.
     """
     v = checked_target(target)
     fold_phase = checked_finite("fold_phase", fold_phase)
+    if dec.kind != cal.arch:
+        raise ValueError(f"dec.kind must be the calibration's {cal.arch!r}, got {dec.kind!r}")
+    top = cal.n_max if dec.kind == "opt" else len(cal.basis_ops) - 1
+    for i, step in enumerate(dec.steps):
+        _checked_int(f"dec.steps[{i}]", step, 0, top)
     if dec.kind == "opt":
         e = cal.opt_engine.block(dec.steps, fold_phase)
-        return max(_free_trailing(e, v)[0], 0.0)
+        return max(float(_score_free_trailing(e[None], np.ones(1), v)[0][0, 0]), 0.0)
     e = cal.min_engine.word_block(dec.steps)
     return max(projected_fidelity(e, v @ phase_gate(fold_phase)).error, 0.0)

@@ -2,18 +2,22 @@
 
 Scores every delay tuple (d_1, ..., d_L) in [0, n_max]^L for L = 1, 2
 and 3 with the same block arithmetic and scorer the engine uses (three
-pulses in 16-delta_1 slices), and feeds the scores to the same collector
-without a floor, so nothing is pruned: this is the score-everything
-path the engine used before it pruned every level.  The tests compare
-``_OptEngine.search`` at each L against it.  Run as a script for the
-full-size comparison at the default n_max:
+pulses in 16-delta_1 slices), nothing pruned: this is the score-everything
+path the engine used before it pruned every level.  Its own collector
+takes the lowest error, then keeps every tuple within the margin of it or
+tied with it at 14 decimals, ranked; each trailing phase comes from the
+plain-product ``block`` and the optimal trailing angle.  The tests
+compare ``_OptEngine.search`` at each L against it.  Run as a script for
+the full-size comparison at the default n_max:
 
     PYTHONPATH=src python3 tests/opt_oracle.py --targets 25 --n-max 255
 
 which draws seeded Haar targets at drifts -12, 0, +6 and +12 MHz on the
 designed 6.21286 GHz stream, checks each at fold phases 0 and 0.9, and
-prints, for each L, the number of checks whose best error, sorted
-candidate list or ``opt_level_errors`` differ.
+prints, for each L, the number of checks whose ranked candidate list,
+trailing phases or ``opt_level_errors`` differ.  The scan runs twice per
+check (lowest error, then candidates), so it holds one slice of scores
+at a time rather than all 67M three-pulse scores.
 """
 
 from __future__ import annotations
@@ -25,20 +29,22 @@ from itertools import accumulate
 
 import numpy as np
 
-from sfqctrl.calib1q import _collect, _rank, _score_free_trailing, opt_level_errors
+from sfqctrl.calib1q import _rank, _score_free_trailing, opt_level_errors
 
 DRIFTS = (-12e6, 0.0, 6e6, 12e6)
 FOLDS = (0.0, 0.9)
 MARGIN = 1e-4
 LEVELS = (1, 2, 3)
+RESIDUAL_TOL = 1e-12
 
 
 def brute_force_chunks(eng, v, fold, n_pulses):
-    """Every delay tuple of ``n_pulses`` pulses, scored; tuples outside [0, n_max] score inf.
+    """Yield (errs, ds): every delay tuple of ``n_pulses`` pulses, scored.
 
     One pulse is the single block P U6 P, two are the rows of ``t2_rows``
     over delta_1, three come in 16-delta_1 slices of ``t2_rows`` against
-    K(cycle + delta_1) U6; each tuple is scored at every d_1.
+    K(cycle + delta_1) U6; each tuple is scored at every d_1.  ``ds`` holds
+    d_1..d_L in the shape of ``errs``; tuples outside [0, n_max] score inf.
     """
     z = np.exp(-1j * (fold + eng.phi_d))
     if n_pulses == 1:
@@ -52,38 +58,69 @@ def brute_force_chunks(eng, v, fold, n_pulses):
                  for lo in range(0, len(eng.deltas), 16))
     for rows, steps in parts:
         e_core = np.ascontiguousarray(rows[..., :2]).reshape(-1, 2, 2)
-        errs = _score_free_trailing(e_core, z, v).reshape(
+        errs = _score_free_trailing(e_core, z, v)[0].reshape(
             *(len(s) for s in steps), eng.n_max + 1)
         mesh = np.ix_(*steps, np.arange(eng.n_max + 1))  # (delta_{L-1}, ..., delta_1, d_1)
         ds = np.broadcast_arrays(errs, *accumulate(mesh[::-1]))[1:]
         valid = np.all([(d >= 0) & (d <= eng.n_max) for d in ds], axis=0)
-        yield np.where(valid, errs, np.inf), ds, -np.inf
+        yield np.where(valid, errs, np.inf), ds
+
+
+def block_residual(eng, v, fold, delays) -> float:
+    """Trailing phase of a delay tuple from the plain-product block, in the stated frame.
+
+    rho = angle(a) - angle(b) is the optimal trailing z of ``eng.block``;
+    the anchored train of the whole schedule needs rho - theta_L, theta_L
+    the qubit phase at the last application's start (0 without pulses).
+    """
+    e = eng.block(delays, fold)
+    a = e[0, 0] * np.conj(v[0, 0]) + e[0, 1] * np.conj(v[0, 1])
+    b = e[1, 0] * np.conj(v[1, 0]) + e[1, 1] * np.conj(v[1, 1])
+    theta = ((len(delays) - 1) * (eng.phi1 * eng.cycle) + eng.phi_d[delays[-1]]
+             if delays else 0.0)
+    return float(np.mod(np.angle(a) - np.angle(b) - theta, 2 * np.pi))
 
 
 def brute_force_search(eng, v, fold, n_pulses, margin=MARGIN):
-    """(best err, its delays, every (err, delays) within ``margin``) over all tuples."""
-    return _collect(brute_force_chunks(eng, v, fold, n_pulses), margin)
+    """[(err, delays, residual_phase)] over all tuples, ranked by ``_rank``.
+
+    The first scan finds the lowest error; the second keeps every tuple
+    within ``margin`` of it or equal to it at 14 decimals.
+    """
+    low = min(float(errs.min()) for errs, _ in brute_force_chunks(eng, v, fold, n_pulses))
+    tie, kept = round(low, 14), []
+    for errs, ds in brute_force_chunks(eng, v, fold, n_pulses):
+        for i in map(tuple, np.argwhere(errs <= low + margin + 1e-12)):
+            err = float(errs[i])
+            if err <= low + margin or round(err, 14) == tie:
+                kept.append((err, tuple(int(d[i]) for d in ds)))
+    return sorted(((err, delays, block_residual(eng, v, fold, delays)) for err, delays in kept),
+                  key=_rank)
 
 
 def mismatches(cal, v, fold, margin=MARGIN, levels=LEVELS) -> list[str]:
     """What the pruned search and the brute-force scan disagree on, per pulse count.
 
-    ``levels`` are the pulse counts checked; each entry starts with the one
-    it concerns, as "L2 ...".
+    The ranked (err, delays) lists must be equal, and each trailing phase
+    within ``RESIDUAL_TOL`` of the block's.  ``levels`` are the pulse
+    counts checked; each entry starts with the one it concerns, as "L2 ...".
     """
     eng = cal.opt_engine
     level_errs = opt_level_errors(cal, v, fold, lmax=max(levels))
     out = []
     for n_pulses in levels:
-        err, delays, kept = eng.search(v, fold, n_pulses, margin)
-        b_err, b_delays, b_kept = brute_force_search(eng, v, fold, n_pulses, margin)
-        if (err, delays) != (b_err, b_delays):
-            out.append(f"L{n_pulses} best {err!r} {delays} vs {b_err!r} {b_delays}")
-        if sorted(kept, key=_rank) != sorted(b_kept, key=_rank):
-            out.append(f"L{n_pulses} candidates {len(kept)} vs {len(b_kept)}")
-        if level_errs[n_pulses] != min(level_errs[n_pulses - 1], b_err):
+        got = eng.search(v, fold, n_pulses, margin)
+        want = brute_force_search(eng, v, fold, n_pulses, margin)
+        if [t[:2] for t in got] != [t[:2] for t in want]:
+            out.append(f"L{n_pulses} candidates {len(got)} vs {len(want)}, "
+                       f"best {got[0][:2]} vs {want[0][:2]}")
+        else:
+            dev = max(abs(np.angle(np.exp(1j * (g[2] - w[2])))) for g, w in zip(got, want))
+            if dev > RESIDUAL_TOL:
+                out.append(f"L{n_pulses} residual phase off by {dev:.3g} rad")
+        if level_errs[n_pulses] != min(level_errs[n_pulses - 1], want[0][0]):
             out.append(f"L{n_pulses} level error {level_errs[n_pulses]!r} "
-                       f"vs {min(level_errs[n_pulses - 1], b_err)!r}")
+                       f"vs {min(level_errs[n_pulses - 1], want[0][0])!r}")
     return out
 
 

@@ -12,7 +12,6 @@ from sfqctrl.bitstream import Bitstream
 from sfqctrl.calib1q import (
     CalibrationError,
     Decomposition1Q,
-    _collect,
     calibrate_qubit,
     decompose_min,
     design_min_bitstreams,
@@ -27,6 +26,8 @@ from sfqctrl.transmon import (
     phase_gate,
     projected_fidelity,
     pulse_train_unitary,
+    ry,
+    rz,
 )
 
 BUDGET = 1e-4
@@ -114,6 +115,22 @@ def test_decompose_opt_two_pulses_against_pulse_train(ry_bitstream_hi, spec_hi, 
                            - dec.err) <= 1e-12
 
 
+@pytest.mark.parametrize("drift", [0.0, 4e6])
+def test_decompose_opt_zero_and_one_pulse_against_pulse_train(ry_bitstream_hi, spec_hi,
+                                                              drift):
+    # L = 0 is the fold and the trailing z alone (an empty train); L = 1 is
+    # one stream application after d_1 idle cycles
+    cal = calibrate_qubit(spec_hi.with_drift(drift), [ry_bitstream_hi])
+    for v, depth in ((rz(0.3), 0), (ry(np.pi / 2), 1), (rz(0.4) @ ry(np.pi / 2) @ rz(1.1), 1)):
+        for fold in (0.0, 0.7):
+            decs = decompose_opt(cal, v, err_budget=BUDGET, fold_phase=fold)
+            assert decs[0].depth == depth and not decs[0].flagged
+            for dec in decs:
+                assert abs(recompose_error(cal, dec, v, fold) - dec.err) <= 1e-12
+                assert abs(_oracle_error(cal, ry_bitstream_hi, dec, v, fold)
+                           - dec.err) <= 1e-12
+
+
 @pytest.fixture(scope="module")
 def three_pulse_gate(ry_bitstream_hi, spec_hi, haar_su2):
     """A seeded Haar target at +12 MHz drift that two stream pulses cannot reach."""
@@ -146,39 +163,63 @@ def test_decompose_opt_flags_best_across_levels(three_pulse_gate):
     assert decs[0].err == min(opt_level_errors(cal, v).values())
 
 
-def test_collect_keeps_only_entries_near_the_final_best():
-    # the first chunk's own minimum (0.50) lies above the final best (0.20)
-    # plus the margin, so what it keeps must be dropped at the end
-    margin = 0.1
-    chunks = [np.array([0.50, 0.55, 0.58, 0.90]),
-              np.array([[0.70, 0.20], [0.25, 0.31]]),
-              np.array([0.35, 0.28])]
-    ids = np.cumsum([0] + [c.size for c in chunks])
-    fed = [(errs, [np.arange(lo, lo + errs.size).reshape(errs.shape),
-                   np.full(errs.shape, n)], -np.inf)
-           for n, (lo, errs) in enumerate(zip(ids, chunks))]
-    best, best_delays, kept = _collect(iter(fed), margin)
+def _synthetic_two_pulse_search(monkeypatch, spec, stream, bounds, errs, offsets, margin):
+    """``_OptEngine.search`` over a made-up two-pulse table at n_max = 7.
 
-    flat = np.concatenate([c.ravel() for c in chunks])
-    chunk_of = np.repeat(np.arange(len(chunks)), [c.size for c in chunks])
-    want = [(float(flat[i]), (int(i), int(chunk_of[i])))
-            for (i,) in np.argwhere(flat <= flat.min() + margin)]
-    assert best == flat.min() and best_delays == (int(np.argmin(flat)), 1)
-    assert sorted(kept) == sorted(want)
-    assert len(want) == 3
+    Tuple k has bound ``bounds[k]``, offset o_2 = ``offsets[k]`` and errors
+    ``errs[k]`` at d_1 = 0 and 1, its only valid d_1; the scorer returns
+    them (trailing terms a = b = 1).  Chunks hold 1, 2, 4, ... tuples.
+    Returns (search result, the tuples each scorer call got).
+    """
+    eng = calibrate_qubit(spec, [stream], n_max=7).opt_engine
+    n = len(bounds)
+    blocks = np.zeros((n, 2, 2), dtype=complex)
+    blocks[:, 0, 0] = np.arange(n)  # the tuple's id, read back by the scorer
+    eng._tables[2] = (blocks, 6.0 * (1.0 - np.array(bounds)), np.zeros((n, 4)),
+                      np.zeros(n, dtype=int), np.ones(n, dtype=int), np.array(offsets))
+    scored = []
+
+    def scorer(e_core, z, v):
+        ids = e_core[:, 0, 0].real.astype(int)
+        scored.append(ids.tolist())
+        out, ones = np.full((ids.size, z.size), np.inf), np.ones((ids.size, z.size), complex)
+        out[:, :2] = np.array(errs)[ids]
+        return out, ones, ones
+
+    monkeypatch.setattr(calib1q, "_score_free_trailing", scorer)
+    monkeypatch.setattr(calib1q, "_FIRST_CHUNK", 1)
+    found = eng.search(H, 0.0, 2, margin)
+    return [t[:2] for t in found], scored
 
 
-def test_collect_stops_at_the_floor_and_breaks_ties_by_key():
-    # 0.2 + 1e-16 rounds to the same 14 decimals as 0.2 and has the lower
-    # delay sum, so it is the best in either order; the last chunk's floor
-    # lies above best + margin, so its 0.0 is never looked at
-    tied = [(np.array([0.2, 0.5]), [np.array([5, 7]), np.array([5, 7])], -np.inf),
-            (np.array([0.2 + 1e-16, 0.25]), [np.array([0, 3]), np.array([1, 3])], -np.inf)]
-    stop = (np.array([0.0]), [np.array([9]), np.array([9])], 0.35)
-    for chunks in (tied, tied[::-1]):
-        best, best_delays, kept = _collect(iter(chunks + [stop]), margin=0.1)
-        assert (best, best_delays) == (0.2 + 1e-16, (0, 1))
-        assert sorted(kept) == [(0.2, (5, 5)), (0.2 + 1e-16, (0, 1)), (0.25, (3, 3))]
+@pytest.mark.parametrize("last_bound, last_scored", [(0.3 + 2e-12, False), (0.3, True)],
+                         ids=["above-the-stop", "at-the-stop"])
+def test_opt_search_drops_early_entries_and_stops_before_scoring(
+        spec_hi, ry_bitstream_hi, monkeypatch, last_bound, last_scored):
+    # chunks [t0], [t1, t2], [t3]: t0's errors lie within the margin of its
+    # own lowest (0.50) but not of the final lowest (0.20), so the list drops
+    # them; t3 is scored only if its bound is at most 0.20 + 0.1 + _TIE
+    found, scored = _synthetic_two_pulse_search(
+        monkeypatch, spec_hi, ry_bitstream_hi,
+        bounds=[0.10, 0.15, 0.20, last_bound],
+        errs=[[0.50, 0.58], [0.70, 0.20], [0.25, 0.31], [0.35, 0.40]],
+        offsets=[0, 3, 5, 0], margin=0.1)
+    assert found == [(0.20, (1, 4)), (0.25, (0, 5))]
+    assert scored == [[0], [1, 2]] + [[3]] * last_scored
+
+
+def test_opt_search_breaks_ties_by_delay_sum_in_any_order(spec_hi, ry_bitstream_hi,
+                                                          monkeypatch):
+    # 0.2 + 1e-16 rounds to the same 14 decimals as 0.2, and its delays
+    # (1, 1) sum to less than (0, 5), so it ranks first whichever tuple is
+    # visited first; at margin 0 the 14-decimal tie stays in the list
+    errs, offsets = [[0.2, 0.5], [0.25, 0.2 + 1e-16], [0.4, 0.4]], [5, 0, 0]
+    for bounds in ([0.10, 0.15, 0.35], [0.15, 0.10, 0.35]):
+        for margin, want in ((0.1, [(0.2 + 1e-16, (1, 1)), (0.2, (0, 5)), (0.25, (0, 0))]),
+                             (0.0, [(0.2 + 1e-16, (1, 1)), (0.2, (0, 5))])):
+            found, _ = _synthetic_two_pulse_search(monkeypatch, spec_hi, ry_bitstream_hi,
+                                                   bounds, errs, offsets, margin)
+            assert found == want
 
 
 @pytest.mark.parametrize("drift", DRIFTS)
@@ -227,10 +268,9 @@ def test_opt_engine_reuse_equals_fresh_calibrations(ry_bitstream_hi, spec_hi, ha
         v = targets[t]
         opt_level_errors(cal, targets[(t + 1) % 3], 0.9 - fold, lmax=k % 4)
         fresh = calibrate_qubit(spec, [ry_bitstream_hi])
-        got = cal.opt_engine.search(v, fold, n_pulses, MARGIN)
-        want = fresh.opt_engine.search(v, fold, n_pulses, MARGIN)
-        assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
-        assert sorted(got[2]) == sorted(want[2])
+        got, want = (c.opt_engine.search(v, fold, n_pulses, MARGIN) for c in (cal, fresh))
+        assert ([(e.hex(), d, r.hex()) for e, d, r in got]
+                == [(e.hex(), d, r.hex()) for e, d, r in want])
         for kwargs in ({"max_candidates": 10**6}, {"err_budget": 1e-12}):
             assert (_opt_results(decompose_opt(cal, v, fold_phase=fold, **kwargs))
                     == _opt_results(decompose_opt(fresh, v, fold_phase=fold, **kwargs)))
@@ -259,34 +299,79 @@ def test_opt_search_across_windows_matches_brute_force(ry_bitstream_hi, spec_hi,
                 assert mismatches(cal, v, fold, margin=margin) == []
 
 
+def _recording_bound_order(monkeypatch):
+    """Record every index chunk ``_bound_order`` yields to the search."""
+    yielded, bound_order = [], calib1q._bound_order
+
+    def recording(bound, size):
+        for at in bound_order(bound, size):
+            yielded.append(at)
+            yield at
+
+    monkeypatch.setattr(calib1q, "_bound_order", recording)
+    return yielded
+
+
 @pytest.mark.parametrize("n_pulses", [1, 2, 3])
-def test_opt_chunks_yield_each_tuple_once_in_bound_order(ry_bitstream_hi, spec_hi, haar_su2,
-                                                         monkeypatch, n_pulses):
-    # drain the generator without the collector's stop, across windows of 5
-    # tuples: every tuple with a valid d_1 comes out exactly once, in
-    # increasing order of its bound (recomputed from plain products), and a
-    # chunk's floor is its first bound, below every error of it and of all
-    # later chunks (up to the float slack the collector allows)
+def test_opt_search_visits_each_tuple_once_in_bound_order(ry_bitstream_hi, spec_hi, haar_su2,
+                                                          monkeypatch, n_pulses):
+    # a margin above every error keeps the search going, across windows of
+    # 5 tuples: every tuple is visited exactly once, in increasing order of
+    # its bound (recomputed from plain products), each bound is at most its
+    # tuple's errors (up to the float slack the stop allows), and the list
+    # holds every delay tuple in [0, n]^L once, ranked
     monkeypatch.setattr(calib1q, "_WINDOW", 5)
     monkeypatch.setattr(calib1q, "_FIRST_CHUNK", 16)
+    yielded = _recording_bound_order(monkeypatch)
     n, tie = 15, calib1q._TIE
     cal = calibrate_qubit(spec_hi.with_drift(3e6), [ry_bitstream_hi], n_max=n)
     v = haar_su2(np.random.default_rng(3))
-    chunks = list(cal.opt_engine._chunks(v, 0.9, n_pulses))
-    rows = [(k, tuple(int(d[r, 0]) for d in ds))  # delays at d_1 = 0: the offsets
-            for k, (errs, ds, _) in enumerate(chunks) for r in range(errs.shape[0])
-            if np.isfinite(errs[r]).any()]
+    found = cal.opt_engine.search(v, 0.9, n_pulses, margin=10.0)
+    visited = np.concatenate(yielded)
+    assert sorted(visited) == list(range(len(visited)))
+    offsets = cal.opt_engine._table(n_pulses)[5:]
+    visited_offsets = [(0, *(int(o[k]) for o in offsets)) for k in visited]
     steps = range(-n, n + 1)
-    offsets = {(0, *np.cumsum(s)) for s in product(steps, repeat=n_pulses - 1)}
-    assert sorted(o for _, o in rows) == sorted(o for o in offsets if max(o) - min(o) <= n)
-    assert sum(errs.shape[0] for errs, _, _ in chunks) == len(steps) ** (n_pulses - 1)
-    mags = [np.abs(cal.opt_engine.block(o, 0.0)) for _, o in rows]
-    bounds = np.array([1 - (np.sum(m ** 2) + np.sum(m * np.abs(v)) ** 2) / 6 for m in mags])
-    assert np.all(np.diff(bounds) >= -tie)
-    later = np.minimum.accumulate([errs.min() for errs, _, _ in chunks][::-1])[::-1]
-    for k, (_, _, floor) in enumerate(chunks[:rows[-1][0] + 1]):
-        assert abs(floor - bounds[[c for c, _ in rows].index(k)]) <= tie
-        assert floor <= later[k] + tie
+    assert sorted(visited_offsets) == sorted({(0, *np.cumsum(s))
+                                              for s in product(steps, repeat=n_pulses - 1)})
+
+    def bound(o):
+        if max(o) - min(o) > n:
+            return np.inf
+        m = np.abs(cal.opt_engine.block(o, 0.0))
+        return 1 - (np.sum(m ** 2) + np.sum(m * np.abs(v)) ** 2) / 6
+
+    bounds = np.array([bound(o) for o in visited_offsets])
+    assert np.all(np.diff(np.where(np.isinf(bounds), 2.0, bounds)) >= -tie)  # inf last
+    assert sorted(d for _, d, _ in found) == list(product(range(n + 1), repeat=n_pulses))
+    bound_of = dict(zip(visited_offsets, bounds))
+    assert all(err >= bound_of[tuple(np.array(d) - d[0])] - tie for err, d, _ in found)
+    keys = [calib1q._rank(t) for t in found]
+    assert keys == sorted(keys)
+
+
+def test_opt_search_scores_no_chunk_above_the_stop(three_pulse_gate, monkeypatch):
+    # the search reads a chunk's first bound before scoring it: every scored
+    # chunk starts at most _TIE above the lowest error so far + margin, and
+    # the one chunk yielded after the last scored one starts above it
+    cal, v = three_pulse_gate
+    yielded, scored = _recording_bound_order(monkeypatch), []
+    score = calib1q._score_free_trailing
+
+    def counted(e_core, z, v):
+        scored.append(score(e_core, z, v))
+        return scored[-1]
+
+    monkeypatch.setattr(calib1q, "_score_free_trailing", counted)
+    found = cal.opt_engine.search(v, 0.0, 3, MARGIN)
+    norm2, mags = cal.opt_engine._table(3)[1:3]
+    bound = 1.0 - (norm2 + (mags @ np.abs(v).ravel()) ** 2) / 6.0
+    assert len(scored) == len(yielded) - 1 > 1
+    lows = np.minimum.accumulate([errs.min() for errs, _, _ in scored])  # search masks them in place
+    for k, at in enumerate(yielded[1:-1], start=1):
+        assert bound[at[0]] <= lows[k - 1] + MARGIN + calib1q._TIE
+    assert bound[yielded[-1][0]] > lows[-1] + MARGIN + calib1q._TIE
+    assert round(found[0][0], 14) == round(lows[-1], 14)
 
 
 def test_opt_table_integers_fit_the_smallest_type(ry_bitstream_hi, spec_hi):
@@ -620,9 +705,10 @@ def test_decompose_opt_truncates_each_call_alone(group_cals):
     assert len(decompose_opt(cal, X)) == 128
 
 
-def _recompose(cal, target, **kwargs):
-    """recompose_error of an empty schedule, for the bad-input cases."""
-    return recompose_error(cal, Decomposition1Q(cal.arch, (), 0.0, 0.0), target, **kwargs)
+def _recompose(cal, target, dec=None, **kwargs):
+    """recompose_error of ``dec`` given as (kind, steps), or of an empty schedule."""
+    kind, steps = dec or (cal.arch, ())
+    return recompose_error(cal, Decomposition1Q(kind, steps, 0.0, 0.0), target, **kwargs)
 
 
 @pytest.mark.parametrize("fn, arch, target, kwargs", [
@@ -656,6 +742,14 @@ def _recompose(cal, target, **kwargs):
     pytest.param(_recompose, "opt", np.eye(3), {}, id="recompose-opt-3x3"),
     pytest.param(_recompose, "min", NAN, {}, id="recompose-min-nan"),
     pytest.param(_recompose, "min", np.eye(3), {}, id="recompose-min-3x3"),
+    pytest.param(_recompose, "min", H, {"dec": ("min", (-1,))}, id="recompose-min-step--1"),
+    pytest.param(_recompose, "min", H, {"dec": ("min", (0, 2))}, id="recompose-min-step-2"),
+    pytest.param(_recompose, "opt", H, {"dec": ("opt", (-1,))}, id="recompose-opt-step--1"),
+    pytest.param(_recompose, "opt", H, {"dec": ("opt", (3, -4))}, id="recompose-opt-step--4"),
+    pytest.param(_recompose, "opt", H, {"dec": ("opt", (256,))}, id="recompose-opt-step-256"),
+    pytest.param(_recompose, "opt", H, {"dec": ("opt", (2.0,))}, id="recompose-opt-step-2.0"),
+    pytest.param(_recompose, "opt", H, {"dec": ("foo", ())}, id="recompose-kind-foo"),
+    pytest.param(_recompose, "opt", H, {"dec": ("min", (0,))}, id="recompose-kind-min-on-opt"),
     *(pytest.param(fn, arch, H, {"fold_phase": fold}, id=f"{name}-fold-{fold}")
       for fn, arch, name in ((decompose_opt, "opt", "opt"), (opt_level_errors, "opt", "levels"),
                              (decompose_min, "min", "min"), (_recompose, "opt", "recompose-opt"),
