@@ -42,8 +42,9 @@ move i -> j multiplies the train with j lit by the inverse of the kick at
 i, conjugated by the prefix (j > i) or the suffix (j < i).  Each pass
 scores all its candidates as one stack and takes the first that lowers
 the error; prefixes are rebuilt past an accepted flip, prefixes and
-suffixes after an accepted move.  Stage 1 and the tip-angle refinement
-change every kick and still simulate from scratch.
+suffixes after an accepted move.  Stage 1 simulates all window patterns
+of a centre as one stack, each with its own kick; the golden-section
+tip-angle refinement still simulates each train from scratch.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ import numpy as np
 
 from sfqctrl.transmon import (
     TransmonSpec,
+    _kick_eig,
     checked_finite,
     checked_target,
     level_energies,
@@ -290,26 +292,49 @@ def _move_blocks(kicks: np.ndarray, pref: np.ndarray, suf: np.ndarray, i: int,
     return np.where((js > i)[:, None, None], lit[:, :2] @ x[:, :2], w[:2] @ lit[:, :, :2])
 
 
-def _window_scan(spec, target, window_centres, n_cycles):
-    """Stage 1 of ``design_bitstream``: (err, slots, tip angle) of the best window pattern."""
+def _window_patterns(spec, centre, n_cycles):
+    """Stage-1 (slots, tip angle) patterns of one window centre, in visiting order (w,
+    then tip scale): pulse where the qubit phase lies within +-w of ``centre``."""
+    ph = np.mod(2.0 * np.pi * spec.nominal_freq * np.arange(n_cycles) * SFQ_CLOCK_PERIOD
+                - centre + np.pi, 2.0 * np.pi) - np.pi  # in [-pi, pi)
+    lit = [np.flatnonzero(np.abs(ph) <= w) for w in np.linspace(0.15, 1.25, 23)]
+    return [(slots[:int(np.ceil((np.pi / 2) / dt))], dt) for slots in lit if len(slots) >= 8
+            for dt in (np.pi / 2) / len(slots) * np.linspace(0.85, 1.35, 11)]
+
+
+def _train_stack(spec, patterns, n_cycles):
+    """Anchored unitaries of the trains (slots, tip angle) as one stack: each train has
+    its own kick K, and one walk over the cycles left-multiplies the trains that pulse
+    at cycle s by F(s)^dag K F(s)."""
+    lam, v, vi = _kick_eig(spec.levels)
+    tips = np.array([tip for _, tip in patterns])
+    kicks = (v * np.exp(0.5 * tips[:, None] * lam)[:, None, :]) @ vi
+    lit = np.zeros((len(patterns), n_cycles), dtype=bool)
+    for k, (slots, _) in enumerate(patterns):
+        lit[k, slots] = True
+    energies = level_energies(spec.actual_freq, spec.anharmonicity, spec.levels)
+    u = np.tile(np.eye(spec.levels, dtype=complex), (len(patterns), 1, 1))
+    for s in np.flatnonzero(lit.any(axis=0)):
+        f, on = np.exp(-1j * energies * s * SFQ_CLOCK_PERIOD), lit[:, s]
+        u[on] = (f.conj()[:, None] * kicks[on] * f) @ u[on]
+    return u
+
+
+def _window_scan(spec, target, centres, n_cycles):
+    """Stage 1 of ``design_bitstream``: (err, slots, tip angle) of the best window
+    pattern, the first lowest of a centre, replaced only by a strictly lower one."""
     best = (np.inf, None, None)  # err, slots, tip
-    for centre in window_centres:  # qubit phase at each cycle from centre, in [-pi, pi)
-        ph = np.mod(2.0 * np.pi * spec.nominal_freq * np.arange(n_cycles) * SFQ_CLOCK_PERIOD
-                    - centre + np.pi, 2.0 * np.pi) - np.pi
-        for w in np.linspace(0.15, 1.25, 23):
-            all_slots = np.flatnonzero(np.abs(ph) <= w)
-            if len(all_slots) < 8:
-                continue
-            base = (np.pi / 2) / len(all_slots)
-            for scale in np.linspace(0.85, 1.35, 11):
-                dt = base * scale
-                cap = int(np.ceil((np.pi / 2) / dt))
-                slots = all_slots[:cap]
-                err = _train_error(spec, slots, n_cycles, dt, target)
-                if err < best[0]:
-                    best = (err, slots, dt)
+    for centre in centres:
+        patterns = _window_patterns(spec, centre, n_cycles)
+        if patterns:  # a centre whose windows never hold 8 pulses has none
+            errs = projected_errors(_train_stack(spec, patterns, n_cycles), target)
+            k = int(np.argmin(errs))
+            if errs[k] < best[0]:
+                best = (float(errs[k]), *patterns[k])
     if best[1] is None:
-        raise BitstreamDesignError("no pulse pattern found within the window scan")
+        raise BitstreamDesignError(
+            f"no pulse pattern found within the window scan at {spec.nominal_freq / 1e9:g} "
+            f"GHz, window centres ({', '.join(f'{c:g}' for c in centres)})")
     return best
 
 
@@ -321,7 +346,9 @@ def design_bitstream(spec: TransmonSpec, target: np.ndarray,
     the SFQ clock period.  Stage 1 scans the phase-window rule: pulse at
     cycle i when the qubit phase (2*pi*f*i*tau mod 2*pi) lies within +-w
     of a scanned window centre, stopping after ceil((pi/2)/dtheta)
-    pulses; dtheta is refined by golden section.  Stage 2 runs a
+    pulses; all (w, dtheta) patterns of a centre are scored as one stack,
+    a later centre wins only with a strictly lower error, and the best
+    dtheta is refined by golden section.  Stage 2 runs a
     deterministic greedy descent from the best scanned pattern (passes of
     bit flips and of pulse relocations in a fixed visiting order, each
     scored at once and taking the first candidate that lowers the error;
@@ -342,7 +369,7 @@ def design_bitstream(spec: TransmonSpec, target: np.ndarray,
         raise ValueError(f"window_centres must be a non-empty sequence of finite angles, "
                          f"got {window_centres!r}")
     design_spec, n_cycles = spec.with_drift(0.0), gate_length_cycles(spec.nominal_freq)
-    _, slots, dt = _window_scan(design_spec, target, window_centres, n_cycles)
+    _, slots, dt = _window_scan(design_spec, target, centres, n_cycles)
     err, dt = _golden_tip_angle(design_spec, slots, n_cycles, dt * 0.92, dt * 1.08, target)
 
     # ---- stage 2: deterministic greedy descent (bit flips + pulse moves)

@@ -1,19 +1,25 @@
-"""Per-candidate greedy descent: the oracle for the batched bitstream designer.
+"""Per-pattern and per-candidate bitstream design: the oracle for the batched designer.
 
-``design`` is the descent ``design_bitstream`` ran before it scored each
-pass as one batch: the same stage-1 window scan and golden-section
-tip-angle refinement (``_window_scan``, ``_golden_tip_angle``), then
-every flip and every move candidate built and scored on its own with
-the scalar projected-fidelity formula (``np.trace`` and ``abs(...) ** 2``),
-in the same visiting order, taking each candidate whose error is
-strictly lower.  It returns (bits, tip angle, err) instead of raising,
-so the tests compare ``design_bitstream`` against it in both outcomes.
-Run as a script to compare the two on seeded Haar targets:
+``window_scan`` is the stage-1 scan ``design_bitstream`` ran before it
+simulated each centre's patterns as one stack: every (window, tip scale)
+pattern is its own ``pulse_train_unitary`` train scored with
+``projected_fidelity``, in the same visiting order, keeping each pattern
+whose error is strictly lower.  ``design`` runs it, the same
+golden-section tip-angle refinement (``_golden_tip_angle``), then the
+descent ``design_bitstream`` ran before it scored each pass as one
+batch: every flip and every move candidate built and scored on its own
+with the scalar projected-fidelity formula (``np.trace`` and
+``abs(...) ** 2``), in the same visiting order, taking each candidate
+whose error is strictly lower.  It returns (bits, tip angle, err)
+instead of raising, so the tests compare ``design_bitstream`` against it
+in both outcomes.  Run as a script to compare the two on seeded Haar
+targets:
 
     PYTHONPATH=src python3 tests/design_oracle.py --targets 5
 
 which designs each target at 6.21286 and 4.14238 GHz with the four
-window centres of the min designer and prints every mismatch.
+window centres of the min designer and prints every design mismatch and
+every stage-1 scan whose (slots, tip) differs from ``_window_scan``'s.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from opt_oracle import haar_su2
 from sfqctrl.bitstream import (
     _ERR_TARGET,
     _POLISH_SWEEPS,
+    SFQ_CLOCK_PERIOD,
     BitstreamDesignError,
     _cycle_kicks,
     _golden_tip_angle,
@@ -37,7 +44,7 @@ from sfqctrl.bitstream import (
     design_bitstream,
     gate_length_cycles,
 )
-from sfqctrl.transmon import checked_target
+from sfqctrl.transmon import checked_target, projected_fidelity, pulse_train_unitary
 
 CENTRES = (0.0, np.pi / 2, np.pi, -np.pi / 2)
 
@@ -55,12 +62,47 @@ def flip_block(pref, kick, suf_next, lit):
     return rows @ pref[:, :2]
 
 
+def window_scan(spec, target, window_centres, n_cycles):
+    """(err, slots, tip angle) of the best window pattern, one train at a time."""
+    best = (np.inf, None, None)  # err, slots, tip
+    for centre in window_centres:  # qubit phase at each cycle from centre, in [-pi, pi)
+        ph = np.mod(2.0 * np.pi * spec.nominal_freq * np.arange(n_cycles) * SFQ_CLOCK_PERIOD
+                    - centre + np.pi, 2.0 * np.pi) - np.pi
+        for w in np.linspace(0.15, 1.25, 23):
+            all_slots = np.flatnonzero(np.abs(ph) <= w)
+            if len(all_slots) < 8:
+                continue
+            base = (np.pi / 2) / len(all_slots)
+            for scale in np.linspace(0.85, 1.35, 11):
+                dt = base * scale
+                cap = int(np.ceil((np.pi / 2) / dt))
+                slots = all_slots[:cap]
+                u = pulse_train_unitary(spec, slots, n_cycles, dt, SFQ_CLOCK_PERIOD)
+                err = projected_fidelity(u, target).error
+                if err < best[0]:
+                    best = (err, slots, dt)
+    if best[1] is None:
+        raise BitstreamDesignError("no pulse pattern found within the window scan")
+    return best
+
+
+def scan_mismatch(spec, target, window_centres=(0.0,)) -> str | None:
+    """How ``_window_scan`` and ``window_scan`` disagree on (slots, tip), or None."""
+    design_spec, n_cycles = spec.with_drift(0.0), gate_length_cycles(spec.nominal_freq)
+    _, slots, tip = window_scan(design_spec, target, window_centres, n_cycles)
+    _, got_slots, got_tip = _window_scan(design_spec, target, window_centres, n_cycles)
+    if (list(got_slots), got_tip) != (list(slots), tip):
+        return f"scan picked {len(got_slots)} slots at tip {got_tip!r}, " \
+               f"oracle {len(slots)} slots at tip {tip!r}"
+    return None
+
+
 def design(spec, target, window_centres=(0.0,)):
-    """(bits, tip angle, err) of the per-candidate descent."""
+    """(bits, tip angle, err) of the per-pattern scan and the per-candidate descent."""
     target = checked_target(target)
     design_spec = spec.with_drift(0.0)
     n_cycles = gate_length_cycles(spec.nominal_freq)
-    _, slots, dt = _window_scan(design_spec, target, window_centres, n_cycles)
+    _, slots, dt = window_scan(design_spec, target, window_centres, n_cycles)
     err, dt = _golden_tip_angle(design_spec, slots, n_cycles, dt * 0.92, dt * 1.08, target)
     bits = np.zeros(n_cycles, dtype=int)
     bits[np.asarray(slots, dtype=int)] = 1
@@ -127,18 +169,23 @@ def main(argv=None) -> int:
 
     rng = np.random.default_rng(args.seed)
     targets = [haar_su2(rng) for _ in range(args.targets)]
-    bad = checked = 0
+    bad = bad_scans = checked = 0
     t0 = time.perf_counter()
     for freq in (6.21286e9, 4.14238e9):
         spec = TransmonSpec(nominal_freq=freq)
         for k, v in enumerate(targets):
             checked += 1
+            scan_why = scan_mismatch(spec, v, CENTRES)
+            if scan_why is not None:
+                bad_scans += 1
+                print(f"{freq / 1e9:g} GHz haar{k}: {scan_why}", flush=True)
             why = mismatch(spec, v, CENTRES)
             if why is not None:
                 bad += 1
                 print(f"{freq / 1e9:g} GHz haar{k}: {why}", flush=True)
-    print(f"# {bad} of {checked} designs mismatched ({time.perf_counter() - t0:.0f} s)")
-    return 1 if bad else 0
+    print(f"# {bad} of {checked} designs and {bad_scans} of {checked} stage-1 scans "
+          f"mismatched ({time.perf_counter() - t0:.0f} s)")
+    return 1 if bad or bad_scans else 0
 
 
 if __name__ == "__main__":

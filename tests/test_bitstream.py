@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import design_oracle
 from sfqctrl import bitstream
-from sfqctrl.transmon import TransmonSpec, projected_fidelity, pulse_train_unitary, ry
+from sfqctrl.transmon import (TransmonSpec, projected_errors, projected_fidelity,
+                              pulse_train_unitary, ry)
 from sfqctrl.bitstream import (
     DEFAULT_N_MAX,
     SFQ_CLOCK_PERIOD,
@@ -18,8 +19,12 @@ from sfqctrl.bitstream import (
     _move_blocks,
     _prefix_suffix,
     _prefixes,
+    _train_stack,
+    _window_patterns,
+    _window_scan,
     design_bitstream,
     drift_tolerance,
+    gate_length_cycles,
     parking_scan,
     rz_grid_error,
     worst_rz_error,
@@ -256,7 +261,8 @@ def test_design_bitstream_rejects_bad_target(spec_hi, target):
 def test_design_bitstream_rejects_bad_window_centres(spec_hi, monkeypatch, centres):
     # bad input, not a design failure: the ValueError names the argument
     # and comes before any simulation
-    monkeypatch.setattr(bitstream, "pulse_train_unitary", None)
+    for name in ("pulse_train_unitary", "_train_stack", "_kick_eig"):
+        monkeypatch.setattr(bitstream, name, None)
     with pytest.raises(ValueError, match="window_centres"):
         design_bitstream(spec_hi, ry(np.pi / 2), window_centres=centres)
 
@@ -298,6 +304,59 @@ def test_greedy_scores_match_whole_train(freq):
             moved = bits.copy()
             moved[i], moved[j] = 0, 1
             assert np.abs(got - block(moved)).max() < 1e-12
+
+
+@pytest.mark.parametrize("freq", [6.21286e9, 4.14238e9], ids=["6212MHz", "4142MHz"])
+def test_train_stack_matches_each_train(freq):
+    # every stage-1 pattern of one centre, simulated together, against its own train
+    spec = TransmonSpec(nominal_freq=freq)
+    n = gate_length_cycles(freq)
+    patterns = _window_patterns(spec, 0.0, n)
+    assert len(patterns) == 23 * 11
+    for (slots, tip), got in zip(patterns, _train_stack(spec, patterns, n)):
+        assert np.abs(got - pulse_train_unitary(spec, slots, n, tip, TAU)).max() < 1e-12
+
+
+@pytest.mark.parametrize("freq", [6.21286e9, 4.14238e9], ids=["6212MHz", "4142MHz"])
+def test_window_scan_picks_the_per_pattern_choice(freq, haar_su2):
+    spec = TransmonSpec(nominal_freq=freq)
+    assert design_oracle.scan_mismatch(spec, ry(np.pi / 2), (0.0,)) is None
+    target = haar_su2(np.random.default_rng(3))
+    assert design_oracle.scan_mismatch(spec, target, design_oracle.CENTRES) is None
+
+
+def test_window_scan_resolves_exact_ties_to_the_first_pattern(monkeypatch):
+    # at 3.125 GHz the phase steps by pi/4 a cycle, so the windows below and
+    # above pi/4 each give one slot set: 13 and 10 copies of every pattern,
+    # scored bit for bit alike
+    spec = TransmonSpec(nominal_freq=3.125e9)
+    n = gate_length_cycles(spec.nominal_freq)
+    patterns = _window_patterns(spec, 0.0, n)
+    errs = projected_errors(_train_stack(spec, patterns, n), ry(np.pi / 2))
+    twins = {}
+    for k, (slots, tip) in enumerate(patterns):
+        twins.setdefault((tuple(slots), tip), []).append(k)
+    assert sorted(len(ks) for ks in twins.values()) == [10] * 11 + [13] * 11
+    for ks in twins.values():
+        assert (errs[ks] == errs[ks[0]]).all()
+    best = int(np.argmin(errs))
+    assert best == min(next(ks for ks in twins.values() if best in ks))
+    assert design_oracle.scan_mismatch(spec, ry(np.pi / 2), (0.0,)) is None
+    # when every pattern of every centre ties, the first of the first centre wins
+    monkeypatch.setattr(bitstream, "projected_errors", lambda blocks, target: np.zeros(len(blocks)))
+    err, slots, tip = _window_scan(spec, ry(np.pi / 2), (0.0, 0.0, np.pi), n)
+    assert (err, slots.tolist(), tip) == (0.0, patterns[0][0].tolist(), patterns[0][1])
+
+
+def test_window_scan_skips_a_centre_without_patterns():
+    # at 25 GHz the phase never leaves 0: a centre at pi/2 lights no cycle
+    spec = TransmonSpec(nominal_freq=25e9)
+    with pytest.raises(BitstreamDesignError,
+                       match=r"no pulse pattern found .* 25 GHz, window centres \(1.5708\)"):
+        design_bitstream(spec, ry(np.pi / 2), (np.pi / 2,))
+    for centres in ((0.0,), (np.pi / 2, 0.0)):
+        with pytest.raises(BitstreamDesignError, match="best design error 8.054e-04 "):
+            design_bitstream(spec, ry(np.pi / 2), centres)
 
 
 def _design_against_oracle(spec, target, centres):
