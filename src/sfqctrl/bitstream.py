@@ -41,10 +41,15 @@ flip at i is suffix(i+1) @ (kick or nothing) @ prefix(i), and a pulse
 move i -> j multiplies the train with j lit by the inverse of the kick at
 i, conjugated by the prefix (j > i) or the suffix (j < i).  Each pass
 scores all its candidates as one stack and takes the first that lowers
-the error; prefixes are rebuilt past an accepted flip, prefixes and
-suffixes after an accepted move.  Stage 1 simulates all window patterns
-of a centre as one stack, each with its own kick; the golden-section
-tip-angle refinement still simulates each train from scratch.
+the error.  Prefixes are rebuilt past an accepted flip.  An accepted move
+i -> j rebuilds the prefixes from min(i, j), the suffixes up to max(i, j)
+and the table of trains with one empty cycle lit, which every move
+candidate of that state reads.  Stage 1 simulates all window patterns of
+a centre as one stack, each with its own kick, once per distinct slot
+set.  The golden-section tip-angle refinement walks the train once for
+a stack of tip angles: every point the next three steps can visit.  It
+then takes the branches the errors choose, so its comparisons and result
+are the sequential search's.
 """
 
 from __future__ import annotations
@@ -56,12 +61,10 @@ import numpy as np
 
 from sfqctrl.transmon import (
     TransmonSpec,
-    _kick_eig,
     checked_finite,
     checked_target,
     level_energies,
     projected_errors,
-    projected_fidelity,
     pulse_train_unitary,
     ry,
     sfq_kick,
@@ -218,31 +221,60 @@ def gate_length_cycles(nominal_freq: float) -> int:
 _RY_TARGET = ry(np.pi / 2)
 _POLISH_SWEEPS = 6  # stage-2 sweeps at most; designs stop earlier once on target
 _ERR_TARGET = 1e-4  # a designed stream's projected gate error must not exceed this
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_LOOKAHEAD = 3  # golden steps per speculative stack: 1 + 2 + 4 = 7 trains
 
 
-def _train_error(spec: TransmonSpec, slots: Sequence[int], n_cycles: int,
-                 tip_angle: float, target: np.ndarray) -> float:
-    u = pulse_train_unitary(spec, slots, n_cycles, tip_angle, SFQ_CLOCK_PERIOD)
-    return projected_fidelity(u, target).error
+def _train_errors(spec: TransmonSpec, slots: Sequence[int], n_cycles: int,
+                  tips: Sequence[float], target: np.ndarray) -> np.ndarray:
+    """Projected errors of the train ``slots`` at each tip angle, one stack."""
+    u = pulse_train_unitary(spec, slots, n_cycles, np.asarray(tips, dtype=float),
+                            SFQ_CLOCK_PERIOD)
+    return projected_errors(u, target)
+
+
+def _golden_step(a, b, x1, x2, left: bool):
+    """One golden-section step that keeps [a, x2] (``left``, as when f(x1) < f(x2)) or
+    [x1, b]: the new (a, b, x1, x2) and the one new point it evaluates."""
+    if left:
+        b, x2 = x2, x1
+        x1 = b - _GOLDEN * (b - a)
+        return (a, b, x1, x2), x1
+    a, x1 = x1, x2
+    x2 = a + _GOLDEN * (b - a)
+    return (a, b, x1, x2), x2
 
 
 def _golden_tip_angle(spec, slots, n_cycles, lo, hi, target, iters=32):
-    g = (np.sqrt(5.0) - 1.0) / 2.0
+    """(err, tip) of ``iters`` golden-section steps on [lo, hi], then the midpoint.
+
+    Bit for bit the sequential search that simulates one train per step:
+    the points, comparisons and result are the same.  A fixed lookahead of
+    ``_LOOKAHEAD`` = 3 steps makes one stack of 7 trains: the next point,
+    which the known comparison fixes, and both branches of each comparison
+    after it (2 points for the second step, 4 for the third).  The walk
+    then follows the branches the stack's errors choose.  The initial pair
+    and the final midpoint are one stack each.
+    """
     a, b = lo, hi
-    x1, x2 = b - g * (b - a), a + g * (b - a)
-    f1 = _train_error(spec, slots, n_cycles, x1, target)
-    f2 = _train_error(spec, slots, n_cycles, x2, target)
-    for _ in range(iters):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - g * (b - a)
-            f1 = _train_error(spec, slots, n_cycles, x1, target)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + g * (b - a)
-            f2 = _train_error(spec, slots, n_cycles, x2, target)
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = _train_errors(spec, slots, n_cycles, (x1, x2), target)
+    for done in range(0, iters, _LOOKAHEAD):
+        # binary heap of the (state, new point) of every path of the next steps:
+        # the comparison after node n leads to node 2n + 1 (left) or 2n + 2
+        depth = min(_LOOKAHEAD, iters - done)
+        nodes = [_golden_step(a, b, x1, x2, f1 < f2)]
+        for n in range(2 ** (depth - 1) - 1):
+            nodes += [_golden_step(*nodes[n][0], left) for left in (True, False)]
+        errs = _train_errors(spec, slots, n_cycles, [x for _, x in nodes], target)
+        n, left = 0, f1 < f2
+        for _ in range(depth):
+            (a, b, x1, x2), _ = nodes[n]
+            f1, f2 = (errs[n], f1) if left else (f2, errs[n])
+            left = f1 < f2
+            n = 2 * n + (1 if left else 2)
     x = 0.5 * (a + b)
-    return _train_error(spec, slots, n_cycles, x, target), x
+    return float(_train_errors(spec, slots, n_cycles, (x,), target)[0]), x
 
 
 def _cycle_kicks(spec: TransmonSpec, n_cycles: int, tip_angle: float) -> np.ndarray:
@@ -260,13 +292,19 @@ def _prefixes(kicks: np.ndarray, bits, start: int, pref: np.ndarray) -> np.ndarr
     return np.array(out)
 
 
+def _suffixes(kicks: np.ndarray, bits, stop: int, suf: np.ndarray) -> np.ndarray:
+    """Kick products of the pulses from cycles 0..stop on; ``suf`` is the one from stop on."""
+    out = [suf]
+    for i in range(stop - 1, -1, -1):
+        out.append(out[-1] @ kicks[i] if bits[i] else out[-1])
+    return np.array(out[::-1])
+
+
 def _prefix_suffix(kicks: np.ndarray, bits) -> tuple[np.ndarray, np.ndarray]:
     """Products of the anchored kicks of the pulses before cycle i (pref[i]) and
     from cycle i on (suf[i]), i = 0..n; suf[i] @ pref[i] is the whole train."""
-    suf = [np.eye(kicks.shape[1], dtype=complex)]
-    for i in range(len(bits) - 1, -1, -1):
-        suf.append(suf[-1] @ kicks[i] if bits[i] else suf[-1])
-    return _prefixes(kicks, bits, 0, suf[0]), np.array(suf[::-1])
+    eye = np.eye(kicks.shape[1], dtype=complex)
+    return _prefixes(kicks, bits, 0, eye), _suffixes(kicks, bits, len(bits), eye)
 
 
 def _flip_blocks(kicks, prefs, suf, bits, start: int) -> np.ndarray:
@@ -277,38 +315,77 @@ def _flip_blocks(kicks, prefs, suf, bits, start: int) -> np.ndarray:
     return rows @ prefs[:-1, :, :2]
 
 
+def _lit_table(kicks: np.ndarray, pref: np.ndarray, suf: np.ndarray,
+               js: np.ndarray) -> np.ndarray:
+    """The trains with one more pulse, at each empty cycle j in js: suf[j+1] K(j) pref[j]."""
+    return suf[js + 1] @ kicks[js] @ pref[js]
+
+
 def _move_blocks(kicks: np.ndarray, pref: np.ndarray, suf: np.ndarray, i: int,
-                 js: np.ndarray) -> np.ndarray:
+                 js: np.ndarray, lit: np.ndarray) -> np.ndarray:
     """2x2 blocks of the trains that move the pulse at cycle i to each empty cycle in js.
 
-    With the pulse at j added, the train is lit_j = suf[j+1] K(j) pref[j].  Removing
-    the pulse at i multiplies it by X = pref[i]^dag K(i)^dag pref[i] on the right
-    for j > i, and by W = suf[i+1] K(i)^dag suf[i+1]^dag on the left for j < i.
+    ``lit`` is ``_lit_table`` of the same state.  Removing the pulse at i multiplies
+    lit_j by X = pref[i]^dag K(i)^dag pref[i] on the right for j > i, and by
+    W = suf[i+1] K(i)^dag suf[i+1]^dag on the left for j < i; js is sorted, so the
+    blocks of the cycles before i come first.
     """
-    lit = suf[js + 1] @ kicks[js] @ pref[js]
-    undo = kicks[i].conj().T
+    undo, k = kicks[i].conj().T, int(np.searchsorted(js, i))
+    w = (suf[i + 1] @ undo @ suf[i + 1].conj().T)[:2]
     x = pref[i].conj().T @ undo @ pref[i]
-    w = suf[i + 1] @ undo @ suf[i + 1].conj().T
-    return np.where((js > i)[:, None, None], lit[:, :2] @ x[:, :2], w[:2] @ lit[:, :, :2])
+    return np.concatenate([w @ lit[:k, :, :2], lit[k:, :2] @ x[:, :2]])
+
+
+def _move(kicks: np.ndarray, bits: np.ndarray, pref: np.ndarray, suf: np.ndarray,
+          i: int, j: int) -> None:
+    """Move the pulse at cycle i to the empty cycle j, in place: only the prefixes from
+    min(i, j) and the suffixes up to max(i, j) change."""
+    bits[i], bits[j] = 0, 1
+    lo, hi = min(i, j), max(i, j)
+    pref[lo:] = _prefixes(kicks, bits, lo, pref[lo])
+    suf[:hi + 2] = _suffixes(kicks, bits, hi + 1, suf[hi + 1])
+
+
+def _move_pass(kicks: np.ndarray, bits: np.ndarray, err: float, target: np.ndarray,
+               stop_at: float) -> float:
+    """Relocate pulses in place, each to the first empty cycle that lowers the error, until
+    the error reaches ``stop_at``; the error reached.  The lit table is built once per
+    state: at the start and after each accepted move."""
+    pref, suf = _prefix_suffix(kicks, bits)
+    js = np.flatnonzero(bits == 0)
+    lit = _lit_table(kicks, pref, suf, js)
+    for i in np.flatnonzero(bits):
+        if err <= stop_at:
+            break
+        e = projected_errors(_move_blocks(kicks, pref, suf, i, js, lit), target)
+        for k in np.flatnonzero(e < err)[:1]:
+            err = float(e[k])
+            _move(kicks, bits, pref, suf, i, js[k])
+            js = np.flatnonzero(bits == 0)
+            lit = _lit_table(kicks, pref, suf, js)
+    return err
 
 
 def _window_patterns(spec, centre, n_cycles):
     """Stage-1 (slots, tip angle) patterns of one window centre, in visiting order (w,
-    then tip scale): pulse where the qubit phase lies within +-w of ``centre``."""
+    then tip scale): pulse where the qubit phase lies within +-w of ``centre``.  A
+    window whose slot set an earlier window already gave adds no patterns, so exact
+    ties still resolve to the first pattern."""
     ph = np.mod(2.0 * np.pi * spec.nominal_freq * np.arange(n_cycles) * SFQ_CLOCK_PERIOD
                 - centre + np.pi, 2.0 * np.pi) - np.pi  # in [-pi, pi)
-    lit = [np.flatnonzero(np.abs(ph) <= w) for w in np.linspace(0.15, 1.25, 23)]
-    return [(slots[:int(np.ceil((np.pi / 2) / dt))], dt) for slots in lit if len(slots) >= 8
-            for dt in (np.pi / 2) / len(slots) * np.linspace(0.85, 1.35, 11)]
+    lit = {}
+    for w in np.linspace(0.15, 1.25, 23):
+        slots = np.flatnonzero(np.abs(ph) <= w)
+        lit.setdefault(slots.tobytes(), slots)
+    return [(slots[:int(np.ceil((np.pi / 2) / dt))], dt) for slots in lit.values()
+            if len(slots) >= 8 for dt in (np.pi / 2) / len(slots) * np.linspace(0.85, 1.35, 11)]
 
 
 def _train_stack(spec, patterns, n_cycles):
     """Anchored unitaries of the trains (slots, tip angle) as one stack: each train has
     its own kick K, and one walk over the cycles left-multiplies the trains that pulse
     at cycle s by F(s)^dag K F(s)."""
-    lam, v, vi = _kick_eig(spec.levels)
-    tips = np.array([tip for _, tip in patterns])
-    kicks = (v * np.exp(0.5 * tips[:, None] * lam)[:, None, :]) @ vi
+    kicks = sfq_kick(spec, [tip for _, tip in patterns])
     lit = np.zeros((len(patterns), n_cycles), dtype=bool)
     for k, (slots, _) in enumerate(patterns):
         lit[k, slots] = True
@@ -348,12 +425,14 @@ def design_bitstream(spec: TransmonSpec, target: np.ndarray,
     of a scanned window centre, stopping after ceil((pi/2)/dtheta)
     pulses; all (w, dtheta) patterns of a centre are scored as one stack,
     a later centre wins only with a strictly lower error, and the best
-    dtheta is refined by golden section.  Stage 2 runs a
-    deterministic greedy descent from the best scanned pattern (passes of
-    bit flips and of pulse relocations in a fixed visiting order, each
-    scored at once and taking the first candidate that lowers the error;
-    tip-angle refinement after each sweep) to cancel the coherent level-2
-    leakage the window family cannot reach on its own.
+    dtheta is refined by golden section, three steps per stack of trains.
+    Stage 2 runs a deterministic greedy descent from the best scanned
+    pattern (passes of bit flips and of pulse relocations in a fixed
+    visiting order, each scored at once and taking the first candidate
+    that lowers the error, the relocations from one table of lit trains
+    per accepted move; tip-angle refinement after each sweep) to cancel
+    the coherent level-2 leakage the window family cannot reach on its
+    own.
 
     Raises
     ------
@@ -394,16 +473,8 @@ def design_bitstream(spec: TransmonSpec, target: np.ndarray,
         if err > stop_at:
             # relocating a pulse preserves the rotation budget while moving
             # the level-2 leakage phasor, which single flips cannot do cheaply
-            pref, suf = _prefix_suffix(kicks, bits)
-            for i in np.flatnonzero(bits):
-                if err <= stop_at:
-                    break
-                js = np.flatnonzero(bits == 0)
-                e = projected_errors(_move_blocks(kicks, pref, suf, i, js), target)
-                for k in np.flatnonzero(e < err)[:1]:
-                    bits[i], bits[js[k]] = 0, 1
-                    err, improved = float(e[k]), True
-                    pref, suf = _prefix_suffix(kicks, bits)
+            moved = _move_pass(kicks, bits, err, target, stop_at)
+            err, improved = moved, improved or moved < err
         err, dt = _golden_tip_angle(design_spec, np.flatnonzero(bits), n_cycles,
                                     dt * 0.98, dt * 1.02, target, iters=24)
         if err <= stop_at or not improved:

@@ -745,9 +745,14 @@ def decompose_min(
     Depth-ordered search over per-cycle words (leakage carried
     through the full six-level sequence, projected once at the end).
     Returns the shortest word with error <= ``err_budget``, otherwise the
-    best word found up to ``max_depth``, flagged.  ``residual_phase``
-    carries the frame-reconciliation phase (word length times the cycle
-    phase) the compiler folds downstream; it is bookkeeping, not error.
+    best word scored, flagged.  That is every word up to 12 cycles (6 for
+    three or four symbols), but deeper only the (first half, second half)
+    pairs a quaternion ball of radius max(0.05, 3.5*sqrt(1.5*err_budget))
+    proposed, so a flagged word is the best pair the radius found, not
+    the best word up to ``max_depth``.  The radius is empirical.
+    ``residual_phase`` carries the frame-reconciliation phase (word length
+    times the cycle phase) the compiler folds downstream; it is
+    bookkeeping, not error.
     ``max_depth`` may not exceed the deepest word the search covers: 28
     cycles for the two-symbol alphabet, 14 otherwise.
     """

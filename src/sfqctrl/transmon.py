@@ -110,14 +110,19 @@ def _kick_eig(levels: int):
     return lam, v, np.linalg.inv(v)
 
 
-def sfq_kick(spec: TransmonSpec, tip_angle: float) -> np.ndarray:
+def sfq_kick(spec: TransmonSpec, tip_angle: float | np.ndarray) -> np.ndarray:
     """Instantaneous SFQ-pulse unitary exp((tip_angle/2) * (a^dag - a)).
 
-    In the two-level truncation this is exactly ``Ry(tip_angle)``.
+    In the two-level truncation this is exactly ``Ry(tip_angle)``.  An
+    array of tip angles gives a stack of kicks, each equal to the scalar
+    call bit for bit.
     """
     lam, v, vi = _kick_eig(spec.levels)
-    u = v @ np.diag(np.exp(0.5 * tip_angle * lam)) @ vi
-    return np.ascontiguousarray(u)
+    tips = np.asarray(tip_angle, dtype=float)
+    d = np.zeros(tips.shape + (spec.levels, spec.levels), dtype=complex)
+    k = np.arange(spec.levels)
+    d[..., k, k] = np.exp(0.5 * tips[..., None] * lam)
+    return np.ascontiguousarray(v @ d @ vi)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -147,7 +152,7 @@ def pulse_train_unitary(
     spec: TransmonSpec,
     pulse_slots: Sequence[int],
     n_cycles: int,
-    tip_angle: float,
+    tip_angle: float | np.ndarray,
     clock_period: float,
 ) -> np.ndarray:
     """Anchored unitary of an SFQ pulse train on one transmon.
@@ -155,11 +160,13 @@ def pulse_train_unitary(
     A kick fires at the start of each cycle listed in ``pulse_slots``;
     the qubit evolves freely otherwise.  The returned unitary carries the
     frame correction ``exp(+i*H0*T)`` over the full ``n_cycles`` window,
-    with ``H0`` at the actual (drifted) frequency.
+    with ``H0`` at the actual (drifted) frequency.  An array of tip angles
+    walks the slots once for a stack of trains, one per angle, each equal
+    to the scalar call bit for bit.
     """
     energies = level_energies(spec.actual_freq, spec.anharmonicity, spec.levels)
     kick = sfq_kick(spec, tip_angle)
-    u = np.eye(spec.levels, dtype=complex)
+    u = np.broadcast_to(np.eye(spec.levels, dtype=complex), kick.shape)
     prev = 0
     for s in pulse_slots:
         if s < prev or s >= n_cycles:

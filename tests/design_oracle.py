@@ -2,24 +2,28 @@
 
 ``window_scan`` is the stage-1 scan ``design_bitstream`` ran before it
 simulated each centre's patterns as one stack: every (window, tip scale)
-pattern is its own ``pulse_train_unitary`` train scored with
-``projected_fidelity``, in the same visiting order, keeping each pattern
-whose error is strictly lower.  ``design`` runs it, the same
-golden-section tip-angle refinement (``_golden_tip_angle``), then the
-descent ``design_bitstream`` ran before it scored each pass as one
-batch: every flip and every move candidate built and scored on its own
-with the scalar projected-fidelity formula (``np.trace`` and
-``abs(...) ** 2``), in the same visiting order, taking each candidate
-whose error is strictly lower.  It returns (bits, tip angle, err)
-instead of raising, so the tests compare ``design_bitstream`` against it
-in both outcomes.  Run as a script to compare the two on seeded Haar
-targets:
+pattern, repeated slot sets included, is its own ``pulse_train_unitary``
+train scored with ``projected_fidelity``, in the same visiting order,
+keeping each pattern whose error is strictly lower.  ``golden_tip_angle``
+is the sequential golden-section tip refinement, one scalar train per
+step.  ``design`` runs the scan, the refinement, then the descent
+``design_bitstream`` ran before it scored each pass as one batch: every
+flip and every move candidate built and scored on its own with the
+scalar projected-fidelity formula (``np.trace`` and ``abs(...) ** 2``),
+the move candidates from the full product ``move_blocks`` and the
+prefixes and suffixes rebuilt whole after each move, in the same
+visiting order, taking each candidate whose error is strictly lower.  It
+returns (bits, tip angle, err) instead of raising, so the tests compare
+``design_bitstream`` against it in both outcomes.  Run as a script to
+compare the two on seeded Haar targets:
 
     PYTHONPATH=src python3 tests/design_oracle.py --targets 5
 
 which designs each target at 6.21286 and 4.14238 GHz with the four
-window centres of the min designer and prints every design mismatch and
-every stage-1 scan whose (slots, tip) differs from ``_window_scan``'s.
+window centres of the min designer and prints every design mismatch,
+every stage-1 scan whose (slots, tip) differs from ``_window_scan``'s and
+every golden-section refinement of the oracle's designs whose (err, tip)
+differs from ``_golden_tip_angle``'s.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from sfqctrl.bitstream import (
     BitstreamDesignError,
     _cycle_kicks,
     _golden_tip_angle,
-    _move_blocks,
     _prefix_suffix,
     _window_scan,
     design_bitstream,
@@ -62,28 +65,81 @@ def flip_block(pref, kick, suf_next, lit):
     return rows @ pref[:, :2]
 
 
+def patterns(spec, centre, n_cycles):
+    """Every stage-1 (slots, tip angle) pattern of one centre in visiting order, the
+    patterns of a window whose slot set an earlier window gave included."""
+    ph = np.mod(2.0 * np.pi * spec.nominal_freq * np.arange(n_cycles) * SFQ_CLOCK_PERIOD
+                - centre + np.pi, 2.0 * np.pi) - np.pi  # qubit phase from centre, in [-pi, pi)
+    for w in np.linspace(0.15, 1.25, 23):
+        all_slots = np.flatnonzero(np.abs(ph) <= w)
+        if len(all_slots) < 8:
+            continue
+        base = (np.pi / 2) / len(all_slots)
+        for scale in np.linspace(0.85, 1.35, 11):
+            dt = base * scale
+            yield all_slots[:int(np.ceil((np.pi / 2) / dt))], dt
+
+
 def window_scan(spec, target, window_centres, n_cycles):
     """(err, slots, tip angle) of the best window pattern, one train at a time."""
     best = (np.inf, None, None)  # err, slots, tip
-    for centre in window_centres:  # qubit phase at each cycle from centre, in [-pi, pi)
-        ph = np.mod(2.0 * np.pi * spec.nominal_freq * np.arange(n_cycles) * SFQ_CLOCK_PERIOD
-                    - centre + np.pi, 2.0 * np.pi) - np.pi
-        for w in np.linspace(0.15, 1.25, 23):
-            all_slots = np.flatnonzero(np.abs(ph) <= w)
-            if len(all_slots) < 8:
-                continue
-            base = (np.pi / 2) / len(all_slots)
-            for scale in np.linspace(0.85, 1.35, 11):
-                dt = base * scale
-                cap = int(np.ceil((np.pi / 2) / dt))
-                slots = all_slots[:cap]
-                u = pulse_train_unitary(spec, slots, n_cycles, dt, SFQ_CLOCK_PERIOD)
-                err = projected_fidelity(u, target).error
-                if err < best[0]:
-                    best = (err, slots, dt)
+    for centre in window_centres:
+        for slots, dt in patterns(spec, centre, n_cycles):
+            u = pulse_train_unitary(spec, slots, n_cycles, dt, SFQ_CLOCK_PERIOD)
+            err = projected_fidelity(u, target).error
+            if err < best[0]:
+                best = (err, slots, dt)
     if best[1] is None:
         raise BitstreamDesignError("no pulse pattern found within the window scan")
     return best
+
+
+def train_error(spec, slots, n_cycles, tip, target):
+    """Projected error of one train, simulated on its own."""
+    u = pulse_train_unitary(spec, slots, n_cycles, tip, SFQ_CLOCK_PERIOD)
+    return projected_fidelity(u, target).error
+
+
+def golden_tip_angle(spec, slots, n_cycles, lo, hi, target, iters=32):
+    """(err, tip) of ``iters`` sequential golden-section steps, then the midpoint."""
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1 = train_error(spec, slots, n_cycles, x1, target)
+    f2 = train_error(spec, slots, n_cycles, x2, target)
+    for _ in range(iters):
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = train_error(spec, slots, n_cycles, x1, target)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = train_error(spec, slots, n_cycles, x2, target)
+    x = 0.5 * (a + b)
+    return train_error(spec, slots, n_cycles, x, target), x
+
+
+def checked_golden(log):
+    """``golden_tip_angle`` that also runs ``_golden_tip_angle`` and appends to ``log``
+    one line per call, None where the two return the same (err, tip) bit for bit."""
+    def golden(spec, slots, n_cycles, lo, hi, target, iters=32):
+        want = golden_tip_angle(spec, slots, n_cycles, lo, hi, target, iters)
+        got = _golden_tip_angle(spec, slots, n_cycles, lo, hi, target, iters)
+        log.append(None if got == want else f"golden ({got[0]!r}, {got[1]!r}) "
+                   f"vs ({want[0]!r}, {want[1]!r}), {iters} steps on [{lo!r}, {hi!r}]")
+        return want
+    return golden
+
+
+def move_blocks(kicks, pref, suf, i, js):
+    """2x2 blocks of the trains that move the pulse at cycle i to each empty cycle in js,
+    from the whole product of each train with j lit."""
+    lit = suf[js + 1] @ kicks[js] @ pref[js]
+    undo = kicks[i].conj().T
+    x = pref[i].conj().T @ undo @ pref[i]
+    w = suf[i + 1] @ undo @ suf[i + 1].conj().T
+    return np.where((js > i)[:, None, None], lit[:, :2] @ x[:, :2], w[:2] @ lit[:, :, :2])
 
 
 def scan_mismatch(spec, target, window_centres=(0.0,)) -> str | None:
@@ -97,13 +153,13 @@ def scan_mismatch(spec, target, window_centres=(0.0,)) -> str | None:
     return None
 
 
-def design(spec, target, window_centres=(0.0,)):
+def design(spec, target, window_centres=(0.0,), golden=golden_tip_angle):
     """(bits, tip angle, err) of the per-pattern scan and the per-candidate descent."""
     target = checked_target(target)
     design_spec = spec.with_drift(0.0)
     n_cycles = gate_length_cycles(spec.nominal_freq)
     _, slots, dt = window_scan(design_spec, target, window_centres, n_cycles)
-    err, dt = _golden_tip_angle(design_spec, slots, n_cycles, dt * 0.92, dt * 1.08, target)
+    err, dt = golden(design_spec, slots, n_cycles, dt * 0.92, dt * 1.08, target)
     bits = np.zeros(n_cycles, dtype=int)
     bits[np.asarray(slots, dtype=int)] = 1
 
@@ -128,23 +184,23 @@ def design(spec, target, window_centres=(0.0,)):
                 if err <= stop_at:
                     break
                 js = np.flatnonzero(bits == 0)
-                for j, block in zip(js, _move_blocks(kicks, pref, suf, i, js)):
+                for j, block in zip(js, move_blocks(kicks, pref, suf, i, js)):
                     e = scalar_error(block, target)
                     if e < err:
                         bits[i], bits[j] = 0, 1
                         err, improved = e, True
                         pref, suf = _prefix_suffix(kicks, bits)
                         break
-        err, dt = _golden_tip_angle(design_spec, np.flatnonzero(bits), n_cycles,
-                                    dt * 0.98, dt * 1.02, target, iters=24)
+        err, dt = golden(design_spec, np.flatnonzero(bits), n_cycles,
+                         dt * 0.98, dt * 1.02, target, iters=24)
         if err <= stop_at or not improved:
             break
     return tuple(int(b) for b in bits), float(dt), err
 
 
-def mismatch(spec, target, window_centres=(0.0,)) -> str | None:
+def mismatch(spec, target, window_centres=(0.0,), golden=golden_tip_angle) -> str | None:
     """How ``design_bitstream`` and the oracle disagree, or None if they agree."""
-    bits, tip, err = design(spec, target, window_centres)
+    bits, tip, err = design(spec, target, window_centres, golden)
     try:
         got = design_bitstream(spec, target, window_centres)
     except BitstreamDesignError as exc:
@@ -170,6 +226,7 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     targets = [haar_su2(rng) for _ in range(args.targets)]
     bad = bad_scans = checked = 0
+    goldens = []
     t0 = time.perf_counter()
     for freq in (6.21286e9, 4.14238e9):
         spec = TransmonSpec(nominal_freq=freq)
@@ -179,13 +236,19 @@ def main(argv=None) -> int:
             if scan_why is not None:
                 bad_scans += 1
                 print(f"{freq / 1e9:g} GHz haar{k}: {scan_why}", flush=True)
-            why = mismatch(spec, v, CENTRES)
+            log = []
+            why = mismatch(spec, v, CENTRES, checked_golden(log))
             if why is not None:
                 bad += 1
                 print(f"{freq / 1e9:g} GHz haar{k}: {why}", flush=True)
-    print(f"# {bad} of {checked} designs and {bad_scans} of {checked} stage-1 scans "
-          f"mismatched ({time.perf_counter() - t0:.0f} s)")
-    return 1 if bad or bad_scans else 0
+            for line in filter(None, log):
+                print(f"{freq / 1e9:g} GHz haar{k}: {line}", flush=True)
+            goldens += log
+    bad_goldens = sum(line is not None for line in goldens)
+    print(f"# {bad} of {checked} designs, {bad_scans} of {checked} stage-1 scans and "
+          f"{bad_goldens} of {len(goldens)} golden-section refinements mismatched "
+          f"({time.perf_counter() - t0:.0f} s)")
+    return 1 if bad or bad_scans or bad_goldens else 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,9 @@ from sfqctrl.bitstream import (
     BitstreamDesignError,
     _cycle_kicks,
     _flip_blocks,
+    _golden_tip_angle,
+    _lit_table,
+    _move,
     _move_blocks,
     _prefix_suffix,
     _prefixes,
@@ -261,7 +265,7 @@ def test_design_bitstream_rejects_bad_target(spec_hi, target):
 def test_design_bitstream_rejects_bad_window_centres(spec_hi, monkeypatch, centres):
     # bad input, not a design failure: the ValueError names the argument
     # and comes before any simulation
-    for name in ("pulse_train_unitary", "_train_stack", "_kick_eig"):
+    for name in ("pulse_train_unitary", "_train_stack", "sfq_kick"):
         monkeypatch.setattr(bitstream, name, None)
     with pytest.raises(ValueError, match="window_centres"):
         design_bitstream(spec_hi, ry(np.pi / 2), window_centres=centres)
@@ -298,12 +302,54 @@ def test_greedy_scores_match_whole_train(freq):
         flipped[i] ^= 1
         assert np.abs(got - block(flipped)).max() < 1e-12
     js = np.flatnonzero(bits == 0)
+    lit = _lit_table(kicks, pref, suf, js)
     for i in rng.choice(np.flatnonzero(bits[20:-20]) + 20, size=4, replace=False):
         assert js[0] < i < js[-1]
-        for j, got in zip(js, _move_blocks(kicks, pref, suf, i, js)):
+        blocks = _move_blocks(kicks, pref, suf, i, js, lit)
+        assert (blocks == design_oracle.move_blocks(kicks, pref, suf, i, js)).all()
+        for j, got in zip(js, blocks):
             moved = bits.copy()
             moved[i], moved[j] = 0, 1
             assert np.abs(got - block(moved)).max() < 1e-12
+
+
+@pytest.mark.parametrize("freq", [6.21286e9, 4.14238e9], ids=["6212MHz", "4142MHz"])
+def test_move_rebuilds_prefixes_and_suffixes_bit_for_bit(freq):
+    # after each move the partly rebuilt (pref, suf) equal a whole rebuild, and the
+    # move blocks from the new state's lit table equal the full-product formula
+    spec = TransmonSpec(nominal_freq=freq)
+    n = gate_length_cycles(freq)
+    kicks = _cycle_kicks(spec, n, 0.04)
+    bits = np.zeros(n, dtype=int)
+    bits[[0, 5, 17, 40, 41, 90, 150, n - 2]] = 1
+    pref, suf = _prefix_suffix(kicks, bits)
+    moves = [(17, 3), (40, 200), (0, n - 1), (n - 1, 0), (5, 1), (n - 2, n - 1), (41, 42),
+             (150, 149), (0, 120)]
+    for i, j in moves:
+        assert bits[i] and not bits[j]
+        _move(kicks, bits, pref, suf, i, j)
+        want_pref, want_suf = _prefix_suffix(kicks, bits)
+        assert (pref == want_pref).all() and (suf == want_suf).all()
+        js = np.flatnonzero(bits == 0)
+        lit = _lit_table(kicks, pref, suf, js)
+        for k in np.flatnonzero(bits):
+            assert (_move_blocks(kicks, pref, suf, k, js, lit)
+                    == design_oracle.move_blocks(kicks, pref, suf, k, js)).all()
+
+
+@pytest.mark.parametrize("freq, name", [(6.21286e9, "ry_6212MHz"), (4.14238e9, "ry_4142MHz")],
+                         ids=["6212MHz", "4142MHz"])
+@pytest.mark.parametrize("iters", [0, 1, 2, 3, 4, 24, 32])
+def test_golden_tip_angle_matches_the_sequential_search(freq, name, iters):
+    # speculative stacks walk the sequential search's points and comparisons
+    stream = json.loads(GOLDEN_STREAMS.read_text())["streams"][name]
+    spec = TransmonSpec(nominal_freq=freq)
+    slots = np.flatnonzero([int(c) for c in stream["bits"]])
+    n, tip = len(stream["bits"]), stream["tip_angle"]
+    for lo, hi in ((tip * 0.98, tip * 1.02), (tip * 0.92, tip * 1.08)):
+        want = design_oracle.golden_tip_angle(spec, slots, n, lo, hi, ry(np.pi / 2), iters)
+        got = _golden_tip_angle(spec, slots, n, lo, hi, ry(np.pi / 2), iters)
+        assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex())
 
 
 @pytest.mark.parametrize("freq", [6.21286e9, 4.14238e9], ids=["6212MHz", "4142MHz"])
@@ -318,6 +364,18 @@ def test_train_stack_matches_each_train(freq):
 
 
 @pytest.mark.parametrize("freq", [6.21286e9, 4.14238e9], ids=["6212MHz", "4142MHz"])
+def test_window_patterns_keep_every_pattern_at_the_parking_points(freq):
+    # no two windows give one slot set there, so nothing is dropped
+    spec = TransmonSpec(nominal_freq=freq)
+    n = gate_length_cycles(freq)
+    for centre in design_oracle.CENTRES:
+        want = list(design_oracle.patterns(spec, centre, n))
+        got = _window_patterns(spec, centre, n)
+        assert len(got) == len(want) == 23 * 11
+        assert all((a.tolist(), x) == (b.tolist(), y) for (a, x), (b, y) in zip(got, want))
+
+
+@pytest.mark.parametrize("freq", [6.21286e9, 4.14238e9], ids=["6212MHz", "4142MHz"])
 def test_window_scan_picks_the_per_pattern_choice(freq, haar_su2):
     spec = TransmonSpec(nominal_freq=freq)
     assert design_oracle.scan_mismatch(spec, ry(np.pi / 2), (0.0,)) is None
@@ -327,20 +385,16 @@ def test_window_scan_picks_the_per_pattern_choice(freq, haar_su2):
 
 def test_window_scan_resolves_exact_ties_to_the_first_pattern(monkeypatch):
     # at 3.125 GHz the phase steps by pi/4 a cycle, so the windows below and
-    # above pi/4 each give one slot set: 13 and 10 copies of every pattern,
-    # scored bit for bit alike
+    # above pi/4 each give one slot set: the visiting order holds 13 and 10
+    # copies of every pattern, and the scan simulates only the first of each
     spec = TransmonSpec(nominal_freq=3.125e9)
     n = gate_length_cycles(spec.nominal_freq)
     patterns = _window_patterns(spec, 0.0, n)
+    copies = Counter((tuple(slots), tip) for slots, tip in design_oracle.patterns(spec, 0.0, n))
+    assert sorted(copies.values()) == [10] * 11 + [13] * 11
+    assert [(tuple(slots), tip) for slots, tip in patterns] == list(copies)
     errs = projected_errors(_train_stack(spec, patterns, n), ry(np.pi / 2))
-    twins = {}
-    for k, (slots, tip) in enumerate(patterns):
-        twins.setdefault((tuple(slots), tip), []).append(k)
-    assert sorted(len(ks) for ks in twins.values()) == [10] * 11 + [13] * 11
-    for ks in twins.values():
-        assert (errs[ks] == errs[ks[0]]).all()
-    best = int(np.argmin(errs))
-    assert best == min(next(ks for ks in twins.values() if best in ks))
+    assert len(set(errs.tolist())) == len(patterns) == 22
     assert design_oracle.scan_mismatch(spec, ry(np.pi / 2), (0.0,)) is None
     # when every pattern of every centre ties, the first of the first centre wins
     monkeypatch.setattr(bitstream, "projected_errors", lambda blocks, target: np.zeros(len(blocks)))

@@ -209,6 +209,42 @@ def test_pulse_train_unitarity_many_random():
         assert unitarity_defect(u) < 1e-8
 
 
+def _one_train(spec, slots, n, tip, clock_period):
+    """One train, one pulse at a time, from a kick built with ``np.diag``."""
+    energies = level_energies(spec.actual_freq, spec.anharmonicity, spec.levels)
+    lam, v = np.linalg.eig(annihilation(spec.levels).conj().T - annihilation(spec.levels))
+    kick = v @ np.diag(np.exp(0.5 * tip * lam)) @ np.linalg.inv(v)
+    u, prev = np.eye(spec.levels, dtype=complex), 0
+    for s in slots:
+        if s > prev:
+            u = (np.exp(-1j * energies * (s - prev) * clock_period)[:, None]) * u
+        u = kick @ u
+        prev = s
+    return (np.exp(1j * energies * prev * clock_period)[:, None]) * u
+
+
+def test_pulse_train_stack_equals_each_scalar_train_bit_for_bit():
+    # an array of tip angles walks the slots once; each slice is the scalar
+    # call, and the scalar call is the per-pulse product of one kick
+    rng = np.random.default_rng(11)
+    for levels, freq in ((6, 6.21286e9), (6, 4.14238e9), (3, 5.1e9)):
+        spec = TransmonSpec(nominal_freq=freq, levels=levels, drift=2.5e6)
+        for _ in range(25):
+            n = int(rng.integers(1, 301))
+            slots = np.sort(rng.choice(n, size=int(rng.integers(0, min(n, 70) + 1)),
+                                       replace=False))
+            tips = rng.uniform(0.0, 0.2, int(rng.integers(1, 9)))
+            stack = pulse_train_unitary(spec, slots, n, tips, 40e-12)
+            assert stack.shape == (len(tips), levels, levels)
+            for tip, got in zip(tips, stack):
+                one = pulse_train_unitary(spec, slots, n, float(tip), 40e-12)
+                assert one.shape == (levels, levels)
+                assert (got == one).all()
+                assert (one == _one_train(spec, slots, n, float(tip), 40e-12)).all()
+            kicks = sfq_kick(spec, tips)
+            assert all((k == sfq_kick(spec, float(t))).all() for t, k in zip(tips, kicks))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(4e9, 7e9), st.floats(0.001, 0.2))
 def test_kick_pair_identity_property(freq, theta):
