@@ -285,19 +285,29 @@ def _cycle_kicks(spec: TransmonSpec, n_cycles: int, tip_angle: float) -> np.ndar
 
 
 def _prefixes(kicks: np.ndarray, bits, start: int, pref: np.ndarray) -> np.ndarray:
-    """Kick products of the pulses before cycles start..n; ``pref`` is the one before start."""
-    out = [pref]
-    for i in range(start, len(bits)):
-        out.append(kicks[i] @ out[-1] if bits[i] else out[-1])
-    return np.array(out)
+    """Kick products of the pulses before cycles start..n; ``pref`` is the one before start.
+
+    One product per lit cycle, in cycle order; a dark cycle repeats the product
+    of the last lit cycle before it.
+    """
+    lit = np.asarray(bits[start:]) != 0
+    prods = [pref]
+    for i in np.flatnonzero(lit) + start:
+        prods.append(kicks[i] @ prods[-1])
+    return np.array(prods)[np.concatenate([[0], np.cumsum(lit)])]
 
 
 def _suffixes(kicks: np.ndarray, bits, stop: int, suf: np.ndarray) -> np.ndarray:
-    """Kick products of the pulses from cycles 0..stop on; ``suf`` is the one from stop on."""
-    out = [suf]
-    for i in range(stop - 1, -1, -1):
-        out.append(out[-1] @ kicks[i] if bits[i] else out[-1])
-    return np.array(out[::-1])
+    """Kick products of the pulses from cycles 0..stop on; ``suf`` is the one from stop on.
+
+    One product per lit cycle, from the last back; a dark cycle repeats the
+    product of the first lit cycle after it.
+    """
+    lit = np.asarray(bits[:stop]) != 0
+    prods = [suf]
+    for i in np.flatnonzero(lit)[::-1]:
+        prods.append(prods[-1] @ kicks[i])
+    return np.array(prods)[np.concatenate([np.cumsum(lit[::-1])[::-1], [0]])]
 
 
 def _prefix_suffix(kicks: np.ndarray, bits) -> tuple[np.ndarray, np.ndarray]:

@@ -32,8 +32,10 @@ styles are supported:
           of depth, stopped at the first depth within the budget:
           exhaustively up to 12 cycles (two symbols) or 6 (more), then
           by a radius-limited meet-in-the-middle search over two stored
-          halves, one ball query serving the two depths that split off
-          each first-half length.  Stored streams are designed against
+          halves: the second halves in a closed quaternion ball of radius
+          r around each first half's wanted match, found by growing
+          k-nearest queries, serve the two depths that split off each
+          first-half length.  Stored streams are designed against
           D^dag-compensated targets so their steps equal the advertised
           gates at zero drift.
 
@@ -46,7 +48,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -459,6 +460,8 @@ class _Ball(NamedTuple):
     tree holds +-q of the valid words of length a (points below ``split``)
     and of length a + 1 (the rest, absent when a + 1 exceeds the half
     cap); point i belongs to word ``owners[i]`` of its length.
+    ``_MinEngine._pair_keys`` finds its points in closed balls of radius r
+    by growing k-nearest queries.
     """
 
     tree: object
@@ -467,6 +470,7 @@ class _Ball(NamedTuple):
 
 
 _RESCORE_SLICE = 65536  # (first, second) pairs rescored per slice
+_KNN = 8  # neighbours a first k-nearest query asks of each first half
 
 
 def _pair_blocks(keys: np.ndarray, n_second: int, cols: np.ndarray, rows: np.ndarray):
@@ -501,18 +505,19 @@ class _MinEngine:
     6 for more) are scored exhaustively (vectorized six-level products).
     Every deeper depth, for any alphabet, is a meet-in-the-middle stage:
     the depth is split into a first half of a = depth // 2 cycles and a
-    second half of the rest, a quaternion nearest-neighbour query on their
-    projected blocks proposes (first, second) pairs, and every pair is
-    rescored exactly with the six-level word products (E = P W2 W1 P =
-    (P W2)(W1 P), associativity making the rescoring exact).  One ball
-    query per first-half length a, against one KD-tree of the second
-    halves of lengths a and a + 1, serves depths 2a and 2a+1, and the
-    walk (``_depths``) keeps its hits only while it scores them.  The
-    pairs of one depth are rescored as one batch sorted by their (first,
-    second) key, one matrix product per first half, so the lowest key
-    among the lowest errors wins.  The word tables of the halves stop at
-    ``half_cap`` cycles (14 for two symbols, 7 for more), which bounds the
-    depth a search can reach.  The engine holds only target-independent
+    second half of the rest, the second halves whose quaternions lie in a
+    closed ball of radius r around each first half's wanted match are
+    proposed as (first, second) pairs, and every pair is rescored exactly
+    with the six-level word products (E = P W2 W1 P = (P W2)(W1 P),
+    associativity making the rescoring exact).  One set of balls per
+    first-half length a, from growing k-nearest queries on one KD-tree of
+    the second halves of lengths a and a + 1, serves depths 2a and 2a+1,
+    and the walk (``_depths``) keeps its hits only while it scores them.
+    The pairs of one depth are rescored as one batch sorted by their
+    (first, second) key, one matrix product per first half, so the lowest
+    key among the lowest errors wins.  The word tables of the halves stop
+    at ``half_cap`` cycles (14 for two symbols, 7 for more), which bounds
+    the depth a search can reach.  The engine holds only target-independent
     tables and ``decompose_min``'s results.
     """
 
@@ -591,10 +596,11 @@ class _MinEngine:
         """Yield the best (err, word) of each depth 0..last, in order, lazily.
 
         Depths up to ``exh_cap`` score every word.  Past it, one
-        ``_pair_keys`` query per first-half length a gives the pairs of
-        depths 2a and 2a+1; each share is dropped once scored, so the walk
-        holds at most one query's keys, and a consumer that stops at 2a
-        never rescores 2a+1.  A depth with no pair yields (inf, ()).
+        ``_pair_keys`` call per first-half length a gives the pairs of
+        depths 2a and 2a+1, those in the closed balls of radius
+        ``radius``; each share is dropped once scored, so the walk holds at
+        most one call's keys, and a consumer that stops at 2a never
+        rescores 2a+1.  A depth with no pair yields (inf, ()).
         """
         for depth in range(min(last, self.exh_cap) + 1):
             errs = _fixed_errors(self._word_table(depth).products[:, :2, :2], v)
@@ -612,24 +618,34 @@ class _MinEngine:
                 del keys
 
     def _pair_keys(self, vq, a, radius):
-        """[depth 2a's, depth 2a+1's] unsorted pair keys from one ball query.
+        """[depth 2a's, depth 2a+1's] unsorted pair keys of one closed ball per first half.
 
-        The wanted second half of a first half W1 is W2 ~ V W1^-1, so one
-        ball query around vq * conj(q1) per first half of length a, in the
-        tree of both second-half lengths, proposes the pairs of both
-        depths (2a+1's are empty at a = ``half_cap``).  A key is first *
-        n_second + second, n_second the number of words of the second
-        half's length.
+        The wanted second half of a first half W1 is W2 ~ V W1^-1, so the
+        closed ball of radius ``radius`` around vq * conj(q1) per first
+        half of length a, in the tree of both second-half lengths,
+        proposes the pairs of both depths (2a+1's are empty at a =
+        ``half_cap``).  The balls come from k-nearest queries bounded by
+        the radius, k = ``_KNN`` (8) at first: a row whose k-th neighbour
+        still lies in its ball may hold more, so those rows are asked
+        again with 4k until no row is full.  A key is first * n_second +
+        second, n_second the number of words of the second half's length.
         """
         first, ball = self._word_table(a), self._ball(a)
         q1_inv = first.q * np.array([1.0, -1.0, -1.0, -1.0])  # unit quaternion: conj
-        hits = ball.tree.query_ball_point(_quat_mul(vq[None, :], q1_inv), r=radius,
-                                          return_sorted=False)
-        counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
-        points = np.fromiter(chain.from_iterable(hits), dtype=np.intp,
-                             count=int(counts.sum()))
-        del hits
-        firsts = np.repeat(first.valid, counts)
+        x, rows, k = _quat_mul(vq[None, :], q1_inv), first.valid, _KNN
+        firsts, points = [], []
+        while True:
+            d, i = ball.tree.query(x, k, distance_upper_bound=np.nextafter(radius, np.inf))
+            hit = d.reshape(rows.size, k) <= radius  # k = 1 drops the last axis
+            full = hit[:, -1]
+            r, c = np.nonzero(hit & ~full[:, None])
+            firsts.append(rows[r])
+            points.append(i.reshape(rows.size, k)[r, c])
+            del d, i, hit, r, c  # before the next, wider query
+            if not full.any():
+                break
+            x, rows, k = x[full], rows[full], 4 * k
+        firsts, points = np.concatenate(firsts), np.concatenate(points)
         owners = ball.owners[points]
         odd = points >= ball.split
         n_even = self.n_sym ** a
@@ -747,9 +763,10 @@ def decompose_min(
     Returns the shortest word with error <= ``err_budget``, otherwise the
     best word scored, flagged.  That is every word up to 12 cycles (6 for
     three or four symbols), but deeper only the (first half, second half)
-    pairs a quaternion ball of radius max(0.05, 3.5*sqrt(1.5*err_budget))
-    proposed, so a flagged word is the best pair the radius found, not
-    the best word up to ``max_depth``.  The radius is empirical.
+    pairs whose quaternions lie in a closed ball of radius
+    max(0.05, 3.5*sqrt(1.5*err_budget)) around the first half's wanted
+    match, so a flagged word is the best pair the radius found, not the
+    best word up to ``max_depth``.  The radius is empirical.
     ``residual_phase`` carries the frame-reconciliation phase (word length
     times the cycle phase) the compiler folds downstream; it is
     bookkeeping, not error.

@@ -11,7 +11,8 @@ step.  ``design`` runs the scan, the refinement, then the descent
 flip and every move candidate built and scored on its own with the
 scalar projected-fidelity formula (``np.trace`` and ``abs(...) ** 2``),
 the move candidates from the full product ``move_blocks`` and the
-prefixes and suffixes rebuilt whole after each move, in the same
+prefixes and suffixes rebuilt whole by the per-cycle loop
+``prefix_suffix`` after each move, in the same
 visiting order, taking each candidate whose error is strictly lower.  It
 returns (bits, tip angle, err) instead of raising, so the tests compare
 ``design_bitstream`` against it in both outcomes.  Run as a script to
@@ -42,7 +43,6 @@ from sfqctrl.bitstream import (
     BitstreamDesignError,
     _cycle_kicks,
     _golden_tip_angle,
-    _prefix_suffix,
     _window_scan,
     design_bitstream,
     gate_length_cycles,
@@ -132,6 +132,28 @@ def checked_golden(log):
     return golden
 
 
+def prefixes(kicks, bits, start, pref):
+    """``_prefixes`` stepped through every cycle, a dark cycle copying the product before it."""
+    out = [pref]
+    for i in range(start, len(bits)):
+        out.append(kicks[i] @ out[-1] if bits[i] else out[-1])
+    return np.array(out)
+
+
+def suffixes(kicks, bits, stop, suf):
+    """``_suffixes`` stepped back through every cycle, a dark cycle copying the product after it."""
+    out = [suf]
+    for i in range(stop - 1, -1, -1):
+        out.append(out[-1] @ kicks[i] if bits[i] else out[-1])
+    return np.array(out[::-1])
+
+
+def prefix_suffix(kicks, bits):
+    """``_prefix_suffix`` from the per-cycle loops."""
+    eye = np.eye(kicks.shape[1], dtype=complex)
+    return prefixes(kicks, bits, 0, eye), suffixes(kicks, bits, len(bits), eye)
+
+
 def move_blocks(kicks, pref, suf, i, js):
     """2x2 blocks of the trains that move the pulse at cycle i to each empty cycle in js,
     from the whole product of each train with j lit."""
@@ -167,7 +189,7 @@ def design(spec, target, window_centres=(0.0,), golden=golden_tip_angle):
     for _ in range(_POLISH_SWEEPS):
         improved = False
         kicks = _cycle_kicks(design_spec, n_cycles, dt)
-        _, suf = _prefix_suffix(kicks, bits)
+        _, suf = prefix_suffix(kicks, bits)
         pref, n_on = np.eye(design_spec.levels, dtype=complex), int(bits.sum())
         for i in range(n_cycles):
             if not (bits[i] and n_on == 1):
@@ -179,7 +201,7 @@ def design(spec, target, window_centres=(0.0,), golden=golden_tip_angle):
             if bits[i]:
                 pref = kicks[i] @ pref
         if err > stop_at:
-            pref, suf = _prefix_suffix(kicks, bits)
+            pref, suf = prefix_suffix(kicks, bits)
             for i in np.flatnonzero(bits):
                 if err <= stop_at:
                     break
@@ -189,7 +211,7 @@ def design(spec, target, window_centres=(0.0,), golden=golden_tip_angle):
                     if e < err:
                         bits[i], bits[j] = 0, 1
                         err, improved = e, True
-                        pref, suf = _prefix_suffix(kicks, bits)
+                        pref, suf = prefix_suffix(kicks, bits)
                         break
         err, dt = golden(design_spec, np.flatnonzero(bits), n_cycles,
                          dt * 0.98, dt * 1.02, target, iters=24)

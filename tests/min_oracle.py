@@ -1,4 +1,4 @@
-"""Per-first-half meet-in-the-middle loop: the oracle for the batched min search.
+"""Oracles for the min search: the per-first-half loop, the ball query and every pair.
 
 ``loop_mitm_depth`` is the search the min engine made at one depth before
 it rescored a whole depth as one sorted batch: it builds its own
@@ -8,8 +8,11 @@ distinct second halves its ball query found and keeps a first half's
 best only when it is strictly lower than the running best.  The tests
 compare each depth that the engine's lazy walk ``_MinEngine._depths``
 yields against it (the walk starts at depth 0, so they skip its
-exhaustive depths).  Run as a script for the full comparison on the min
-equality set:
+exhaustive depths).  ``ball_pair_keys`` is ``_MinEngine._pair_keys``
+from one ``query_ball_point`` list per first half, the pair set the
+growing k-nearest queries must equal as a multiset.  ``exhaustive_depth``
+scores every (first, second) pair of one depth, with no radius.  Run as a
+script for the full comparison on the min equality set:
 
     PYTHONPATH=src python3 tests/min_oracle.py
 
@@ -18,7 +21,9 @@ which calibrates BS=2 groups from the frozen ``min_*`` streams at drifts
 Z, S at each (280 gates), runs one walk per gate over the
 meet-in-the-middle depths 13..28 at the default budget's radius,
 compares every depth it yields with the loop, and prints the number of
-mismatched gates per depth.
+mismatched gates per depth; it also compares the pair keys of every
+first-half length 6..14 with ``ball_pair_keys`` and prints the number of
+gates with a multiset mismatch at any length.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import argparse
 import json
 import sys
 import time
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +84,61 @@ def loop_mitm_depth(eng, v, vq, depth, radius=RADIUS):
     return best_err, best_word
 
 
+def exhaustive_depth(eng, v, depth, chunk=128):
+    """(err, word) of the best of every (first, second) pair at ``depth``, no radius.
+
+    First halves of a = depth // 2 cycles, second halves of the rest; each
+    chunk of first halves is one ``rows @ cols`` product against all second
+    halves, scored as 1 - (|E|^2 + |tr V^dag E|^2) / 6.  The lowest error
+    wins, and among equal errors the lowest (first, second) index.
+    """
+    a, b = depth // 2, depth - depth // 2
+    cols = eng._word_table(a).products[:, :, :2]  # W1 @ P, (n1, 6, 2)
+    rows = eng._word_table(b).products[:, :2]  # P @ W2, (n2, 2, 6)
+    n2 = len(rows)
+    best = (np.inf, ())
+    for lo in range(0, len(cols), chunk):
+        c = cols[lo:lo + chunk]
+        blocks = (rows.reshape(2 * n2, -1) @ c.transpose(1, 0, 2).reshape(c.shape[1], -1))
+        blocks = blocks.reshape(n2, 2, len(c), 2).transpose(2, 0, 1, 3)  # [first, second]
+        norm2 = np.sum(np.abs(blocks) ** 2, axis=(2, 3))
+        errs = 1.0 - (norm2 + np.abs(np.einsum("ij,fsij->fs", v.conj(), blocks)) ** 2) / 6.0
+        qi, w2 = np.unravel_index(np.argmin(errs), errs.shape)
+        if errs[qi, w2] < best[0]:
+            best = (float(errs[qi, w2]),
+                    eng.word_digits(lo + int(qi), a) + eng.word_digits(int(w2), b))
+    return best
+
+
+def ball_pair_keys(eng, vq, a, radius=RADIUS):
+    """``_MinEngine._pair_keys`` from one ``query_ball_point`` list per first half.
+
+    The same [depth 2a's, depth 2a+1's] keys, first * n_second + second,
+    on the engine's own ``_Ball`` tree, in the order the lists give them.
+    """
+    first, ball = eng._word_table(a), eng._ball(a)
+    q1_inv = first.q * np.array([1.0, -1.0, -1.0, -1.0])
+    hits = ball.tree.query_ball_point(_quat_mul(vq[None, :], q1_inv), r=radius,
+                                      return_sorted=False)
+    counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    points = np.fromiter(chain.from_iterable(hits), dtype=np.intp, count=int(counts.sum()))
+    firsts = np.repeat(first.valid, counts)
+    owners = ball.owners[points]
+    odd = points >= ball.split
+    n_even = eng.n_sym ** a
+    return [firsts[~odd] * n_even + owners[~odd],
+            firsts[odd] * (n_even * eng.n_sym) + owners[odd]]
+
+
+def pair_key_mismatches(eng, vq, a_range, radius=RADIUS):
+    """The first-half lengths a whose ``_pair_keys`` shares differ from ``ball_pair_keys``'s
+    as multisets."""
+    return [a for a in a_range
+            if not all(np.array_equal(np.sort(got), np.sort(want)) for got, want in
+                       zip(eng._pair_keys(vq, a, radius), ball_pair_keys(eng, vq, a, radius),
+                           strict=True))]
+
+
 def target_quaternion(v):
     """The SU(2) quaternion ``_MinEngine.search`` queries with for target ``v``."""
     return _su2_quaternions(v[None])[0][0]
@@ -114,7 +174,7 @@ def main(argv=None) -> int:
     gates = [(f"haar{k}", haar_su2(rng)) for k in range(args.targets)] + list(NAMED.items())
     depths = range(13, 29)
     bad = dict.fromkeys(depths, 0)
-    checked = 0
+    checked = bad_keys = 0
     t0 = time.perf_counter()
     for drift in DRIFTS:
         eng = calibrate_qubit(spec.with_drift(drift), streams, arch="min").min_engine
@@ -128,11 +188,17 @@ def main(argv=None) -> int:
                     bad[depth] += 1
                     print(f"drift {drift / 1e6:+.0f} MHz {name} depth {depth}: "
                           f"{got} vs {want}", flush=True)
+            lengths = pair_key_mismatches(eng, vq, range(depths[0] // 2, depths[-1] // 2 + 1))
+            if lengths:
+                bad_keys += 1
+                print(f"drift {drift / 1e6:+.0f} MHz {name}: pair keys differ at first-half "
+                      f"lengths {lengths}", flush=True)
         print(f"# drift {drift / 1e6:+.0f} MHz done: {checked} gates, "
               f"{time.perf_counter() - t0:.0f} s", flush=True)
     for depth, n_bad in bad.items():
         print(f"depth {depth}: {n_bad} of {checked} gates mismatched")
-    return 1 if any(bad.values()) else 0
+    print(f"pair keys: {bad_keys} of {checked} gates mismatched")
+    return 1 if bad_keys or any(bad.values()) else 0
 
 
 if __name__ == "__main__":

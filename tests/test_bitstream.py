@@ -23,6 +23,7 @@ from sfqctrl.bitstream import (
     _move_blocks,
     _prefix_suffix,
     _prefixes,
+    _suffixes,
     _train_stack,
     _window_patterns,
     _window_scan,
@@ -315,8 +316,9 @@ def test_greedy_scores_match_whole_train(freq):
 
 @pytest.mark.parametrize("freq", [6.21286e9, 4.14238e9], ids=["6212MHz", "4142MHz"])
 def test_move_rebuilds_prefixes_and_suffixes_bit_for_bit(freq):
-    # after each move the partly rebuilt (pref, suf) equal a whole rebuild, and the
-    # move blocks from the new state's lit table equal the full-product formula
+    # after each move the partly rebuilt (pref, suf) equal a whole rebuild by the
+    # per-cycle loop, and the move blocks from the new state's lit table equal the
+    # full-product formula
     spec = TransmonSpec(nominal_freq=freq)
     n = gate_length_cycles(freq)
     kicks = _cycle_kicks(spec, n, 0.04)
@@ -328,13 +330,33 @@ def test_move_rebuilds_prefixes_and_suffixes_bit_for_bit(freq):
     for i, j in moves:
         assert bits[i] and not bits[j]
         _move(kicks, bits, pref, suf, i, j)
-        want_pref, want_suf = _prefix_suffix(kicks, bits)
+        want_pref, want_suf = design_oracle.prefix_suffix(kicks, bits)
         assert (pref == want_pref).all() and (suf == want_suf).all()
         js = np.flatnonzero(bits == 0)
         lit = _lit_table(kicks, pref, suf, js)
         for k in np.flatnonzero(bits):
             assert (_move_blocks(kicks, pref, suf, k, js, lit)
                     == design_oracle.move_blocks(kicks, pref, suf, k, js)).all()
+
+
+def test_prefixes_and_suffixes_equal_the_per_cycle_loop():
+    # one product per lit cycle, dark cycles filled by index, must give the per-cycle
+    # loop's arrays bit for bit, whole and from every cut, the edges included
+    spec = TransmonSpec(nominal_freq=6.21286e9)
+    n = gate_length_cycles(6.21286e9)
+    kicks = _cycle_kicks(spec, n, 0.04)
+    eye = np.eye(spec.levels, dtype=complex)
+    for lit_edges in ((1, 0, 1), (0, 1, 0)):
+        bits = (np.random.default_rng(3).random(n) < 0.2).astype(int)
+        bits[[0, 1, n - 1]] = lit_edges
+        pref, suf = _prefix_suffix(kicks, bits)
+        assert (pref == design_oracle.prefixes(kicks, bits, 0, eye)).all()
+        assert (suf == design_oracle.suffixes(kicks, bits, n, eye)).all()
+        for cut in (0, 1, 2, 97, n - 1, n):
+            assert (_prefixes(kicks, bits, cut, pref[cut])
+                    == design_oracle.prefixes(kicks, bits, cut, pref[cut])).all()
+            assert (_suffixes(kicks, bits, cut, suf[cut])
+                    == design_oracle.suffixes(kicks, bits, cut, suf[cut])).all()
 
 
 @pytest.mark.parametrize("freq, name", [(6.21286e9, "ry_6212MHz"), (4.14238e9, "ry_4142MHz")],

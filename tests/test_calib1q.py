@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from min_oracle import RADIUS, leakage, loop_mitm_depth, target_quaternion
+from min_oracle import (RADIUS, exhaustive_depth, leakage, loop_mitm_depth, pair_key_mismatches,
+                        target_quaternion)
 from opt_oracle import DRIFTS, FOLDS, mismatches
 from sfqctrl import calib1q
 from sfqctrl.bitstream import Bitstream
@@ -642,6 +643,60 @@ def test_min_walk_queries_once_per_first_half(golden, spec_hi, monkeypatch, v, b
     assert not dec.flagged and dec.depth == depth
     assert queried == list(range(6, depth // 2 + 1))
     assert scored == list(range(13, depth + 1))
+
+
+@pytest.mark.parametrize("knn", [None, 2])
+def test_pair_keys_equal_the_ball_query(mitm_cals, haar_su2, monkeypatch, knn):
+    # the growing k-nearest queries must find every point of each closed ball, q and -q
+    # twins included: H at zero drift is dense (up to 243 points per first half), the
+    # +12 MHz Haar target (the third seeded draw) finds none, and k = 2 takes several
+    # growth rounds, with first halves of exactly 2, 8 and 32 points
+    if knn is not None:
+        monkeypatch.setattr(calib1q, "_KNN", knn)
+    rng = np.random.default_rng(5)
+    haar = [haar_su2(rng) for _ in range(3)]
+    cases = [(0.0, H, range(6, 15)), (6e6, haar[0], range(6, 15)),
+             (12e6, haar[2], range(6, 15)), ("min4", H, range(3, 8))]
+    for cal, v, a_range in cases:
+        eng, vq = mitm_cals[cal].min_engine, target_quaternion(v)
+        assert pair_key_mismatches(eng, vq, a_range) == [], cal
+    eng, vq = mitm_cals[0.0].min_engine, target_quaternion(H)
+    sizes = set()
+    for a in range(6, 15):
+        q1_inv = eng._word_table(a).q * np.array([1.0, -1.0, -1.0, -1.0])
+        sizes.update(eng._ball(a).tree.query_ball_point(
+            calib1q._quat_mul(vq[None, :], q1_inv), r=RADIUS, return_length=True).tolist())
+    assert {2, 8, 32} <= sizes and max(sizes) == 243
+    eng = mitm_cals[12e6].min_engine
+    assert not any(k.size for a in range(6, 15)
+                   for k in eng._pair_keys(target_quaternion(haar[2]), a, RADIUS))
+
+
+def _nudged_polar(eng, rng, length):
+    """The unitary polar part of a random ``length``-cycle word, turned by 0.01 rad
+    about a random axis in the xy plane."""
+    u, _, vh = np.linalg.svd(eng.word_block(rng.integers(eng.n_sym, size=length)))
+    phi = rng.uniform(0, 2 * np.pi)
+    return rz(phi) @ ry(0.01) @ rz(-phi) @ u @ vh
+
+
+@pytest.mark.parametrize("drift, seed, length", [(0.0, 0, 14), (6e6, 0, 17), (6e6, 1, 17)])
+def test_min_search_meets_the_budget_wherever_the_exhaustive_pass_does(
+        mitm_cals, drift, seed, length):
+    # beyond depth 12 the search only rescores pairs within its quaternion radius;
+    # at 1e-3 (radius 0.136) every depth 13..18 whose best of all pairs meets the
+    # budget must have a searched word that meets it too
+    budget = 1e-3
+    eng = mitm_cals[drift].min_engine
+    v = _nudged_polar(eng, np.random.default_rng(seed), length)
+    radius = max(0.05, 3.5 * np.sqrt(1.5 * budget))  # _MinEngine.search's
+    walk = islice(eng._depths(v, radius, 18), 13, None)
+    reached = []
+    for depth, (err, _) in zip(range(13, 19), walk, strict=True):
+        if exhaustive_depth(eng, v, depth)[0] <= budget:
+            reached.append(depth)
+            assert err <= budget, depth
+    assert reached
 
 
 @pytest.mark.parametrize("slice_pairs", [None, 64])
