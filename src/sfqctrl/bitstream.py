@@ -45,11 +45,12 @@ the error.  Prefixes are rebuilt past an accepted flip.  An accepted move
 i -> j rebuilds the prefixes from min(i, j), the suffixes up to max(i, j)
 and the table of trains with one empty cycle lit, which every move
 candidate of that state reads.  Stage 1 simulates all window patterns of
-a centre as one stack, each with its own kick, once per distinct slot
-set.  The golden-section tip-angle refinement walks the train once for
-a stack of tip angles: every point the next three steps can visit.  It
-then takes the branches the errors choose, so its comparisons and result
-are the sequential search's.
+a centre, once per distinct slot set, as one ``pulse_train_stack`` walk,
+so each pattern's error is its own train's bit for bit.  The
+golden-section tip-angle refinement walks the train once for a stack of
+tip angles: every point the next three steps can visit.  It then takes
+the branches the errors choose, so its comparisons and result are the
+sequential search's.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from sfqctrl.transmon import (
     checked_target,
     level_energies,
     projected_errors,
+    pulse_train_stack,
     pulse_train_unitary,
     ry,
     sfq_kick,
@@ -391,22 +393,6 @@ def _window_patterns(spec, centre, n_cycles):
             if len(slots) >= 8 for dt in (np.pi / 2) / len(slots) * np.linspace(0.85, 1.35, 11)]
 
 
-def _train_stack(spec, patterns, n_cycles):
-    """Anchored unitaries of the trains (slots, tip angle) as one stack: each train has
-    its own kick K, and one walk over the cycles left-multiplies the trains that pulse
-    at cycle s by F(s)^dag K F(s)."""
-    kicks = sfq_kick(spec, [tip for _, tip in patterns])
-    lit = np.zeros((len(patterns), n_cycles), dtype=bool)
-    for k, (slots, _) in enumerate(patterns):
-        lit[k, slots] = True
-    energies = level_energies(spec.actual_freq, spec.anharmonicity, spec.levels)
-    u = np.tile(np.eye(spec.levels, dtype=complex), (len(patterns), 1, 1))
-    for s in np.flatnonzero(lit.any(axis=0)):
-        f, on = np.exp(-1j * energies * s * SFQ_CLOCK_PERIOD), lit[:, s]
-        u[on] = (f.conj()[:, None] * kicks[on] * f) @ u[on]
-    return u
-
-
 def _window_scan(spec, target, centres, n_cycles):
     """Stage 1 of ``design_bitstream``: (err, slots, tip angle) of the best window
     pattern, the first lowest of a centre, replaced only by a strictly lower one."""
@@ -414,7 +400,8 @@ def _window_scan(spec, target, centres, n_cycles):
     for centre in centres:
         patterns = _window_patterns(spec, centre, n_cycles)
         if patterns:  # a centre whose windows never hold 8 pulses has none
-            errs = projected_errors(_train_stack(spec, patterns, n_cycles), target)
+            u = pulse_train_stack(spec, patterns, n_cycles, SFQ_CLOCK_PERIOD)
+            errs = projected_errors(u, target)
             k = int(np.argmin(errs))
             if errs[k] < best[0]:
                 best = (float(errs[k]), *patterns[k])

@@ -20,12 +20,20 @@ length ``T`` is reported as the *anchored* unitary
 with ``H0`` the free Hamiltonian at the qubit's actual (drifted)
 frequency.  In this frame free evolution is exactly the identity, so an
 idle clock cycle is error-free and a z-rotation arises only from shifting
-subsequent pulses in time.  The anchored train is therefore the ordered
-product of one conjugated kick per pulse,
+subsequent pulses in time.  ``pulse_train_stack`` is the one walker that
+simulates whole trains (calibration, and the bitstream design's stage-1
+scan and tip refinement): kick, free evolution exp(-i*H0*g*tau) over each
+gap of g cycles, kick, ..., then the diagonal exp(+i*H0*s*tau) that
+anchors the train at its last pulse s.  A train's unitary is therefore
+the same bit for bit in whichever stack it is walked.  Equivalently, the
+anchored train is the ordered product of one conjugated kick per pulse,
 
-    pulse_train_unitary = prod_s F(s)^dag K F(s),   F(s) = exp(-i*H0*s*tau),
+    prod_s F(s)^dag K F(s),   F(s) = exp(-i*H0*s*tau),
 
 later pulses on the left, with ``K`` the kick and ``s`` the pulse's cycle.
+The bitstream descent scores its candidates from these per-cycle kicks
+(``bitstream._cycle_kicks``); their product agrees with the walker within
+1e-12, not bit for bit.
 """
 
 from __future__ import annotations
@@ -115,10 +123,12 @@ def sfq_kick(spec: TransmonSpec, tip_angle: float | np.ndarray) -> np.ndarray:
 
     In the two-level truncation this is exactly ``Ry(tip_angle)``.  An
     array of tip angles gives a stack of kicks, each equal to the scalar
-    call bit for bit.
+    call bit for bit.  ValueError unless every tip angle is finite.
     """
-    lam, v, vi = _kick_eig(spec.levels)
     tips = np.asarray(tip_angle, dtype=float)
+    if not np.isfinite(tips).all():
+        raise ValueError(f"tip_angle must be finite, got {tips[~np.isfinite(tips)][0]}")
+    lam, v, vi = _kick_eig(spec.levels)
     d = np.zeros(tips.shape + (spec.levels, spec.levels), dtype=complex)
     k = np.arange(spec.levels)
     d[..., k, k] = np.exp(0.5 * tips[..., None] * lam)
@@ -148,6 +158,82 @@ def checked_target(target) -> np.ndarray:
     return v
 
 
+def pulse_train_stack(
+    spec: TransmonSpec,
+    trains: Sequence[tuple[Sequence[int], float]],
+    n_cycles: int,
+    clock_period: float,
+) -> np.ndarray:
+    """Anchored unitaries of SFQ pulse trains on one transmon, one per train.
+
+    Each train is a ``(pulse_slots, tip_angle)`` pair: a kick of that tip
+    angle fires at the start of each listed cycle, and the qubit evolves
+    freely otherwise.  The walk goes pulse by pulse: step j applies the
+    j-th kick of every train that still has one, after the free evolution
+    since that train's previous pulse.  The trains are walked in order of
+    decreasing pulse count, so the ones still pulsing are a leading slice,
+    and every gap's diagonal comes from one table of exp(-i*E*g*tau) over
+    the gaps g that occur.  Each train is then anchored at its last pulse,
+    which folds the trailing free evolution and the frame correction
+    ``exp(+i*H0*T)`` over the ``n_cycles`` window into one diagonal, with
+    ``H0`` at the actual (drifted) frequency.  A train equals its own
+    one-train walk bit for bit.
+
+    Raises
+    ------
+    ValueError
+        If ``clock_period`` is not finite and > 0, a tip angle is not
+        finite, or a train's slots are not integers, sorted, inside
+        [0, n_cycles).
+    """
+    if not (np.isfinite(clock_period) and clock_period > 0):
+        raise ValueError(f"clock_period must be finite and > 0, got {clock_period}")
+    order, counts, gaps = _walk_gaps([slots for slots, _ in trains], n_cycles)
+    kicks = sfq_kick(spec, [tip for _, tip in trains])[order]
+    energies = level_energies(spec.actual_freq, spec.anharmonicity, spec.levels)
+    g, at = np.unique(gaps, return_inverse=True)
+    steps = np.exp(-1j * energies * g[:, None] * clock_period)[at.reshape(gaps.shape).T]
+    u = np.tile(np.eye(spec.levels, dtype=complex), (len(order), 1, 1))
+    active = (counts > np.arange(gaps.shape[1])[:, None]).sum(axis=1)  # trains at step j
+    for j, n in enumerate(active):
+        u[:n] = kicks[:n] @ (steps[j, :n, :, None] * u[:n])
+    u = np.exp(1j * energies * gaps.sum(axis=1)[:, None] * clock_period)[:, :, None] * u
+    return u[np.argsort(order)]
+
+
+def _walk_gaps(slot_sets: Sequence[Sequence[int]], n_cycles: int):
+    """(order, counts, gaps) of the trains in walk order, most pulses first (ties in
+    the given order): each train's pulse count and its gaps s_j - s_(j-1), s_(-1) = 0,
+    one zero-padded row per train.  ValueError naming the first train whose slots are
+    not integers, sorted and inside [0, n_cycles)."""
+    def fault(k, rule):
+        return ValueError(f"pulse_slots of train {k} must be {rule}, got {slot_sets[k]!r}")
+
+    slots = [np.asarray(s) for s in slot_sets]
+    for k, s in enumerate(slots):
+        if s.ndim != 1 or s.size and s.dtype.kind not in "iuf":
+            raise fault(k, "integers")
+    counts = np.array([s.size for s in slots], dtype=int)
+    owner = np.repeat(np.arange(len(slots)), counts)
+    flat = np.concatenate([np.zeros(0, dtype=int), *slots])
+    fractional = ~(np.isfinite(flat) & (np.floor(flat) == flat))
+    if fractional.any():
+        raise fault(owner[fractional][0], "integers")
+    flat = flat.astype(int)
+    first = np.cumsum(counts) - counts  # where each train starts in flat
+    gap = np.diff(flat, prepend=0)
+    gap[first[counts > 0]] = flat[first[counts > 0]]
+    outside = (gap < 0) | (flat >= n_cycles)
+    if outside.any():
+        raise fault(owner[outside][0], f"sorted and lie inside the window [0, {n_cycles})")
+    order = np.argsort(-counts, kind="stable")
+    row = np.empty_like(order)
+    row[order] = np.arange(len(order))
+    gaps = np.zeros((len(slots), counts.max(initial=0)), dtype=int)
+    gaps[row[owner], np.arange(flat.size) - first[owner]] = gap
+    return order, counts[order], gaps
+
+
 def pulse_train_unitary(
     spec: TransmonSpec,
     pulse_slots: Sequence[int],
@@ -157,29 +243,14 @@ def pulse_train_unitary(
 ) -> np.ndarray:
     """Anchored unitary of an SFQ pulse train on one transmon.
 
-    A kick fires at the start of each cycle listed in ``pulse_slots``;
-    the qubit evolves freely otherwise.  The returned unitary carries the
-    frame correction ``exp(+i*H0*T)`` over the full ``n_cycles`` window,
-    with ``H0`` at the actual (drifted) frequency.  An array of tip angles
-    walks the slots once for a stack of trains, one per angle, each equal
-    to the scalar call bit for bit.
+    The :func:`pulse_train_stack` of the one slot set ``pulse_slots``: a
+    scalar tip angle gives one unitary, an array of tip angles one per
+    angle, each equal to the scalar call bit for bit.
     """
-    energies = level_energies(spec.actual_freq, spec.anharmonicity, spec.levels)
-    kick = sfq_kick(spec, tip_angle)
-    u = np.broadcast_to(np.eye(spec.levels, dtype=complex), kick.shape)
-    prev = 0
-    for s in pulse_slots:
-        if s < prev or s >= n_cycles:
-            raise ValueError("pulse slots must be sorted and lie inside the window")
-        gap = s - prev
-        if gap:
-            u = (np.exp(-1j * energies * gap * clock_period)[:, None]) * u
-        u = kick @ u
-        prev = s
-    # trailing free evolution to the end of the window, then frame correction;
-    # the two diagonals combine into the anchor phase at the last pulse time
-    u = (np.exp(1j * energies * prev * clock_period)[:, None]) * u
-    return u
+    tips = np.asarray(tip_angle, dtype=float)
+    u = pulse_train_stack(spec, [(pulse_slots, t) for t in tips.ravel()], n_cycles,
+                          clock_period)
+    return u.reshape(tips.shape + u.shape[1:])
 
 
 def projected_errors(blocks: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Per-pattern and per-candidate bitstream design: the oracle for the batched designer.
 
-``window_scan`` is the stage-1 scan ``design_bitstream`` ran before it
-simulated each centre's patterns as one stack: every (window, tip scale)
-pattern, repeated slot sets included, is its own ``pulse_train_unitary``
-train scored with ``projected_fidelity``, in the same visiting order,
-keeping each pattern whose error is strictly lower.  ``golden_tip_angle``
+``window_scan`` is the stage-1 scan as one loop over patterns: every
+(window, tip scale) pattern, repeated slot sets included, is its own
+``pulse_train_unitary`` train scored with ``projected_fidelity``, in the
+visiting order of ``_window_scan``, keeping each pattern whose error is
+strictly lower.  ``_window_scan`` walks each centre's patterns as one
+``pulse_train_stack``, so it must give the same (slots, tip) and the same
+error bit for bit.  ``golden_tip_angle``
 is the sequential golden-section tip refinement, one scalar train per
 step.  ``design`` runs the scan, the refinement, then the descent
 ``design_bitstream`` ran before it scored each pass as one batch: every
@@ -22,9 +24,9 @@ compare the two on seeded Haar targets:
 
 which designs each target at 6.21286 and 4.14238 GHz with the four
 window centres of the min designer and prints every design mismatch,
-every stage-1 scan whose (slots, tip) differs from ``_window_scan``'s and
-every golden-section refinement of the oracle's designs whose (err, tip)
-differs from ``_golden_tip_angle``'s.
+every stage-1 scan whose (slots, tip) or error differs from
+``_window_scan``'s and every golden-section refinement of the oracle's
+designs whose (err, tip) differs from ``_golden_tip_angle``'s.
 """
 
 from __future__ import annotations
@@ -165,13 +167,16 @@ def move_blocks(kicks, pref, suf, i, js):
 
 
 def scan_mismatch(spec, target, window_centres=(0.0,)) -> str | None:
-    """How ``_window_scan`` and ``window_scan`` disagree on (slots, tip), or None."""
+    """How ``_window_scan`` and ``window_scan`` disagree on (slots, tip) or, bit for
+    bit, on the stage-1 error, or None."""
     design_spec, n_cycles = spec.with_drift(0.0), gate_length_cycles(spec.nominal_freq)
-    _, slots, tip = window_scan(design_spec, target, window_centres, n_cycles)
-    _, got_slots, got_tip = _window_scan(design_spec, target, window_centres, n_cycles)
+    err, slots, tip = window_scan(design_spec, target, window_centres, n_cycles)
+    got_err, got_slots, got_tip = _window_scan(design_spec, target, window_centres, n_cycles)
     if (list(got_slots), got_tip) != (list(slots), tip):
         return f"scan picked {len(got_slots)} slots at tip {got_tip!r}, " \
                f"oracle {len(slots)} slots at tip {tip!r}"
+    if got_err.hex() != err.hex():
+        return f"scan error {got_err.hex()}, oracle {err.hex()}"
     return None
 
 
@@ -247,7 +252,7 @@ def main(argv=None) -> int:
 
     rng = np.random.default_rng(args.seed)
     targets = [haar_su2(rng) for _ in range(args.targets)]
-    bad = bad_scans = checked = 0
+    bad = bad_scans = bad_scan_errs = checked = 0
     goldens = []
     t0 = time.perf_counter()
     for freq in (6.21286e9, 4.14238e9):
@@ -257,6 +262,7 @@ def main(argv=None) -> int:
             scan_why = scan_mismatch(spec, v, CENTRES)
             if scan_why is not None:
                 bad_scans += 1
+                bad_scan_errs += scan_why.startswith("scan error")
                 print(f"{freq / 1e9:g} GHz haar{k}: {scan_why}", flush=True)
             log = []
             why = mismatch(spec, v, CENTRES, checked_golden(log))
@@ -267,7 +273,8 @@ def main(argv=None) -> int:
                 print(f"{freq / 1e9:g} GHz haar{k}: {line}", flush=True)
             goldens += log
     bad_goldens = sum(line is not None for line in goldens)
-    print(f"# {bad} of {checked} designs, {bad_scans} of {checked} stage-1 scans and "
+    print(f"# {bad} of {checked} designs, {bad_scans} of {checked} stage-1 scans "
+          f"({bad_scan_errs} on the error alone) and "
           f"{bad_goldens} of {len(goldens)} golden-section refinements mismatched "
           f"({time.perf_counter() - t0:.0f} s)")
     return 1 if bad or bad_scans or bad_goldens else 0

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import design_oracle
 from sfqctrl import bitstream
 from sfqctrl.transmon import (TransmonSpec, projected_errors, projected_fidelity,
-                              pulse_train_unitary, ry)
+                              pulse_train_stack, pulse_train_unitary, ry)
 from sfqctrl.bitstream import (
     DEFAULT_N_MAX,
     SFQ_CLOCK_PERIOD,
@@ -24,7 +24,6 @@ from sfqctrl.bitstream import (
     _prefix_suffix,
     _prefixes,
     _suffixes,
-    _train_stack,
     _window_patterns,
     _window_scan,
     design_bitstream,
@@ -266,7 +265,7 @@ def test_design_bitstream_rejects_bad_target(spec_hi, target):
 def test_design_bitstream_rejects_bad_window_centres(spec_hi, monkeypatch, centres):
     # bad input, not a design failure: the ValueError names the argument
     # and comes before any simulation
-    for name in ("pulse_train_unitary", "_train_stack", "sfq_kick"):
+    for name in ("pulse_train_unitary", "pulse_train_stack", "sfq_kick"):
         monkeypatch.setattr(bitstream, name, None)
     with pytest.raises(ValueError, match="window_centres"):
         design_bitstream(spec_hi, ry(np.pi / 2), window_centres=centres)
@@ -376,13 +375,13 @@ def test_golden_tip_angle_matches_the_sequential_search(freq, name, iters):
 
 @pytest.mark.parametrize("freq", [6.21286e9, 4.14238e9], ids=["6212MHz", "4142MHz"])
 def test_train_stack_matches_each_train(freq):
-    # every stage-1 pattern of one centre, simulated together, against its own train
+    # every stage-1 pattern of one centre, simulated together, equals its own train
     spec = TransmonSpec(nominal_freq=freq)
     n = gate_length_cycles(freq)
     patterns = _window_patterns(spec, 0.0, n)
     assert len(patterns) == 23 * 11
-    for (slots, tip), got in zip(patterns, _train_stack(spec, patterns, n)):
-        assert np.abs(got - pulse_train_unitary(spec, slots, n, tip, TAU)).max() < 1e-12
+    for (slots, tip), got in zip(patterns, pulse_train_stack(spec, patterns, n, TAU)):
+        assert (got == pulse_train_unitary(spec, slots, n, tip, TAU)).all()
 
 
 @pytest.mark.parametrize("freq", [6.21286e9, 4.14238e9], ids=["6212MHz", "4142MHz"])
@@ -415,7 +414,7 @@ def test_window_scan_resolves_exact_ties_to_the_first_pattern(monkeypatch):
     copies = Counter((tuple(slots), tip) for slots, tip in design_oracle.patterns(spec, 0.0, n))
     assert sorted(copies.values()) == [10] * 11 + [13] * 11
     assert [(tuple(slots), tip) for slots, tip in patterns] == list(copies)
-    errs = projected_errors(_train_stack(spec, patterns, n), ry(np.pi / 2))
+    errs = projected_errors(pulse_train_stack(spec, patterns, n, TAU), ry(np.pi / 2))
     assert len(set(errs.tolist())) == len(patterns) == 22
     assert design_oracle.scan_mismatch(spec, ry(np.pi / 2), (0.0,)) is None
     # when every pattern of every centre ties, the first of the first centre wins

@@ -11,6 +11,7 @@ from sfqctrl.transmon import (
     phase_gate,
     projected_errors,
     projected_fidelity,
+    pulse_train_stack,
     pulse_train_unitary,
     ry,
     rz,
@@ -224,7 +225,7 @@ def _one_train(spec, slots, n, tip, clock_period):
 
 
 def test_pulse_train_stack_equals_each_scalar_train_bit_for_bit():
-    # an array of tip angles walks the slots once; each slice is the scalar
+    # an array of tip angles is one stack of trains; each slice is the scalar
     # call, and the scalar call is the per-pulse product of one kick
     rng = np.random.default_rng(11)
     for levels, freq in ((6, 6.21286e9), (6, 4.14238e9), (3, 5.1e9)):
@@ -243,6 +244,70 @@ def test_pulse_train_stack_equals_each_scalar_train_bit_for_bit():
                 assert (one == _one_train(spec, slots, n, float(tip), 40e-12)).all()
             kicks = sfq_kick(spec, tips)
             assert all((k == sfq_kick(spec, float(t))).all() for t, k in zip(tips, kicks))
+    # ragged stacks: own slot sets and pulse counts, empty and one-pulse trains
+    # included, listed in no order of pulse count; the walk sorts them by count
+    for levels, freq in ((6, 6.21286e9), (6, 4.14238e9), (3, 5.1e9)):
+        spec = TransmonSpec(nominal_freq=freq, levels=levels, drift=-1.5e6)
+        for _ in range(10):
+            n = int(rng.integers(2, 301))
+            sizes = [0, 1, *rng.integers(0, min(n, 70) + 1, 6), 1, 0]
+            trains = [(np.sort(rng.choice(n, size=int(k), replace=False)),
+                       float(rng.uniform(0.0, 0.2))) for k in rng.permutation(sizes)]
+            trains.append(([0, 0, n - 1], 0.05))  # two kicks in one cycle
+            assert sorted(map(len, (s for s, _ in trains))) != [len(s) for s, _ in trains]
+            stack = pulse_train_stack(spec, trains, n, 40e-12)
+            assert stack.shape == (len(trains), levels, levels)
+            for (slots, tip), got in zip(trains, stack):
+                assert (got == pulse_train_unitary(spec, slots, n, tip, 40e-12)).all()
+                assert (got == _one_train(spec, slots, n, tip, 40e-12)).all()
+    assert pulse_train_stack(spec, [], 10, 40e-12).shape == (0, levels, levels)
+
+
+@pytest.mark.parametrize("tip", [np.nan, np.inf, -np.inf])
+def test_non_finite_tip_angle_is_rejected(tip):
+    # a NaN tip would otherwise give a NaN unitary
+    spec = TransmonSpec(nominal_freq=6.21286e9)
+    with pytest.raises(ValueError, match="tip_angle must be finite"):
+        sfq_kick(spec, tip)
+    with pytest.raises(ValueError, match="tip_angle must be finite"):
+        sfq_kick(spec, [0.03, tip, 0.02])
+    with pytest.raises(ValueError, match="tip_angle must be finite"):
+        pulse_train_unitary(spec, [0, 5], 10, tip, 40e-12)
+    with pytest.raises(ValueError, match="tip_angle must be finite"):
+        pulse_train_unitary(spec, [0, 5], 10, np.array([0.03, tip]), 40e-12)
+    with pytest.raises(ValueError, match="tip_angle must be finite"):
+        pulse_train_stack(spec, [([0, 5], 0.03), ([1], tip), ([], 0.02)], 10, 40e-12)
+
+
+@pytest.mark.parametrize("clock_period", [np.nan, np.inf, -np.inf, 0.0, -40e-12])
+def test_bad_clock_period_is_rejected(clock_period):
+    spec = TransmonSpec(nominal_freq=6.21286e9)
+    with pytest.raises(ValueError, match="clock_period must be finite and > 0"):
+        pulse_train_unitary(spec, [0, 5], 10, 0.03, clock_period)
+    with pytest.raises(ValueError, match="clock_period must be finite and > 0"):
+        pulse_train_stack(spec, [([0, 5], 0.03)], 10, clock_period)
+
+
+@pytest.mark.parametrize("slots", [[1.5, 5], [0, 2.25], [np.nan], [0, np.inf], [[0, 1]],
+                                   ["1"]])
+def test_non_integer_slots_are_rejected(slots):
+    # a fractional slot is no clock cycle: the walker does not round it
+    spec = TransmonSpec(nominal_freq=6.21286e9)
+    with pytest.raises(ValueError, match="pulse_slots of train 0 must be integers"):
+        pulse_train_unitary(spec, slots, 10, 0.03, 40e-12)
+    with pytest.raises(ValueError, match="pulse_slots of train 2 must be integers"):
+        pulse_train_stack(spec, [([0, 5], 0.03), ([], 0.02), (slots, 0.03)], 10, 40e-12)
+
+
+@pytest.mark.parametrize("slots", [[5, 2], [0, 3, 3, 1], [-1, 4], [0, 10], [12]])
+def test_unsorted_or_outside_slots_are_rejected(slots):
+    spec = TransmonSpec(nominal_freq=6.21286e9)
+    with pytest.raises(ValueError, match=r"train 0 must be sorted and lie inside the "
+                                         r"window \[0, 10\)"):
+        pulse_train_unitary(spec, slots, 10, 0.03, 40e-12)
+    with pytest.raises(ValueError, match="train 1 must be sorted and lie inside"):
+        pulse_train_stack(spec, [([0, 9], 0.03), (slots, 0.03), ([1.0, 2.0], 0.03)], 10,
+                          40e-12)
 
 
 @settings(max_examples=40, deadline=None)
