@@ -44,9 +44,10 @@ scores all its candidates as one stack and takes the first that lowers
 the error.  Prefixes are rebuilt past an accepted flip.  An accepted move
 i -> j rebuilds the prefixes from min(i, j), the suffixes up to max(i, j)
 and the table of trains with one empty cycle lit, which every move
-candidate of that state reads.  Stage 1 simulates all window patterns of
-a centre, once per distinct slot set, as one ``pulse_train_stack`` walk,
-so each pattern's error is its own train's bit for bit.  The
+candidate of that state reads.  Stage 1 simulates the window patterns of
+all centres, in centre order and once per distinct slot set of a centre,
+as one ``pulse_train_stack`` walk, so each pattern's error is its own
+train's bit for bit and the first lowest error wins.  The
 golden-section tip-angle refinement walks the train once for a stack of
 tip angles: every point the next three steps can visit.  It then takes
 the branches the errors choose, so its comparisons and result are the
@@ -394,22 +395,18 @@ def _window_patterns(spec, centre, n_cycles):
 
 
 def _window_scan(spec, target, centres, n_cycles):
-    """Stage 1 of ``design_bitstream``: (err, slots, tip angle) of the best window
-    pattern, the first lowest of a centre, replaced only by a strictly lower one."""
-    best = (np.inf, None, None)  # err, slots, tip
-    for centre in centres:
-        patterns = _window_patterns(spec, centre, n_cycles)
-        if patterns:  # a centre whose windows never hold 8 pulses has none
-            u = pulse_train_stack(spec, patterns, n_cycles, SFQ_CLOCK_PERIOD)
-            errs = projected_errors(u, target)
-            k = int(np.argmin(errs))
-            if errs[k] < best[0]:
-                best = (float(errs[k]), *patterns[k])
-    if best[1] is None:
+    """Stage 1 of ``design_bitstream``: (err, slots, tip angle) of the first lowest of
+    every centre's window patterns, walked as one stack in centre order.  A centre
+    whose windows never hold 8 pulses adds no patterns."""
+    patterns = [p for centre in centres for p in _window_patterns(spec, centre, n_cycles)]
+    if not patterns:
         raise BitstreamDesignError(
             f"no pulse pattern found within the window scan at {spec.nominal_freq / 1e9:g} "
             f"GHz, window centres ({', '.join(f'{c:g}' for c in centres)})")
-    return best
+    errs = projected_errors(pulse_train_stack(spec, patterns, n_cycles, SFQ_CLOCK_PERIOD),
+                            target)
+    k = int(np.argmin(errs))
+    return (float(errs[k]), *patterns[k])
 
 
 def design_bitstream(spec: TransmonSpec, target: np.ndarray,
@@ -420,9 +417,9 @@ def design_bitstream(spec: TransmonSpec, target: np.ndarray,
     the SFQ clock period.  Stage 1 scans the phase-window rule: pulse at
     cycle i when the qubit phase (2*pi*f*i*tau mod 2*pi) lies within +-w
     of a scanned window centre, stopping after ceil((pi/2)/dtheta)
-    pulses; all (w, dtheta) patterns of a centre are scored as one stack,
-    a later centre wins only with a strictly lower error, and the best
-    dtheta is refined by golden section, three steps per stack of trains.
+    pulses; the (w, dtheta) patterns of all centres are scored as one
+    stack in centre order, the first lowest error wins, and its dtheta is
+    refined by golden section, three steps per stack of trains.
     Stage 2 runs a deterministic greedy descent from the best scanned
     pattern (passes of bit flips and of pulse relocations in a fixed
     visiting order, each scored at once and taking the first candidate

@@ -190,7 +190,7 @@ def min_basis_targets(cycle_phase: float, bs: int) -> list[np.ndarray | None]:
     only BS=2 at 6.21286 GHz (see ``design_min_bitstreams``).
     """
     bs = _checked_int("bs", bs, 2, 4)
-    comp = phase_gate(cycle_phase)  # D^dag on the computational block
+    comp = phase_gate(checked_finite("cycle_phase", cycle_phase))  # D^dag on levels {0, 1}
     quarters = [ry(np.pi / 2),  # about the y, x and -y axes
                 rz(np.pi / 2) @ ry(np.pi / 2) @ rz(-np.pi / 2),
                 ry(-np.pi / 2)]
@@ -753,7 +753,7 @@ def decompose_min(
     cal: QubitCalibration,
     target: np.ndarray,
     err_budget: float = 1e-4,
-    max_depth: int = 28,
+    max_depth: int | None = None,
     fold_phase: float = 0.0,
 ) -> Decomposition1Q:
     """Shortest stored-gate word approximating the target on this qubit.
@@ -770,14 +770,15 @@ def decompose_min(
     ``residual_phase`` carries the frame-reconciliation phase (word length
     times the cycle phase) the compiler folds downstream; it is
     bookkeeping, not error.
-    ``max_depth`` may not exceed the deepest word the search covers: 28
-    cycles for the two-symbol alphabet, 14 otherwise.
+    ``max_depth`` defaults to, and may not exceed, the deepest word the
+    search covers: 28 cycles for the two-symbol alphabet, 14 otherwise.
     """
     v = checked_target(target)
     err_budget = checked_finite("err_budget", err_budget, nonnegative=True)
     fold_phase = checked_finite("fold_phase", fold_phase)
     eng = cal.min_engine
-    max_depth = _checked_int("max_depth", max_depth, 0, 2 * eng.half_cap)
+    top = 2 * eng.half_cap
+    max_depth = _checked_int("max_depth", top if max_depth is None else max_depth, 0, top)
     key = (v.tobytes(), fold_phase, err_budget, max_depth)
     hit = eng._results.get(key)
     if hit is not None:

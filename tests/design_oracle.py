@@ -4,9 +4,9 @@
 (window, tip scale) pattern, repeated slot sets included, is its own
 ``pulse_train_unitary`` train scored with ``projected_fidelity``, in the
 visiting order of ``_window_scan``, keeping each pattern whose error is
-strictly lower.  ``_window_scan`` walks each centre's patterns as one
-``pulse_train_stack``, so it must give the same (slots, tip) and the same
-error bit for bit.  ``golden_tip_angle``
+strictly lower.  ``_window_scan`` walks every centre's patterns, in centre
+order, as one ``pulse_train_stack`` and takes the first lowest error, so it
+must give the same (slots, tip) and the same error bit for bit.  ``golden_tip_angle``
 is the sequential golden-section tip refinement, one scalar train per
 step.  ``design`` runs the scan, the refinement, then the descent
 ``design_bitstream`` ran before it scored each pass as one batch: every

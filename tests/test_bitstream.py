@@ -402,6 +402,34 @@ def test_window_scan_picks_the_per_pattern_choice(freq, haar_su2):
     assert design_oracle.scan_mismatch(spec, ry(np.pi / 2), (0.0,)) is None
     target = haar_su2(np.random.default_rng(3))
     assert design_oracle.scan_mismatch(spec, target, design_oracle.CENTRES) is None
+    # its winner is a pattern of the last centre only, so the oracle also
+    # checks the order across centres
+    n = gate_length_cycles(freq)
+    _, slots, tip = _window_scan(spec, target, design_oracle.CENTRES, n)
+    owners = [c for c, centre in enumerate(design_oracle.CENTRES)
+              if any((s.tolist(), t) == (slots.tolist(), tip)
+                     for s, t in _window_patterns(spec, centre, n))]
+    assert owners == [len(design_oracle.CENTRES) - 1]
+
+
+@pytest.mark.parametrize("freq", [6.21286e9, 4.14238e9], ids=["6212MHz", "4142MHz"])
+def test_window_scan_walks_every_centre_as_one_stack(freq, monkeypatch):
+    # the 4 x 253 patterns of the min designer's centres: one walk, one scoring
+    spec = TransmonSpec(nominal_freq=freq)
+    sizes = []
+
+    def walk(spec, trains, *args):
+        sizes.append(len(trains))
+        return pulse_train_stack(spec, trains, *args)
+
+    def score(blocks, target):
+        sizes.append(len(blocks))
+        return projected_errors(blocks, target)
+
+    monkeypatch.setattr(bitstream, "pulse_train_stack", walk)
+    monkeypatch.setattr(bitstream, "projected_errors", score)
+    _window_scan(spec, ry(np.pi / 2), design_oracle.CENTRES, gate_length_cycles(freq))
+    assert sizes == [4 * 23 * 11] * 2  # the walk, then the scoring
 
 
 def test_window_scan_resolves_exact_ties_to_the_first_pattern(monkeypatch):

@@ -71,6 +71,12 @@ def test_min_basis_targets_rejects_bs_outside_two_to_four(bs):
         min_basis_targets(0.0, bs)
 
 
+@pytest.mark.parametrize("phase", [np.nan, np.inf, -np.inf])
+def test_min_basis_targets_rejects_a_non_finite_cycle_phase(phase):
+    with pytest.raises(ValueError, match="cycle_phase"):
+        min_basis_targets(phase, 2)
+
+
 def _two_pulse_targets(haar_su2, cal, seed, n, fold_phase):
     """Seeded Haar targets whose best schedule needs exactly two stream pulses."""
     rng = np.random.default_rng(seed)
@@ -526,6 +532,16 @@ def test_decompose_min_four_streams_against_brute_force(golden, group_cals, haar
     for v in (H, T, haar_su2(rng), haar_su2(rng)):
         dec = decompose_min(cal, v, err_budget=1e-12, max_depth=6)
         assert dec.steps == _brute_force_word(cal, _four_streams(golden), v, max_depth=6)
+
+
+@pytest.mark.parametrize("arch, deepest", [("min", 28), ("min4", 14)])
+def test_decompose_min_default_depth_is_the_deepest_word(group_cals, arch, deepest):
+    # the default is twice the alphabet's half-table cap, resolved before the
+    # result cache is keyed: the explicit call is a hit on the default's result
+    cal = group_cals[arch]
+    dec = decompose_min(cal, H)
+    assert decompose_min(cal, H, max_depth=deepest) is dec
+    assert len(cal.min_engine._results) == 1
 
 
 def test_decompose_min_caches_each_fold_apart(group_cals):
