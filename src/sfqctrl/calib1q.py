@@ -32,12 +32,13 @@ styles are supported:
           of depth, stopped at the first depth within the budget:
           exhaustively up to 12 cycles (two symbols) or 6 (more), then
           by a radius-limited meet-in-the-middle search over two stored
-          halves: the second halves in a closed quaternion ball of radius
-          r around each first half's wanted match, found by growing
-          k-nearest queries, serve the two depths that split off each
-          first-half length.  Stored streams are designed against
-          D^dag-compensated targets so their steps equal the advertised
-          gates at zero drift.
+          halves: the second halves in a closed quaternion ball around
+          each first half's wanted match, found by growing k-nearest
+          queries, serve the two depths that split off each first-half
+          length.  The radius (``_ball_radius``) shrinks with the lowest
+          error found so far, to the pairs whose error bound can still
+          beat it.  Stored streams are designed against D^dag-compensated
+          targets so their steps equal the advertised gates at zero drift.
 
 Both searches score with the qubit's exact six-level operators: leakage
 builds up through the sequence and is projected once at the end.
@@ -45,6 +46,7 @@ builds up through the sequence and is projected once at the end.
 
 from __future__ import annotations
 
+import logging
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,6 +73,8 @@ from sfqctrl.transmon import (
     unitarity_defect,
 )
 
+_log = logging.getLogger("sfqctrl")
+
 
 class CalibrationError(RuntimeError):
     pass
@@ -93,6 +97,19 @@ class Decomposition1Q:
     error is taken against target @ phase_gate(fold_phase).
     ``err`` is the six-level projected average-gate-fidelity error;
     ``flagged`` marks best-effort results that missed the budget.
+
+    Consecutive gates on one qubit chain through these frames.  Starting
+    a train at SFQ cycle t conjugates its block by phase_gate(theta(t)),
+    theta(t) = 2*pi*f*t*clock_period at the actual frequency f.  If gate
+    g starts at t = 0 and gate g+1 at t', gate g+1 takes fold_phase =
+    residual_phase + theta(t') after an opt gate and theta(t') -
+    residual_phase after a min word (0 mod 2*pi when it starts right
+    after the word).  The train of both then has the block
+    phase_gate(p) @ G' @ G @ phase_gate(fold_phase of gate g), up to the
+    leakage cross-term, where G and G' are the gates' framed blocks
+    (phase_gate(residual_phase) @ U @ phase_gate(-fold_phase) for opt,
+    word_block(steps) @ phase_gate(-fold_phase) for min) and p is
+    theta(t') - residual_phase' (opt) or theta(t') + residual_phase' (min).
     """
 
     kind: str
@@ -471,6 +488,27 @@ class _Ball(NamedTuple):
 
 _RESCORE_SLICE = 65536  # (first, second) pairs rescored per slice
 _KNN = 8  # neighbours a first k-nearest query asks of each first half
+_SLACK = 0.9  # below the least measured err / ((2/3) sin^2 phi) of a pair (``_ball_radius``)
+
+
+def _ball_radius(err_budget: float, best: float) -> float:
+    """Ball radius of a first half when the lowest error found so far is ``best``.
+
+    r0 = max(0.05, 3.5*sqrt(1.5*err_budget)) is empirical.  A projected
+    block E at quaternion angle theta_E from the target has err >= (2/3)
+    sin^2(theta_E) while sin^2(theta_E) <= 3/4, from the average fidelity
+    (Tr E E^dag + |Tr V^dag E|^2) / 6 of Pedersen, Moller & Molmer (Phys.
+    Lett. A 367, 47, 2007).  The ball measures the angle phi of a second
+    half from its wanted match instead, which the halves' leakage
+    cross-term moves; err >= _SLACK * (2/3) sin^2(phi) is measured, not
+    proven (least ratio 0.998 over all 5.2M such pairs of depths 15 and
+    20 for 3 Haar targets at each of -12, -6, 0 and +6 MHz).  So no pair beyond the chord 2 sin(theta*/2), sin^2(theta*)
+    = 1.5*best / _SLACK, beats ``best``: the radius is min(r0, chord)
+    while sin^2(theta*) < 3/4, else r0.
+    """
+    r0 = max(0.05, 3.5 * float(np.sqrt(1.5 * err_budget)))
+    sin2 = max(1.5 * best / _SLACK, 0.0)
+    return min(r0, 2.0 * float(np.sin(0.5 * np.arcsin(np.sqrt(sin2))))) if sin2 < 0.75 else r0
 
 
 def _pair_blocks(keys: np.ndarray, n_second: int, cols: np.ndarray, rows: np.ndarray):
@@ -506,13 +544,15 @@ class _MinEngine:
     Every deeper depth, for any alphabet, is a meet-in-the-middle stage:
     the depth is split into a first half of a = depth // 2 cycles and a
     second half of the rest, the second halves whose quaternions lie in a
-    closed ball of radius r around each first half's wanted match are
-    proposed as (first, second) pairs, and every pair is rescored exactly
-    with the six-level word products (E = P W2 W1 P = (P W2)(W1 P),
-    associativity making the rescoring exact).  One set of balls per
-    first-half length a, from growing k-nearest queries on one KD-tree of
-    the second halves of lengths a and a + 1, serves depths 2a and 2a+1,
-    and the walk (``_depths``) keeps its hits only while it scores them.
+    closed ball around each first half's wanted match are proposed as
+    (first, second) pairs, and every pair is rescored exactly with the
+    six-level word products (E = P W2 W1 P = (P W2)(W1 P), associativity
+    making the rescoring exact).  One set of balls per first-half length
+    a, from growing k-nearest queries on one KD-tree of the second halves
+    of lengths a and a + 1, serves depths 2a and 2a+1, and the walk
+    (``_depths``) keeps its hits only while it scores them.  The balls'
+    radius is ``_ball_radius`` of the lowest error the walk has yielded
+    before, so it shrinks to the pairs whose bound can still beat it.
     The pairs of one depth are rescored as one batch sorted by their
     (first, second) key, one matrix product per first half, so the lowest
     key among the lowest errors wins.  The word tables of the halves stop
@@ -570,8 +610,7 @@ class _MinEngine:
 
     # -- search ----------------------------------------------------------------
 
-    def search(self, v_eff: np.ndarray, err_budget: float,
-               max_depth: int) -> tuple[float, tuple[int, ...]]:
+    def search(self, v_eff: np.ndarray, err_budget: float, max_depth: int):
         """Shortest word (exact match, no free trailing) within the budget.
 
         Consumes ``_depths`` from depth 0 (the empty word) and stops at the
@@ -581,40 +620,49 @@ class _MinEngine:
         2,187 and 4^7 = 16,384 half words and depth 14 for three and four
         symbols; ``max_depth`` must not exceed twice the cap).  When no
         word meets the budget the best found overall is returned (caller
-        flags it).
+        flags it).  Returns ((err, word), walked), ``walked`` holding what
+        ``_depths`` yielded for each depth scored.
         """
-        best = (np.inf, ())
-        radius = max(0.05, 3.5 * np.sqrt(1.5 * err_budget))
-        for err, word in self._depths(v_eff, radius, max_depth):
-            if err < best[0]:
-                best = (err, word)
+        best, walked = (np.inf, ()), []
+        for step in self._depths(v_eff, err_budget, max_depth):
+            walked.append(step)
+            if step[0] < best[0]:
+                best = step[:2]
             if best[0] <= err_budget:
                 break
-        return best
+        return best, walked
 
-    def _depths(self, v, radius, last):
-        """Yield the best (err, word) of each depth 0..last, in order, lazily.
+    def _depths(self, v, err_budget, last):
+        """Yield (err, word, radius, pairs) of each depth 0..last, in order, lazily.
 
-        Depths up to ``exh_cap`` score every word.  Past it, one
+        (err, word) is the depth's best word.  Depths up to ``exh_cap``
+        score every word (radius None, 0 pairs).  Past it, one
         ``_pair_keys`` call per first-half length a gives the pairs of
         depths 2a and 2a+1, those in the closed balls of radius
-        ``radius``; each share is dropped once scored, so the walk holds at
-        most one call's keys, and a consumer that stops at 2a never
-        rescores 2a+1.  A depth with no pair yields (inf, ()).
+        ``_ball_radius(err_budget, b)``, b the lowest error yielded before,
+        and ``pairs`` counts the pairs rescored.  Each share is dropped
+        once scored, so the walk holds at most one call's keys, and a
+        consumer that stops at 2a never rescores 2a+1.  A depth with no
+        pair yields err inf and the empty word.
         """
+        best = np.inf
         for depth in range(min(last, self.exh_cap) + 1):
             errs = _fixed_errors(self._word_table(depth).products[:, :2, :2], v)
             i = int(np.argmin(errs))
-            yield float(errs[i]), self.word_digits(i, depth)
+            best = min(best, float(errs[i]))
+            yield float(errs[i]), self.word_digits(i, depth), None, 0
         if last <= self.exh_cap:
             return
         vq = _su2_quaternions(v[None])[0][0]  # a unitary target always has one
         for a in range((self.exh_cap + 1) // 2, last // 2 + 1):
+            radius = _ball_radius(err_budget, best)
             shares = self._pair_keys(vq, a, radius)
             for b in (a, a + 1):
                 keys = shares.pop(0)
                 if self.exh_cap < a + b <= last:
-                    yield self._best_pair(v, keys, a, b)
+                    err, word = self._best_pair(v, keys, a, b)
+                    best = min(best, err)
+                    yield err, word, radius, keys.size
                 del keys
 
     def _pair_keys(self, vq, a, radius):
@@ -763,15 +811,22 @@ def decompose_min(
     Returns the shortest word with error <= ``err_budget``, otherwise the
     best word scored, flagged.  That is every word up to 12 cycles (6 for
     three or four symbols), but deeper only the (first half, second half)
-    pairs whose quaternions lie in a closed ball of radius
-    max(0.05, 3.5*sqrt(1.5*err_budget)) around the first half's wanted
-    match, so a flagged word is the best pair the radius found, not the
-    best word up to ``max_depth``.  The radius is empirical.
+    pairs whose quaternions lie in a closed ball around the first half's
+    wanted match, so a flagged word is the best pair the balls found, not
+    the best word up to ``max_depth``.  The radius starts at the empirical
+    r0 = max(0.05, 3.5*sqrt(1.5*err_budget)) and shrinks with the lowest
+    error b found so far to the chord of theta*, sin^2(theta*) = 1.5*b /
+    0.9 (``_ball_radius``): by the bound err >= (2/3) sin^2(theta) of
+    Pedersen, Moller & Molmer (2007), with a measured, not proven, slack
+    of 0.9 for the search's angle, no pair outside it beats b.
     ``residual_phase`` carries the frame-reconciliation phase (word length
     times the cycle phase) the compiler folds downstream; it is
     bookkeeping, not error.
     ``max_depth`` defaults to, and may not exceed, the deepest word the
     search covers: 28 cycles for the two-symbol alphabet, 14 otherwise.
+    Each search (not a cached result) logs one DEBUG record to the
+    ``sfqctrl`` logger: the depth reached, the radius per first-half
+    length and the pairs rescored.
     """
     v = checked_target(target)
     err_budget = checked_finite("err_budget", err_budget, nonnegative=True)
@@ -784,12 +839,18 @@ def decompose_min(
     if hit is not None:
         return hit
     v_eff = v @ phase_gate(fold_phase)
-    err, word = eng.search(v_eff, err_budget, max_depth)
+    (err, word), walked = eng.search(v_eff, err_budget, max_depth)
     res = Decomposition1Q(
         kind="min", steps=tuple(word),
         residual_phase=float(np.mod(len(word) * eng.phi, 2 * np.pi)),
         err=max(float(err), 0.0), flagged=err > err_budget)
     eng._results[key] = res
+    if _log.isEnabledFor(logging.DEBUG):
+        radii = {depth // 2: r for depth, (*_, r, _) in enumerate(walked) if r is not None}
+        _log.debug("decompose_min: depth %d reached, err %.3g%s; radius by first-half "
+                   "length %s; %d pairs rescored", len(walked) - 1, res.err,
+                   " (flagged)" * res.flagged, {a: round(r, 5) for a, r in radii.items()},
+                   sum(pairs for *_, pairs in walked))
     return res
 
 

@@ -5,12 +5,16 @@ it rescored a whole depth as one sorted batch: it builds its own
 quaternions and KD-tree of one depth's second halves from the engine's
 word tables, then, for each first half in index order, rescores the
 distinct second halves its ball query found and keeps a first half's
-best only when it is strictly lower than the running best.  The tests
-compare each depth that the engine's lazy walk ``_MinEngine._depths``
-yields against it (the walk starts at depth 0, so they skip its
-exhaustive depths).  ``ball_pair_keys`` is ``_MinEngine._pair_keys``
-from one ``query_ball_point`` list per first half, the pair set the
-growing k-nearest queries must equal as a multiset.  ``exhaustive_depth``
+best only when it is strictly lower than the running best.
+``loop_walk`` runs it depth after depth, each at the radius
+``_ball_radius`` gives for the loop's own lowest error so far.  The
+tests compare each depth that the engine's lazy walk
+``_MinEngine._depths`` yields against it (the walk starts at depth 0, so
+they skip its exhaustive depths), and the walk's running best against
+that of a walk whose radius never shrinks (``fixed_radius_walk``).
+``ball_pair_keys`` is ``_MinEngine._pair_keys`` from one
+``query_ball_point`` list per first half, the pair set the growing
+k-nearest queries must equal as a multiset.  ``exhaustive_depth``
 scores every (first, second) pair of one depth, with no radius.  Run as a
 script for the full comparison on the min equality set:
 
@@ -19,11 +23,13 @@ script for the full comparison on the min equality set:
 which calibrates BS=2 groups from the frozen ``min_*`` streams at drifts
 -12, -6, 0, +6 and +12 MHz, takes 50 seeded Haar targets and H, T, X, Y,
 Z, S at each (280 gates), runs one walk per gate over the
-meet-in-the-middle depths 13..28 at the default budget's radius,
-compares every depth it yields with the loop, and prints the number of
-mismatched gates per depth; it also compares the pair keys of every
-first-half length 6..14 with ``ball_pair_keys`` and prints the number of
-gates with a multiset mismatch at any length.
+meet-in-the-middle depths 13..28 at the default budget, compares every
+depth it yields with the loop in (err, word, radius), and prints the
+number of mismatched gates per depth; it also prints the number of gates
+whose running best differs from the fixed-radius walk's after any depth,
+compares the pair keys of every first-half length 6..14 at the unshrunk
+radius with ``ball_pair_keys`` and prints the number of gates with a
+multiset mismatch at any length.
 """
 
 from __future__ import annotations
@@ -32,18 +38,21 @@ import argparse
 import json
 import sys
 import time
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from opt_oracle import haar_su2
-from sfqctrl.calib1q import _fixed_errors, _quat_mul, _su2_quaternions
+from sfqctrl import calib1q
+from sfqctrl.calib1q import _ball_radius, _fixed_errors, _quat_mul, _su2_quaternions
 
 GOLDEN_STREAMS = Path(__file__).resolve().parents[1] / "perfbench/fixtures/streams.json"
 DRIFTS = (-12e6, -6e6, 0.0, 6e6, 12e6)
-RADIUS = 0.05  # _MinEngine.search's ball radius at the default 1e-4 budget
+BUDGET = 1e-4  # decompose_min's default
+RADIUS = _ball_radius(BUDGET, np.inf)  # 0.05: the radius before any best is known
 NAMED = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     "T": np.diag([1, np.exp(0.25j * np.pi)]),
@@ -82,6 +91,45 @@ def loop_mitm_depth(eng, v, vq, depth, radius=RADIUS):
             best_err = float(errs[j])
             best_word = eng.word_digits(int(qi), a) + eng.word_digits(int(w2s[j]), b)
     return best_err, best_word
+
+
+def loop_walk(eng, v, depths, err_budget=BUDGET):
+    """[(err, word, radius)] of ``loop_mitm_depth`` at each of ``depths``, past ``exh_cap``.
+
+    The radius of depth d is ``_ball_radius(err_budget, b)``, b the lowest
+    error of the depths below the lowest one that d's first-half length a
+    serves (2a, or exh_cap + 1 when 2a is exhaustive).  The exhaustive
+    depths are scored from every word of the engine's word tables, and the
+    loop runs every deeper depth up to the last of ``depths``.
+    """
+    vq, best, out = target_quaternion(v), [], {}
+    for depth in range(depths[-1] + 1):
+        if depth <= eng.exh_cap:
+            best.append(float(_fixed_errors(eng._word_table(depth).products[:, :2, :2],
+                                            v).min()))
+            continue
+        served = max(depth // 2 * 2, eng.exh_cap + 1)
+        radius = _ball_radius(err_budget, min(best[:served]))
+        out[depth] = (*loop_mitm_depth(eng, v, vq, depth, radius), radius)
+        best.append(out[depth][0])
+    return [out[depth] for depth in depths]
+
+
+def fixed_radius_walk(eng, v, last, err_budget=BUDGET):
+    """Everything ``_MinEngine._depths`` yields up to ``last`` when its radius never shrinks."""
+    with mock.patch.object(calib1q, "_ball_radius",
+                           lambda budget, best: _ball_radius(budget, np.inf)):
+        return list(eng._depths(v, err_budget, last))
+
+
+def running_bests(walk):
+    """The lowest (err, word) after each depth of a walk, the earlier kept on ties."""
+    best, out = (np.inf, ()), []
+    for err, word, *_ in walk:
+        if err < best[0]:
+            best = (err, word)
+        out.append(best)
+    return out
 
 
 def exhaustive_depth(eng, v, depth, chunk=128):
@@ -174,20 +222,23 @@ def main(argv=None) -> int:
     gates = [(f"haar{k}", haar_su2(rng)) for k in range(args.targets)] + list(NAMED.items())
     depths = range(13, 29)
     bad = dict.fromkeys(depths, 0)
-    checked = bad_keys = 0
+    checked = bad_keys = bad_bests = 0
     t0 = time.perf_counter()
     for drift in DRIFTS:
         eng = calibrate_qubit(spec.with_drift(drift), streams, arch="min").min_engine
         for name, v in gates:
             vq = target_quaternion(v)
             checked += 1
-            walk = islice(eng._depths(v, RADIUS, depths[-1]), depths[0], None)
-            for depth, got in zip(depths, walk, strict=True):
-                want = loop_mitm_depth(eng, v, vq, depth)
-                if got != want:
+            walk = list(eng._depths(v, BUDGET, depths[-1]))
+            for depth, want in zip(depths, loop_walk(eng, v, depths), strict=True):
+                if walk[depth][:3] != want:
                     bad[depth] += 1
                     print(f"drift {drift / 1e6:+.0f} MHz {name} depth {depth}: "
-                          f"{got} vs {want}", flush=True)
+                          f"{walk[depth][:3]} vs {want}", flush=True)
+            if running_bests(walk) != running_bests(fixed_radius_walk(eng, v, depths[-1])):
+                bad_bests += 1
+                print(f"drift {drift / 1e6:+.0f} MHz {name}: running best differs from the "
+                      f"fixed-radius walk's", flush=True)
             lengths = pair_key_mismatches(eng, vq, range(depths[0] // 2, depths[-1] // 2 + 1))
             if lengths:
                 bad_keys += 1
@@ -197,8 +248,9 @@ def main(argv=None) -> int:
               f"{time.perf_counter() - t0:.0f} s", flush=True)
     for depth, n_bad in bad.items():
         print(f"depth {depth}: {n_bad} of {checked} gates mismatched")
+    print(f"running best: {bad_bests} of {checked} gates mismatched")
     print(f"pair keys: {bad_keys} of {checked} gates mismatched")
-    return 1 if bad_keys or any(bad.values()) else 0
+    return 1 if bad_keys or bad_bests or any(bad.values()) else 0
 
 
 if __name__ == "__main__":

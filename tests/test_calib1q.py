@@ -1,12 +1,13 @@
 import json
-from itertools import islice, product
+import logging
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from min_oracle import (RADIUS, exhaustive_depth, leakage, loop_mitm_depth, pair_key_mismatches,
-                        target_quaternion)
+from min_oracle import (RADIUS, exhaustive_depth, fixed_radius_walk, leakage, loop_walk,
+                        pair_key_mismatches, running_bests, target_quaternion)
 from opt_oracle import DRIFTS, FOLDS, mismatches
 from sfqctrl import calib1q
 from sfqctrl.bitstream import Bitstream
@@ -570,17 +571,20 @@ def mitm_cals(golden, spec_hi):
 
 
 def _mitm_matches_loop(cal, v, depths):
-    """One walk over ``depths`` equals the per-first-half loop in (err, word) at each.
+    """One walk equals the per-first-half loop in (err, word, radius) at each of ``depths``.
 
-    Returns the loop's results, depth by depth.
+    Both shrink their radius with their own running best, so every depth
+    is compared strictly; the walk's running best must also equal, after
+    every depth, that of a walk whose radius never shrinks.  Returns the
+    loop's (err, word), depth by depth.
     """
-    eng, vq = cal.min_engine, target_quaternion(v)
-    out = []
-    walk = islice(eng._depths(v, RADIUS, depths[-1]), depths[0], None)  # walks from depth 0
-    for depth, got in zip(depths, walk, strict=True):
-        out.append(loop_mitm_depth(eng, v, vq, depth))
-        assert got == out[-1], depth
-    return out
+    eng = cal.min_engine
+    walk = list(eng._depths(v, BUDGET, depths[-1]))  # walks from depth 0
+    want = loop_walk(eng, v, depths)
+    for depth, w in zip(depths, want, strict=True):
+        assert walk[depth][:3] == w, depth
+    assert running_bests(walk) == running_bests(fixed_radius_walk(eng, v, depths[-1]))
+    return [w[:2] for w in want]
 
 
 def _above_leakage_floor(cal, v, max_depth):
@@ -636,29 +640,35 @@ def test_mitm_depth_breaks_ties_like_the_loop(golden, spec_hi, monkeypatch):
         _mitm_matches_loop(cal, v, range(7, 13))
 
 
-@pytest.mark.parametrize("v, budget, depth", [(X, 1e-3, 20), (S, 3e-4, 26)], ids=["X", "S"])
-def test_min_walk_queries_once_per_first_half(golden, spec_hi, monkeypatch, v, budget, depth):
-    # depths 2a and 2a+1 share one ball query, and a search that meets the
-    # budget at depth 2a never rescores depth 2a+1
+def _recording_pair_keys(monkeypatch):
+    """Record (a, radius) of every ``_pair_keys`` call and (depth, pairs) of every ``_best_pair``."""
     queried, scored = [], []
     pair_keys, best_pair = calib1q._MinEngine._pair_keys, calib1q._MinEngine._best_pair
 
     def counted_pair_keys(eng, vq, a, radius):
-        queried.append(a)
+        queried.append((a, radius))
         return pair_keys(eng, vq, a, radius)
 
     def counted_best_pair(eng, v, keys, a, b):
-        scored.append(a + b)
+        scored.append((a + b, keys.size))
         return best_pair(eng, v, keys, a, b)
 
     monkeypatch.setattr(calib1q._MinEngine, "_pair_keys", counted_pair_keys)
     monkeypatch.setattr(calib1q._MinEngine, "_best_pair", counted_best_pair)
+    return queried, scored
+
+
+@pytest.mark.parametrize("v, budget, depth", [(X, 1e-3, 20), (S, 3e-4, 26)], ids=["X", "S"])
+def test_min_walk_queries_once_per_first_half(golden, spec_hi, monkeypatch, v, budget, depth):
+    # depths 2a and 2a+1 share one ball query, and a search that meets the
+    # budget at depth 2a never rescores depth 2a+1
+    queried, scored = _recording_pair_keys(monkeypatch)
     streams = [golden["min_ry_6212MHz"], golden["min_idle_6212MHz"]]
     cal = calibrate_qubit(spec_hi.with_drift(-6e6), streams, arch="min")
     dec = decompose_min(cal, v, err_budget=budget)
     assert not dec.flagged and dec.depth == depth
-    assert queried == list(range(6, depth // 2 + 1))
-    assert scored == list(range(13, depth + 1))
+    assert [a for a, _ in queried] == list(range(6, depth // 2 + 1))
+    assert [d for d, _ in scored] == list(range(13, depth + 1))
 
 
 @pytest.mark.parametrize("knn", [None, 2])
@@ -700,19 +710,82 @@ def _nudged_polar(eng, rng, length):
 def test_min_search_meets_the_budget_wherever_the_exhaustive_pass_does(
         mitm_cals, drift, seed, length):
     # beyond depth 12 the search only rescores pairs within its quaternion radius;
-    # at 1e-3 (radius 0.136) every depth 13..18 whose best of all pairs meets the
-    # budget must have a searched word that meets it too
+    # at 1e-3 (radius 0.136 before any best) every depth 13..18 whose best of all
+    # pairs meets the budget must find, by then, a searched word that meets it too
     budget = 1e-3
+    assert calib1q._ball_radius(budget, np.inf) == pytest.approx(0.1356, abs=1e-4)
     eng = mitm_cals[drift].min_engine
     v = _nudged_polar(eng, np.random.default_rng(seed), length)
-    radius = max(0.05, 3.5 * np.sqrt(1.5 * budget))  # _MinEngine.search's
-    walk = islice(eng._depths(v, radius, 18), 13, None)
-    reached = []
-    for depth, (err, _) in zip(range(13, 19), walk, strict=True):
-        if exhaustive_depth(eng, v, depth)[0] <= budget:
-            reached.append(depth)
-            assert err <= budget, depth
+    bests = running_bests(eng._depths(v, budget, 18))
+    reached = [depth for depth in range(13, 19) if exhaustive_depth(eng, v, depth)[0] <= budget]
     assert reached
+    for depth in reached:
+        assert bests[depth][0] <= budget, depth
+
+
+@pytest.mark.parametrize("drift", [-12e6, 0.0, 6e6])
+def test_min_pair_errors_meet_the_ball_bound(golden, spec_hi, mitm_cals, haar_su2, drift):
+    # _ball_radius drops a pair only where err >= 0.9 * (2/3) sin^2(phi), phi the
+    # search's angle between +-q(W2) q(W1) and the target's quaternion, with
+    # sin^2(phi) <= 3/4: every pair of depth 15 (a = 7, b = 8, 2^15 pairs) on
+    # seeded Haar targets must meet it, and the tightest pairs must lie in the
+    # ball that their own error gives (a 1.0 budget keeps r0 above every chord)
+    streams = [golden["min_ry_6212MHz"], golden["min_idle_6212MHz"]]
+    cal = mitm_cals.get(drift) or calibrate_qubit(spec_hi.with_drift(drift), streams, arch="min")
+    first, second = cal.min_engine._word_table(7), cal.min_engine._word_table(8)
+    cols = first.products[first.valid][:, :, :2]
+    rows = second.products[second.valid][:, :2]
+    blocks = np.einsum("sij,fjk->sfik", rows, cols).reshape(-1, 2, 2)
+    q = calib1q._quat_mul(second.q[:, None], first.q[None]).reshape(-1, 4)
+    rng = np.random.default_rng(31)
+    for v in (haar_su2(rng) for _ in range(3)):
+        errs = calib1q._fixed_errors(blocks, v)
+        cos = np.abs(q @ target_quaternion(v))
+        sin2 = 1.0 - cos ** 2
+        near = np.flatnonzero(sin2 <= 0.75)
+        ratio = errs[near] / (2.0 / 3.0 * sin2[near])
+        assert ratio.min() >= calib1q._SLACK
+        chord = np.sqrt(2.0 - 2.0 * np.minimum(cos, 1.0))  # to the nearer of +-q
+        for k in near[np.argsort(ratio)[:50]]:
+            assert chord[k] <= calib1q._ball_radius(1.0, errs[k])
+
+
+def _min_result(dec):
+    return dec.steps, dec.err.hex(), dec.residual_phase.hex(), dec.flagged
+
+
+def test_min_ball_shrinks_with_the_running_best(golden, spec_hi, haar_su2, monkeypatch):
+    # a flagged Haar target at zero drift walks every depth to 28: its radius never
+    # grows, falls below the unshrunk 0.05 at the deep first-half lengths, and the
+    # result equals, bit for bit, that of a walk whose radius stays 0.05
+    streams = [golden["min_ry_6212MHz"], golden["min_idle_6212MHz"]]
+    v = haar_su2(np.random.default_rng(5))
+    queried, _ = _recording_pair_keys(monkeypatch)
+    dec = decompose_min(calibrate_qubit(spec_hi, streams, arch="min"), v)
+    assert dec.flagged and [a for a, _ in queried] == list(range(6, 15))
+    radii = [r for _, r in queried]
+    assert radii[0] == RADIUS
+    assert all(later <= earlier for earlier, later in zip(radii, radii[1:]))
+    assert max(radii[-2:]) < RADIUS  # first halves of 13 and 14 cycles
+    monkeypatch.setattr(calib1q, "_ball_radius", lambda budget, best: RADIUS)
+    fixed = decompose_min(calibrate_qubit(spec_hi, streams, arch="min"), v)
+    assert _min_result(fixed) == _min_result(dec)
+
+
+def test_decompose_min_logs_one_debug_record_per_search(group_cals, monkeypatch, caplog):
+    # the record gives the depth reached, the radius per first-half length and
+    # the pairs rescored; a cached result logs nothing
+    queried, scored = _recording_pair_keys(monkeypatch)
+    cal = group_cals["min"]
+    with caplog.at_level(logging.DEBUG, logger="sfqctrl"):
+        dec = decompose_min(cal, H, max_depth=17)
+        assert decompose_min(cal, H, max_depth=17) is dec
+    (record,) = caplog.records
+    assert record.name == "sfqctrl" and record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert f"depth {scored[-1][0]} reached" in message
+    assert str({a: round(r, 5) for a, r in queried}) in message
+    assert f"{sum(n for _, n in scored)} pairs rescored" in message
 
 
 @pytest.mark.parametrize("slice_pairs", [None, 64])
@@ -749,6 +822,130 @@ def test_min_residual_phase_frames_the_word_train(golden, spec_hi, mitm_cals, ha
             framed = phase_gate(dec.residual_phase) @ cal.min_engine.word_block(dec.steps)
             train = _word_train(cal, streams, dec.steps)[:2, :2]
             assert np.abs(framed - train).max() <= 1e-11, dec.steps
+
+
+def _frame(cal, sfq_cycles):
+    """Six-level free-evolution diagonal exp(-i*H0*t) over ``sfq_cycles``, at the actual
+    frequency; its conjugate is phase_gate(theta(t)) on levels {0, 1}."""
+    energies = level_energies(cal.spec.actual_freq, cal.spec.anharmonicity, cal.spec.levels)
+    return np.exp(-1j * energies * sfq_cycles * cal.clock_period)
+
+
+def _theta(cal, sfq_cycles):
+    """The qubit phase theta(t) of ``Decomposition1Q``'s chaining rule."""
+    return -np.angle(_frame(cal, sfq_cycles)[1])
+
+
+def _gate_operator(cal, dec):
+    """Six-level anchored operator of one decomposition started at cycle 0, from plain products.
+
+    Opt: one conjugated stream unitary F(t_i)^dag U F(t_i) per application,
+    t_i = i * cycle + d_i.  Min: F(T)^dag (F(cycle) B_k) ... (F(cycle) B_k),
+    the lab product of the word's steps returned to the frame at T = depth * cycle.
+    """
+    cycle, m = cal.controller_cycle_sfq, np.eye(cal.spec.levels, dtype=complex)
+    if dec.kind == "opt":
+        for i, d in enumerate(dec.steps):
+            f = _frame(cal, i * cycle + d)
+            m = (f.conj()[:, None] * cal.basis_ops[0] * f) @ m
+        return m
+    for k in dec.steps:
+        m = _frame(cal, cycle)[:, None] * cal.basis_ops[k] @ m
+    return _frame(cal, dec.depth * cycle).conj()[:, None] * m
+
+
+def _framed_block(cal, dec, fold):
+    """The 2x2 block whose error against its target ``Decomposition1Q`` reports."""
+    if dec.kind == "opt":
+        u = _gate_operator(cal, dec)[:2, :2]
+        return phase_gate(dec.residual_phase) @ u @ phase_gate(-fold)
+    return cal.min_engine.word_block(dec.steps) @ phase_gate(-fold)
+
+
+def _chain_two(cal, decompose, first, second, fold):
+    """Decompose ``first`` at ``fold`` and ``second`` at the fold the first leaves, back to back.
+
+    ``first`` and ``second`` are wanted framed blocks: each gate's target is
+    its block @ phase_gate(-fold_phase), so a gate's search sees the same
+    block at any fold.  Returns [(dec, fold, start cycle, target)] per gate
+    and the phase p the second gate leaves (``Decomposition1Q``).
+    """
+    out, start = [], 0
+    for r in (first, second):
+        v = r @ phase_gate(-fold)
+        dec = decompose(cal, v, fold_phase=fold)
+        out.append((dec, fold, start, v))
+        nxt = start + dec.depth * cal.controller_cycle_sfq
+        sign = 1.0 if dec.kind == "opt" else -1.0
+        fold, start = sign * dec.residual_phase + _theta(cal, nxt - start), nxt
+    dec, _, begin, _ = out[-1]
+    sign = -1.0 if dec.kind == "opt" else 1.0
+    return out, _theta(cal, begin) + sign * dec.residual_phase
+
+
+def _check_chained_train(cal, gates, p, train):
+    """The lowered train against the per-gate operators and the framed blocks' product.
+
+    Six levels: the train equals F(t_2)^dag U_2 F(t_2) U_1 within 1e-12 on
+    levels {0, 1}.  Two levels: phase_gate(-p) @ train @ phase_gate(-fold_1)
+    equals G_2 @ G_1 up to the leakage cross-term P U_2 Q U_1 P, whose
+    Frobenius norm is at most sqrt((2 - |P U_2 P|^2)(2 - |P U_1 P|^2)).
+    """
+    ops = [_gate_operator(cal, dec) for dec, *_ in gates]
+    f2 = _frame(cal, gates[1][2])
+    composed = (f2.conj()[:, None] * ops[1] * f2) @ ops[0]
+    assert np.abs(train[:2, :2] - composed[:2, :2]).max() <= 1e-12
+    blocks = [_framed_block(cal, dec, fold) for dec, fold, *_ in gates]
+    for (dec, _, _, v), g in zip(gates, blocks):
+        assert abs(projected_fidelity(g, v).error - dec.err) <= 1e-12
+    chained = phase_gate(-p) @ train[:2, :2] @ phase_gate(-gates[0][1])
+    cross = np.sqrt(np.prod([2.0 - np.sum(np.abs(u[:2, :2]) ** 2) for u in ops]))
+    assert np.linalg.norm(chained - blocks[1] @ blocks[0]) <= cross + 1e-12
+    return cross
+
+
+def _polar(block):
+    u, _, vh = np.linalg.svd(block)
+    return u @ vh
+
+
+def test_opt_gates_chain_through_their_folds(three_pulse_gate, ry_bitstream_hi):
+    # pairs of opt gates with L = 0..3 pulses, each placed right after the
+    # other in one absolute-cycle train (application i of a gate at its start
+    # + i * cycle + d_i): the train must be the product of the per-gate
+    # operators, and the fold rule must chain their framed blocks; at +12 MHz
+    # one application leaks 1.8e-4, so a 2e-4 budget lets one pulse suffice
+    cal, v3 = three_pulse_gate
+    eng = cal.opt_engine
+    wanted = [rz(0.3), _polar(eng.block((5,), 0.0)), _polar(eng.block((3, 40), 0.0)), v3]
+    stream, cycle = ry_bitstream_hi, cal.controller_cycle_sfq
+    depths = []
+    for i, j in ((3, 0), (0, 1), (1, 2), (2, 3)):
+        gates, p = _chain_two(cal, lambda *a, **k: decompose_opt(*a, err_budget=2e-4, **k)[0],
+                              wanted[i], wanted[j], fold=0.7)
+        slots = [start + n * cycle + d + s for dec, _, start, _ in gates
+                 for n, d in enumerate(dec.steps) for s in stream.pulse_slots]
+        n_cycles = sum(dec.depth for dec, *_ in gates) * cycle
+        train = pulse_train_unitary(cal.spec, slots, n_cycles, stream.tip_angle,
+                                    stream.clock_period)
+        assert _check_chained_train(cal, gates, p, train) < 1e-3
+        depths.append(tuple(dec.depth for dec, *_ in gates))
+    assert depths == [(3, 0), (0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("drift", [0.0, 6e6])
+def test_min_words_chain_through_their_folds(golden, mitm_cals, drift):
+    # two min words back to back are one word train (``_word_train`` of the
+    # concatenated word); the second word's fold, theta(depth * cycle) -
+    # residual_phase of the first, is 0 mod 2*pi
+    streams = [golden["min_ry_6212MHz"], golden["min_idle_6212MHz"]]
+    cal = mitm_cals[drift]
+    for first, second in ((H, T), (X, H)):
+        gates, p = _chain_two(cal, lambda *a, **k: decompose_min(*a, max_depth=10, **k),
+                              first, second, fold=0.7)
+        assert abs(np.angle(np.exp(1j * gates[1][1]))) <= 1e-9
+        train = _word_train(cal, streams, gates[0][0].steps + gates[1][0].steps)
+        _check_chained_train(cal, gates, p, train)
 
 
 def test_min_stream_leakage_floor(mitm_cals):
