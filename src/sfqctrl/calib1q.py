@@ -32,13 +32,15 @@ styles are supported:
           of depth, stopped at the first depth within the budget:
           exhaustively up to 12 cycles (two symbols) or 6 (more), then
           by a radius-limited meet-in-the-middle search over two stored
-          halves: the second halves in a closed quaternion ball around
-          each first half's wanted match, found by growing k-nearest
-          queries, serve the two depths that split off each first-half
-          length.  The radius (``_ball_radius``) shrinks with the lowest
-          error found so far, to the pairs whose error bound can still
-          beat it.  Stored streams are designed against D^dag-compensated
-          targets so their steps equal the advertised gates at zero drift.
+          halves: every word of each half length is a quaternion point,
+          and the second halves in a closed ball around each first
+          half's wanted match, found by growing k-nearest queries in one
+          tree of both second-half lengths, serve the two depths that
+          split off each first-half length.  The radius
+          (``_ball_radius``) shrinks with the lowest error found so far,
+          to the pairs whose error bound can still beat it.  Stored
+          streams are designed against D^dag-compensated targets so
+          their steps equal the advertised gates at zero drift.
 
 Both searches score with the qubit's exact six-level operators: leakage
 builds up through the sequence and is projected once at the end.
@@ -162,9 +164,11 @@ def calibrate_qubit(
     of a group receives the same streams); drift enters only through the
     qubit's own free evolution.  For the opt architecture the controller
     cycle spans the delay range plus the stream; for min it equals the
-    stream length, so all streams must share one length and clock period,
-    and one of them must be all zeros (the idle step).  Both checks, like
-    the architecture's, come before any simulation.
+    stream length, so all streams must share one length and clock period.
+    Opt takes exactly one stream.  Min takes 2 to 4, the alphabets its
+    search caps are sized for, and one of them must be all zeros (the idle
+    step).  These checks, like the architecture's, come before any
+    simulation.
     """
     if arch not in ("opt", "min"):
         raise ValueError(f"unknown architecture {arch!r}")
@@ -175,8 +179,13 @@ def calibrate_qubit(
     if any(len(bs) != len(first) or bs.clock_period != first.clock_period
            for bs in shared_bitstreams):
         raise CalibrationError("shared bitstreams differ in length or clock period")
+    n_streams = len(shared_bitstreams)
+    if arch == "opt" and n_streams != 1:
+        raise CalibrationError(f"opt architecture takes exactly one stream, got {n_streams}")
     if arch == "min" and all(bs.n_pulses for bs in shared_bitstreams):
         raise CalibrationError("min architecture requires an all-zeros stream")
+    if arch == "min" and not 2 <= n_streams <= 4:
+        raise CalibrationError(f"min architecture takes 2 to 4 streams, got {n_streams}")
     ops = [bs.simulate(spec) for bs in shared_bitstreams]
     if any(unitarity_defect(u) > 1e-8 for u in ops):
         raise CalibrationError("bitstream evolution lost unitarity")
@@ -418,16 +427,17 @@ class _OptEngine:
 
 # --- min engine --------------------------------------------------------------------
 
-def _su2_quaternions(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _su2_quaternions(blocks: np.ndarray) -> np.ndarray:
     """Unit quaternions of the closest SU(2) to each (near-unitary) 2x2 block.
 
-    ``blocks`` is (N, 2, 2).  Returns (q, ok): q is (N, 4), and ok marks
-    the blocks whose determinant and quaternion norm are far enough from
-    zero for q to be meaningful.
+    ``blocks`` is (N, 2, 2); returns (N, 4), every row finite.  A block is
+    divided by the square root of its determinant, taken as 1 where
+    |det| <= 1e-6, and q by its norm, taken as 1 where the norm is <= 1e-9:
+    a singular block (a word that leaks all of a level) still gets a point,
+    which at worst proposes pairs that the search rescores exactly.
     """
     det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
-    ok = np.abs(det) > 1e-6
-    e = blocks / np.sqrt(np.where(ok, det, 1.0))[:, None, None]
+    e = blocks / np.sqrt(np.where(np.abs(det) > 1e-6, det, 1.0))[:, None, None]
     q = np.stack([
         0.5 * (e[:, 0, 0] + e[:, 1, 1]).real,
         -0.5 * (e[:, 0, 1] + e[:, 1, 0]).imag,
@@ -435,8 +445,7 @@ def _su2_quaternions(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         0.5 * (e[:, 1, 1] - e[:, 0, 0]).imag,
     ], axis=-1)
     norms = np.linalg.norm(q, axis=1)
-    ok &= norms > 1e-9
-    return q / np.where(ok, norms, 1.0)[:, None], ok
+    return q / np.where(norms > 1e-9, norms, 1.0)[:, None]
 
 
 def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -455,35 +464,16 @@ class _Words(NamedTuple):
     """Target-independent arrays of the min words of one length.
 
     ``products`` holds the six-level products of all n_sym^length words
-    (digit j = cycle j), ``valid`` the words whose projected block has an
-    SU(2) quaternion, and ``q`` those quaternions.
+    (digit j = cycle j) and ``q`` the quaternions of their projected
+    blocks, row i of both belonging to word i.
     """
 
     products: np.ndarray
-    valid: np.ndarray
     q: np.ndarray
 
     @classmethod
     def of(cls, products: np.ndarray) -> "_Words":
-        q, ok = _su2_quaternions(products[:, :2, :2])
-        valid = np.flatnonzero(ok)
-        return cls(products, valid, q[valid])
-
-
-class _Ball(NamedTuple):
-    """KD-tree of the second halves that the first halves of one length ``a`` meet.
-
-    Depths 2a and 2a+1 both split off a first half of length a, so one
-    tree holds +-q of the valid words of length a (points below ``split``)
-    and of length a + 1 (the rest, absent when a + 1 exceeds the half
-    cap); point i belongs to word ``owners[i]`` of its length.
-    ``_MinEngine._pair_keys`` finds its points in closed balls of radius r
-    by growing k-nearest queries.
-    """
-
-    tree: object
-    owners: np.ndarray
-    split: int
+        return cls(products, _su2_quaternions(products[:, :2, :2]))
 
 
 _RESCORE_SLICE = 65536  # (first, second) pairs rescored per slice
@@ -502,9 +492,10 @@ def _ball_radius(err_budget: float, best: float) -> float:
     half from its wanted match instead, which the halves' leakage
     cross-term moves; err >= _SLACK * (2/3) sin^2(phi) is measured, not
     proven (least ratio 0.998 over all 5.2M such pairs of depths 15 and
-    20 for 3 Haar targets at each of -12, -6, 0 and +6 MHz).  So no pair beyond the chord 2 sin(theta*/2), sin^2(theta*)
-    = 1.5*best / _SLACK, beats ``best``: the radius is min(r0, chord)
-    while sin^2(theta*) < 3/4, else r0.
+    20 for 3 Haar targets at each of -12, -6, 0 and +6 MHz).  So no pair
+    beyond the chord 2 sin(theta*/2), sin^2(theta*) = 1.5*best / _SLACK,
+    beats ``best``: the radius is min(r0, chord) while sin^2(theta*) <
+    3/4, else r0.
     """
     r0 = max(0.05, 3.5 * float(np.sqrt(1.5 * err_budget)))
     sin2 = max(1.5 * best / _SLACK, 0.0)
@@ -547,12 +538,14 @@ class _MinEngine:
     closed ball around each first half's wanted match are proposed as
     (first, second) pairs, and every pair is rescored exactly with the
     six-level word products (E = P W2 W1 P = (P W2)(W1 P), associativity
-    making the rescoring exact).  One set of balls per first-half length
-    a, from growing k-nearest queries on one KD-tree of the second halves
-    of lengths a and a + 1, serves depths 2a and 2a+1, and the walk
-    (``_depths``) keeps its hits only while it scores them.  The balls'
-    radius is ``_ball_radius`` of the lowest error the walk has yielded
-    before, so it shrinks to the pairs whose bound can still beat it.
+    making the rescoring exact).  Every word is a first half and a tree
+    point, whatever its block.  One set of balls per first-half length
+    a, from growing k-nearest queries on one KD-tree of every second half
+    of lengths a and a + 1 (``_tree``, one index space over both),
+    serves depths 2a and 2a+1, and the walk (``_depths``) keeps its hits
+    only while it scores them.  The balls' radius is ``_ball_radius`` of
+    the lowest error the walk has yielded before, so it shrinks to the
+    pairs whose bound can still beat it.
     The pairs of one depth are rescored as one batch sorted by their
     (first, second) key, one matrix product per first half, so the lowest
     key among the lowest errors wins.  The word tables of the halves stop
@@ -573,7 +566,7 @@ class _MinEngine:
         self.exh_cap = 12 if self.n_sym == 2 else 6
         self.half_cap = 14 if self.n_sym == 2 else 7
         self._words = [_Words.of(np.eye(spec.levels, dtype=complex)[None])]
-        self._balls: dict[int, _Ball] = {}
+        self._trees: dict[int, object] = {}  # cKDTree by first-half length
         self._results: dict[tuple, Decomposition1Q] = {}  # decompose_min's, by its inputs
 
     # -- tables ---------------------------------------------------------------
@@ -586,17 +579,21 @@ class _MinEngine:
             self._words.append(_Words.of(new.reshape(-1, *prev.shape[1:])))
         return self._words[length]
 
-    def _ball(self, a: int) -> _Ball:
-        """The KD-tree of the second halves of lengths a and a + 1, built once."""
+    def _tree(self, a: int):
+        """KD-tree of the second halves that the first halves of length ``a`` meet, built once.
+
+        Depths 2a and 2a+1 both split off a first half of length a, so the
+        tree holds q and -q of every word of length a, then q and -q of
+        every word of length a + 1 (absent when a + 1 exceeds the half
+        cap), in word order: with n = n_sym, point i is word i mod n^a
+        below 2 n^a and word (i - 2 n^a) mod n^(a+1) from there on.
+        """
         from scipy.spatial import cKDTree
 
-        if a not in self._balls:
-            halves = [self._word_table(n) for n in range(a, min(a + 1, self.half_cap) + 1)]
-            self._balls[a] = _Ball(
-                tree=cKDTree(np.concatenate([x for h in halves for x in (h.q, -h.q)])),
-                owners=np.concatenate([x for h in halves for x in (h.valid, h.valid)]),
-                split=2 * halves[0].valid.size)
-        return self._balls[a]
+        if a not in self._trees:
+            qs = [self._word_table(n).q for n in range(a, min(a + 1, self.half_cap) + 1)]
+            self._trees[a] = cKDTree(np.concatenate([x for q in qs for x in (q, -q)]))
+        return self._trees[a]
 
     def word_digits(self, index: int, length: int) -> tuple[int, ...]:
         return tuple(index // self.n_sym ** j % self.n_sym for j in range(length))
@@ -653,7 +650,7 @@ class _MinEngine:
             yield float(errs[i]), self.word_digits(i, depth), None, 0
         if last <= self.exh_cap:
             return
-        vq = _su2_quaternions(v[None])[0][0]  # a unitary target always has one
+        vq = _su2_quaternions(v[None])[0]
         for a in range((self.exh_cap + 1) // 2, last // 2 + 1):
             radius = _ball_radius(err_budget, best)
             shares = self._pair_keys(vq, a, radius)
@@ -676,14 +673,16 @@ class _MinEngine:
         the radius, k = ``_KNN`` (8) at first: a row whose k-th neighbour
         still lies in its ball may hold more, so those rows are asked
         again with 4k until no row is full.  A key is first * n_second +
-        second, n_second the number of words of the second half's length.
+        second, n_second the number of words of the second half's length:
+        the first halves are every word of length a, and ``_tree``'s point
+        index gives the second half's length and word.
         """
-        first, ball = self._word_table(a), self._ball(a)
-        q1_inv = first.q * np.array([1.0, -1.0, -1.0, -1.0])  # unit quaternion: conj
-        x, rows, k = _quat_mul(vq[None, :], q1_inv), first.valid, _KNN
+        tree, n_even = self._tree(a), self.n_sym ** a
+        q1_inv = self._word_table(a).q * np.array([1.0, -1.0, -1.0, -1.0])  # unit: conj
+        x, rows, k = _quat_mul(vq[None, :], q1_inv), np.arange(n_even), _KNN
         firsts, points = [], []
         while True:
-            d, i = ball.tree.query(x, k, distance_upper_bound=np.nextafter(radius, np.inf))
+            d, i = tree.query(x, k, distance_upper_bound=np.nextafter(radius, np.inf))
             hit = d.reshape(rows.size, k) <= radius  # k = 1 drops the last axis
             full = hit[:, -1]
             r, c = np.nonzero(hit & ~full[:, None])
@@ -694,11 +693,10 @@ class _MinEngine:
                 break
             x, rows, k = x[full], rows[full], 4 * k
         firsts, points = np.concatenate(firsts), np.concatenate(points)
-        owners = ball.owners[points]
-        odd = points >= ball.split
-        n_even = self.n_sym ** a
-        return [firsts[~odd] * n_even + owners[~odd],
-                firsts[odd] * (n_even * self.n_sym) + owners[odd]]
+        odd = points >= 2 * n_even
+        n_odd = n_even * self.n_sym
+        return [firsts[~odd] * n_even + points[~odd] % n_even,
+                firsts[odd] * n_odd + (points[odd] - 2 * n_even) % n_odd]
 
     def _best_pair(self, v, keys, a, b):
         """(err, word) of the best (first, second) pair of ``keys``; (inf, ()) if none.

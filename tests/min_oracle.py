@@ -2,10 +2,11 @@
 
 ``loop_mitm_depth`` is the search the min engine made at one depth before
 it rescored a whole depth as one sorted batch: it builds its own
-quaternions and KD-tree of one depth's second halves from the engine's
-word tables, then, for each first half in index order, rescores the
-distinct second halves its ball query found and keeps a first half's
-best only when it is strictly lower than the running best.
+quaternions (``quaternions``) and KD-tree of one depth's second halves
+from the engine's word products, then, for each first half in index
+order, rescores the distinct second halves its ball query found and
+keeps a first half's best only when it is strictly lower than the
+running best.  Every word takes part, singular blocks included.
 ``loop_walk`` runs it depth after depth, each at the radius
 ``_ball_radius`` gives for the loop's own lowest error so far.  The
 tests compare each depth that the engine's lazy walk
@@ -13,8 +14,9 @@ tests compare each depth that the engine's lazy walk
 they skip its exhaustive depths), and the walk's running best against
 that of a walk whose radius never shrinks (``fixed_radius_walk``).
 ``ball_pair_keys`` is ``_MinEngine._pair_keys`` from one
-``query_ball_point`` list per first half, the pair set the growing
-k-nearest queries must equal as a multiset.  ``exhaustive_depth``
+``query_ball_point`` list per first half and an explicit table of the
+word each tree point belongs to, the pair set the growing k-nearest
+queries must equal as a multiset.  ``exhaustive_depth``
 scores every (first, second) pair of one depth, with no radius.  Run as a
 script for the full comparison on the min equality set:
 
@@ -63,28 +65,41 @@ NAMED = {
 }
 
 
+def quaternions(blocks):
+    """Unit quaternions of the SU(2) parts of (N, 2, 2) blocks, every row finite.
+
+    Each block is divided by the square root of its determinant, or by 1
+    where |det| <= 1e-6, and its quaternion by its norm, or by 1 where the
+    norm is <= 1e-9 (the engine's guards, written out apart from it).
+    """
+    det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
+    e = blocks / np.sqrt(np.where(np.abs(det) > 1e-6, det, 1.0))[:, None, None]
+    q = np.stack([0.5 * (e[:, 0, 0] + e[:, 1, 1]).real, -0.5 * (e[:, 0, 1] + e[:, 1, 0]).imag,
+                  0.5 * (e[:, 1, 0] - e[:, 0, 1]).real, 0.5 * (e[:, 1, 1] - e[:, 0, 0]).imag],
+                 axis=-1)
+    norms = np.linalg.norm(q, axis=1)
+    return q / np.where(norms > 1e-9, norms, 1.0)[:, None]
+
+
 def loop_mitm_depth(eng, v, vq, depth, radius=RADIUS):
     """(err, word) of the best meet-in-the-middle pair at ``depth``, one first half a pass."""
     a = depth // 2
     b = depth - a
     first = eng._word_table(a).products
     cols = np.ascontiguousarray(first[:, :, :2])   # W1 @ P
-    q1, ok1 = _su2_quaternions(first[:, :2, :2])
     # wanted second half: W2 ~ V W1^{-1}; unit quaternion inverse = conj
-    q1_inv = q1 * np.array([1.0, -1.0, -1.0, -1.0])
+    q1_inv = quaternions(first[:, :2, :2]) * np.array([1.0, -1.0, -1.0, -1.0])
     targets = _quat_mul(vq[None, :], q1_inv)
     second = eng._word_table(b).products
-    q2, ok2 = _su2_quaternions(second[:, :2, :2])
-    idx2 = np.flatnonzero(ok2)
-    tree = cKDTree(np.concatenate([q2[idx2], -q2[idx2]]))
-    owners = np.concatenate([idx2, idx2])
+    q2 = quaternions(second[:, :2, :2])
+    tree = cKDTree(np.concatenate([q2, -q2]))
     rows = np.ascontiguousarray(second[:, :2, :])  # P @ W2
-    hits = tree.query_ball_point(targets[ok1], r=radius)
+    hits = tree.query_ball_point(targets, r=radius)
     best_err, best_word = np.inf, ()
-    for qi, neigh in zip(np.flatnonzero(ok1), hits):
+    for qi, neigh in enumerate(hits):
         if not neigh:
             continue
-        w2s = np.unique(owners[np.asarray(neigh)])
+        w2s = np.unique(np.asarray(neigh) % len(second))
         errs = _fixed_errors(rows[w2s] @ cols[qi], v)
         j = int(np.argmin(errs))
         if errs[j] < best_err:
@@ -162,20 +177,23 @@ def ball_pair_keys(eng, vq, a, radius=RADIUS):
     """``_MinEngine._pair_keys`` from one ``query_ball_point`` list per first half.
 
     The same [depth 2a's, depth 2a+1's] keys, first * n_second + second,
-    on the engine's own ``_Ball`` tree, in the order the lists give them.
+    on the engine's own ``_tree(a)``, in the order the lists give them.
+    Every word of length a is a first half.  The word of each tree point
+    comes from an explicit owner table: the words of length a twice (q,
+    then -q), then those of length a + 1 twice, unless a is the half cap.
     """
-    first, ball = eng._word_table(a), eng._ball(a)
-    q1_inv = first.q * np.array([1.0, -1.0, -1.0, -1.0])
-    hits = ball.tree.query_ball_point(_quat_mul(vq[None, :], q1_inv), r=radius,
-                                      return_sorted=False)
+    sizes = [eng.n_sym ** n for n in range(a, min(a + 1, eng.half_cap) + 1)]
+    owners = np.concatenate([np.arange(n) for n in sizes for _ in (0, 1)])  # q, then -q
+    q1_inv = eng._word_table(a).q * np.array([1.0, -1.0, -1.0, -1.0])
+    hits = eng._tree(a).query_ball_point(_quat_mul(vq[None, :], q1_inv), r=radius,
+                                         return_sorted=False)
     counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
     points = np.fromiter(chain.from_iterable(hits), dtype=np.intp, count=int(counts.sum()))
-    firsts = np.repeat(first.valid, counts)
-    owners = ball.owners[points]
-    odd = points >= ball.split
-    n_even = eng.n_sym ** a
-    return [firsts[~odd] * n_even + owners[~odd],
-            firsts[odd] * (n_even * eng.n_sym) + owners[odd]]
+    n_even = sizes[0]
+    firsts = np.repeat(np.arange(n_even), counts)
+    odd = points >= 2 * n_even
+    return [firsts[~odd] * n_even + owners[points[~odd]],
+            firsts[odd] * (n_even * eng.n_sym) + owners[points[odd]]]
 
 
 def pair_key_mismatches(eng, vq, a_range, radius=RADIUS):
@@ -189,7 +207,7 @@ def pair_key_mismatches(eng, vq, a_range, radius=RADIUS):
 
 def target_quaternion(v):
     """The SU(2) quaternion ``_MinEngine.search`` queries with for target ``v``."""
-    return _su2_quaternions(v[None])[0][0]
+    return _su2_quaternions(v[None])[0]
 
 
 def leakage(block):

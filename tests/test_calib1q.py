@@ -403,8 +403,28 @@ def test_opt_table_integers_fit_the_smallest_type(ry_bitstream_hi, spec_hi):
     Bitstream(bits=(1, 0, 0), clock_period=50e-12),
 ], ids=["length", "clock_period"])
 def test_calibrate_rejects_mismatched_streams(spec_hi, other):
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CalibrationError, match="differ in length or clock period"):
         calibrate_qubit(spec_hi, [Bitstream(bits=(1, 0, 0)), other])
+
+
+@pytest.mark.parametrize("n_streams", [2, 3])
+def test_calibrate_opt_takes_exactly_one_stream_before_simulating(spec_hi, monkeypatch,
+                                                                  n_streams):
+    # the opt engine reads only the first stream, so more must fail, not be dropped
+    monkeypatch.setattr(Bitstream, "simulate", None)
+    with pytest.raises(CalibrationError, match=f"exactly one stream, got {n_streams}"):
+        calibrate_qubit(spec_hi, [Bitstream(bits=(1, 0, 0))] * n_streams)
+
+
+@pytest.mark.parametrize("n_streams", [1, 5])
+def test_calibrate_min_takes_two_to_four_streams_before_simulating(spec_hi, monkeypatch,
+                                                                   n_streams):
+    # the min search's half caps are sized for 2..4 symbols; one stream (idle
+    # only) has no x/y rotation
+    monkeypatch.setattr(Bitstream, "simulate", None)
+    streams = [Bitstream(bits=(1, 0, 0))] * (n_streams - 1) + [Bitstream(bits=(0, 0, 0))]
+    with pytest.raises(CalibrationError, match=f"2 to 4 streams, got {n_streams}"):
+        calibrate_qubit(spec_hi, streams, arch="min")
 
 
 def test_calibrate_rejects_n_max_below_one(spec_hi):
@@ -504,10 +524,10 @@ def test_decompose_min_against_brute_force_and_pulse_train(golden, spec_hi, haar
 
 def test_decompositions_reject_the_other_architecture(golden, spec_hi):
     streams = [golden["min_ry_6212MHz"], golden["min_idle_6212MHz"]]
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CalibrationError, match="decompose_opt needs arch 'opt'"):
         decompose_opt(calibrate_qubit(spec_hi, streams, arch="min"), H)
-    with pytest.raises(CalibrationError):
-        decompose_min(calibrate_qubit(spec_hi, streams, arch="opt"), H)
+    with pytest.raises(CalibrationError, match="decompose_min needs arch 'min'"):
+        decompose_min(calibrate_qubit(spec_hi, streams[:1], arch="opt"), H)
 
 
 def _four_streams(golden):
@@ -690,12 +710,39 @@ def test_pair_keys_equal_the_ball_query(mitm_cals, haar_su2, monkeypatch, knn):
     sizes = set()
     for a in range(6, 15):
         q1_inv = eng._word_table(a).q * np.array([1.0, -1.0, -1.0, -1.0])
-        sizes.update(eng._ball(a).tree.query_ball_point(
+        sizes.update(eng._tree(a).query_ball_point(
             calib1q._quat_mul(vq[None, :], q1_inv), r=RADIUS, return_length=True).tolist())
     assert {2, 8, 32} <= sizes and max(sizes) == 243
     eng = mitm_cals[12e6].min_engine
     assert not any(k.size for a in range(6, 15)
                    for k in eng._pair_keys(target_quaternion(haar[2]), a, RADIUS))
+
+
+def test_su2_quaternions_of_singular_blocks_are_finite():
+    # a word that leaks all of a level has a singular block and still needs a tree point
+    blocks = np.array([np.zeros((2, 2)), np.diag([1.0, 0.0]), [[0.6, 0.8j], [0.3, 0.4j]]])
+    assert np.isfinite(calib1q._su2_quaternions(blocks)).all()
+
+
+def test_min_search_keeps_words_with_singular_blocks(golden, spec_hi):
+    # an idle step that also swaps levels 1 and 2 leaves the all-idle words of odd
+    # length with a rank-one {0, 1} block; they stay first halves and tree points,
+    # so the pair keys equal the ball query over every word, and a target at
+    # q(W2) q(W1), W1 the 7-cycle all-idle word, meets W1 in a ball at a = 7,
+    # whose depth-15 pairs the search rescores before it stops at depth 16
+    streams = [golden["min_ry_6212MHz"], golden["min_idle_6212MHz"]]
+    cal = calibrate_qubit(spec_hi, streams, arch="min")
+    cal.basis_ops[1] = cal.basis_ops[1] @ np.eye(spec_hi.levels)[[0, 2, 1, 3, 4, 5]]
+    eng = cal.min_engine
+    assert abs(np.linalg.det(eng.word_block((1,) * 7))) <= 1e-6
+    w, x, y, z = calib1q._quat_mul(eng._word_table(8).q[37], eng._word_table(7).q[-1])
+    v = np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
+    vq = target_quaternion(v)
+    assert pair_key_mismatches(eng, vq, range(6, 11)) == []
+    assert 2 ** 7 - 1 in eng._pair_keys(vq, 7, RADIUS)[1] // 2 ** 8
+    dec = decompose_min(cal, v)
+    assert not dec.flagged and dec.depth == 16
+    assert abs(recompose_error(cal, dec, v) - dec.err) <= 1e-12
 
 
 def _nudged_polar(eng, rng, length):
@@ -733,8 +780,8 @@ def test_min_pair_errors_meet_the_ball_bound(golden, spec_hi, mitm_cals, haar_su
     streams = [golden["min_ry_6212MHz"], golden["min_idle_6212MHz"]]
     cal = mitm_cals.get(drift) or calibrate_qubit(spec_hi.with_drift(drift), streams, arch="min")
     first, second = cal.min_engine._word_table(7), cal.min_engine._word_table(8)
-    cols = first.products[first.valid][:, :, :2]
-    rows = second.products[second.valid][:, :2]
+    cols = first.products[:, :, :2]
+    rows = second.products[:, :2]
     blocks = np.einsum("sij,fjk->sfik", rows, cols).reshape(-1, 2, 2)
     q = calib1q._quat_mul(second.q[:, None], first.q[None]).reshape(-1, 4)
     rng = np.random.default_rng(31)
@@ -800,7 +847,7 @@ def test_pair_blocks_equal_one_product_per_pair(mitm_cals, monkeypatch, slice_pa
     cols, rows = eng._word_table(7).products[:, :, :2], eng._word_table(8).products[:, :2, :]
     n_second = 2 ** 8
     rng = np.random.default_rng(11)
-    firsts = rng.choice(eng._word_table(7).valid, size=70, replace=False)
+    firsts = rng.choice(2 ** 7, size=70, replace=False)
     keys = np.sort(np.concatenate([
         qi * n_second + rng.choice(n_second, size=k, replace=False)
         for k, qi in enumerate(firsts, start=1)]))
