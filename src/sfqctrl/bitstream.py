@@ -92,7 +92,12 @@ class BitstreamDesignError(RuntimeError):
 
 @dataclass(frozen=True)
 class Bitstream:
-    """A fixed-clock SFQ pulse-bit sequence plus its design tip angle."""
+    """A fixed-clock SFQ pulse-bit sequence plus its design tip angle.
+
+    ``bits`` holds 1 to ``MAX_BITSTREAM_LEN`` Python ints, each 0 or 1; any
+    other element (a float, a bool, a numpy integer) or an empty stream is
+    a ValueError (``to_string`` of 1.0 or True is not a bit).
+    """
 
     bits: tuple[int, ...]
     clock_period: float = SFQ_CLOCK_PERIOD
@@ -101,8 +106,8 @@ class Bitstream:
     def __post_init__(self):
         if len(self.bits) > MAX_BITSTREAM_LEN:
             raise ValueError(f"bitstream exceeds {MAX_BITSTREAM_LEN} bits")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
+        if set(map(type, self.bits)) != {int} or not set(self.bits) <= {0, 1}:  # () fails the first
+            raise ValueError("bits must be a non-empty sequence of the ints 0 and 1")
         if not np.isfinite(self.tip_angle):
             raise ValueError(f"tip_angle must be finite, got {self.tip_angle}")
         if not (np.isfinite(self.clock_period) and self.clock_period > 0):
@@ -212,7 +217,8 @@ def drift_tolerance(freq: float, resolution: float = 0.1e6) -> float:
 
 
 def gate_length_cycles(nominal_freq: float) -> int:
-    """Design gate length in clock cycles for a nominal frequency."""
+    """Design gate length in clock cycles for a finite nominal frequency."""
+    nominal_freq = checked_finite("nominal_freq", nominal_freq)
     for f, n in GATE_LENGTH_CYCLES.items():
         if abs(nominal_freq - f) < 1.0:
             return n

@@ -31,16 +31,12 @@ styles are supported:
           over the step alphabet are searched by one lazy walk in order
           of depth, stopped at the first depth within the budget:
           exhaustively up to 12 cycles (two symbols) or 6 (more), then
-          by a radius-limited meet-in-the-middle search over two stored
-          halves: every word of each half length is a quaternion point,
-          and the second halves in a closed ball around each first
-          half's wanted match, found by growing k-nearest queries in one
-          tree of both second-half lengths, serve the two depths that
-          split off each first-half length.  The radius
-          (``_ball_radius``) shrinks with the lowest error found so far,
-          to the pairs whose error bound can still beat it.  Stored
-          streams are designed against D^dag-compensated targets so
-          their steps equal the advertised gates at zero drift.
+          by meet in the middle: each first half meets the second halves
+          whose quaternions lie in a closed ball around its wanted match,
+          the radius (``_ball_radius``) shrinking with the lowest error
+          found so far.  Stored streams are designed against
+          D^dag-compensated targets so their steps equal the advertised
+          gates at zero drift.
 
 Both searches score with the qubit's exact six-level operators: leakage
 builds up through the sequence and is projected once at the end.
@@ -532,26 +528,21 @@ class _MinEngine:
     stream's B_j is the identity), and ``_word_table`` keeps one ``_Words``
     record per length.  Words up to ``exh_cap`` cycles (12 for two symbols,
     6 for more) are scored exhaustively (vectorized six-level products).
-    Every deeper depth, for any alphabet, is a meet-in-the-middle stage:
-    the depth is split into a first half of a = depth // 2 cycles and a
-    second half of the rest, the second halves whose quaternions lie in a
-    closed ball around each first half's wanted match are proposed as
-    (first, second) pairs, and every pair is rescored exactly with the
-    six-level word products (E = P W2 W1 P = (P W2)(W1 P), associativity
-    making the rescoring exact).  Every word is a first half and a tree
-    point, whatever its block.  One set of balls per first-half length
-    a, from growing k-nearest queries on one KD-tree of every second half
-    of lengths a and a + 1 (``_tree``, one index space over both),
-    serves depths 2a and 2a+1, and the walk (``_depths``) keeps its hits
-    only while it scores them.  The balls' radius is ``_ball_radius`` of
-    the lowest error the walk has yielded before, so it shrinks to the
-    pairs whose bound can still beat it.
-    The pairs of one depth are rescored as one batch sorted by their
-    (first, second) key, one matrix product per first half, so the lowest
-    key among the lowest errors wins.  The word tables of the halves stop
-    at ``half_cap`` cycles (14 for two symbols, 7 for more), which bounds
-    the depth a search can reach.  The engine holds only target-independent
-    tables and ``decompose_min``'s results.
+    Every deeper depth is split into a first half of a = depth // 2 cycles
+    and a second half of the rest; the pairs whose second half lies in a
+    closed ball around the first half's wanted match are rescored exactly
+    with the six-level word products (E = P W2 W1 P = (P W2)(W1 P)).  Every
+    word is a first half and a tree point, whatever its block: one KD-tree
+    per first-half length a (``_tree``) holds one sign-canonical point
+    (w >= 0) per word of lengths a and a + 1, and one ``_pair_keys`` call
+    serves depths 2a and 2a+1, whose hits the walk (``_depths``) keeps only
+    while it scores them.  The radius is ``_ball_radius`` of the lowest
+    error yielded before.  The pairs of one depth are rescored as one batch
+    sorted by their (first, second) key, one matrix product per first half,
+    so the lowest key among the lowest errors wins.  The word tables of the
+    halves stop at ``half_cap`` cycles (14 for two symbols, 7 for more),
+    which bounds the depth a search can reach.  The engine holds only
+    target-independent tables and ``decompose_min``'s results.
     """
 
     def __init__(self, cal: QubitCalibration):
@@ -566,7 +557,7 @@ class _MinEngine:
         self.exh_cap = 12 if self.n_sym == 2 else 6
         self.half_cap = 14 if self.n_sym == 2 else 7
         self._words = [_Words.of(np.eye(spec.levels, dtype=complex)[None])]
-        self._trees: dict[int, object] = {}  # cKDTree by first-half length
+        self._trees: dict[int, tuple] = {}  # ``_tree``'s, by first-half length
         self._results: dict[tuple, Decomposition1Q] = {}  # decompose_min's, by its inputs
 
     # -- tables ---------------------------------------------------------------
@@ -580,19 +571,25 @@ class _MinEngine:
         return self._words[length]
 
     def _tree(self, a: int):
-        """KD-tree of the second halves that the first halves of length ``a`` meet, built once.
+        """(tree, order, conj) of the first halves of length ``a``, built once.
 
         Depths 2a and 2a+1 both split off a first half of length a, so the
-        tree holds q and -q of every word of length a, then q and -q of
-        every word of length a + 1 (absent when a + 1 exceeds the half
-        cap), in word order: with n = n_sym, point i is word i mod n^a
-        below 2 n^a and word (i - 2 n^a) mod n^(a+1) from there on.
+        sliding-midpoint KD-tree holds one point per word of length a, then
+        per word of length a + 1 (absent when a + 1 exceeds the half cap):
+        with n = n_sym, point i is word i below n^a and word i - n^a from
+        there on.  A word's point is its q times sign(q_w), so w >= 0 (q and
+        -q are one gate up to a global phase).  ``order`` lists the words of
+        length a in the tree's leaf order and ``conj`` their points' conjugates.
         """
         from scipy.spatial import cKDTree
 
         if a not in self._trees:
-            qs = [self._word_table(n).q for n in range(a, min(a + 1, self.half_cap) + 1)]
-            self._trees[a] = cKDTree(np.concatenate([x for q in qs for x in (q, -q)]))
+            q = np.concatenate([self._word_table(n).q
+                                for n in range(a, min(a + 1, self.half_cap) + 1)])
+            q *= np.where(q[:, :1] < 0.0, -1.0, 1.0)
+            tree = cKDTree(q, balanced_tree=False)
+            order = tree.indices[tree.indices < self.n_sym ** a]
+            self._trees[a] = tree, order, q[order] * np.array([1.0, -1.0, -1.0, -1.0])
         return self._trees[a]
 
     def word_digits(self, index: int, length: int) -> tuple[int, ...]:
@@ -667,19 +664,23 @@ class _MinEngine:
 
         The wanted second half of a first half W1 is W2 ~ V W1^-1, so the
         closed ball of radius ``radius`` around vq * conj(q1) per first
-        half of length a, in the tree of both second-half lengths,
-        proposes the pairs of both depths (2a+1's are empty at a =
-        ``half_cap``).  The balls come from k-nearest queries bounded by
-        the radius, k = ``_KNN`` (8) at first: a row whose k-th neighbour
-        still lies in its ball may hold more, so those rows are asked
-        again with 4k until no row is full.  A key is first * n_second +
-        second, n_second the number of words of the second half's length:
-        the first halves are every word of length a, and ``_tree``'s point
-        index gives the second half's length and word.
+        half of length a, asked in ``_tree``'s leaf order, proposes the
+        pairs of both depths (2a+1's are empty at a = ``half_cap``).  A
+        first half asks for its match x times sign(x_w), and only if x_w <=
+        radius + ``_TIE`` also for -x: a point c (c_w >= 0) within the
+        radius of -x has x_w <= |c + x| <= radius.  Negation being exact,
+        the hits are the ball's over q and -q of every second half, as a
+        multiset with the same distances.  Each ball comes from k-nearest
+        queries bounded by the radius, k = ``_KNN`` (8) at first; rows whose
+        k-th neighbour still lies in the ball are asked again with 4k until
+        none is full.  A key is first * n_second + second, n_second the
+        number of words of the second half's length.
         """
-        tree, n_even = self._tree(a), self.n_sym ** a
-        q1_inv = self._word_table(a).q * np.array([1.0, -1.0, -1.0, -1.0])  # unit: conj
-        x, rows, k = _quat_mul(vq[None, :], q1_inv), np.arange(n_even), _KNN
+        (tree, order, conj), n_even = self._tree(a), self.n_sym ** a
+        x = _quat_mul(vq[None, :], conj)
+        x *= np.where(x[:, :1] < 0.0, -1.0, 1.0)
+        band = x[:, 0] <= radius + _TIE
+        x, rows, k = np.concatenate([x, -x[band]]), np.concatenate([order, order[band]]), _KNN
         firsts, points = [], []
         while True:
             d, i = tree.query(x, k, distance_upper_bound=np.nextafter(radius, np.inf))
@@ -693,10 +694,9 @@ class _MinEngine:
                 break
             x, rows, k = x[full], rows[full], 4 * k
         firsts, points = np.concatenate(firsts), np.concatenate(points)
-        odd = points >= 2 * n_even
-        n_odd = n_even * self.n_sym
-        return [firsts[~odd] * n_even + points[~odd] % n_even,
-                firsts[odd] * n_odd + (points[odd] - 2 * n_even) % n_odd]
+        odd = points >= n_even
+        return [firsts[~odd] * n_even + points[~odd],
+                firsts[odd] * (n_even * self.n_sym) + points[odd] - n_even]
 
     def _best_pair(self, v, keys, a, b):
         """(err, word) of the best (first, second) pair of ``keys``; (inf, ()) if none.

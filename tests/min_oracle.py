@@ -14,9 +14,10 @@ tests compare each depth that the engine's lazy walk
 they skip its exhaustive depths), and the walk's running best against
 that of a walk whose radius never shrinks (``fixed_radius_walk``).
 ``ball_pair_keys`` is ``_MinEngine._pair_keys`` from one
-``query_ball_point`` list per first half and an explicit table of the
-word each tree point belongs to, the pair set the growing k-nearest
-queries must equal as a multiset.  ``exhaustive_depth``
+``query_ball_point`` list per first half on a tree of its own, q and -q
+of every second half, and an explicit table of the word each tree point
+belongs to: the pair set that the engine's canonical and band queries
+must equal as a multiset.  ``exhaustive_depth``
 scores every (first, second) pair of one depth, with no radius.  Run as a
 script for the full comparison on the min equality set:
 
@@ -177,19 +178,22 @@ def ball_pair_keys(eng, vq, a, radius=RADIUS):
     """``_MinEngine._pair_keys`` from one ``query_ball_point`` list per first half.
 
     The same [depth 2a's, depth 2a+1's] keys, first * n_second + second,
-    on the engine's own ``_tree(a)``, in the order the lists give them.
-    Every word of length a is a first half.  The word of each tree point
-    comes from an explicit owner table: the words of length a twice (q,
-    then -q), then those of length a + 1 twice, unless a is the half cap.
+    in the order the lists give them, from a KD-tree of its own (not the
+    engine's ``_tree``): q and -q of every second half, q from
+    ``quaternions`` of the engine's word products.  Every word of length a
+    is a first half.  The word of each tree point comes from an explicit
+    owner table: the words of length a twice (q, then -q), then those of
+    length a + 1 twice, unless a is the half cap.
     """
-    sizes = [eng.n_sym ** n for n in range(a, min(a + 1, eng.half_cap) + 1)]
-    owners = np.concatenate([np.arange(n) for n in sizes for _ in (0, 1)])  # q, then -q
-    q1_inv = eng._word_table(a).q * np.array([1.0, -1.0, -1.0, -1.0])
-    hits = eng._tree(a).query_ball_point(_quat_mul(vq[None, :], q1_inv), r=radius,
-                                         return_sorted=False)
+    lengths = range(a, min(a + 1, eng.half_cap) + 1)
+    q2 = [quaternions(eng._word_table(n).products[:, :2, :2]) for n in lengths]
+    tree = cKDTree(np.concatenate([x for q in q2 for x in (q, -q)]))
+    owners = np.concatenate([np.arange(len(q)) for q in q2 for _ in (0, 1)])  # q, then -q
+    q1_inv = q2[0] * np.array([1.0, -1.0, -1.0, -1.0])
+    hits = tree.query_ball_point(_quat_mul(vq[None, :], q1_inv), r=radius, return_sorted=False)
     counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
     points = np.fromiter(chain.from_iterable(hits), dtype=np.intp, count=int(counts.sum()))
-    n_even = sizes[0]
+    n_even = len(q2[0])
     firsts = np.repeat(np.arange(n_even), counts)
     odd = points >= 2 * n_even
     return [firsts[~odd] * n_even + owners[points[~odd]],

@@ -55,6 +55,23 @@ def test_bitstream_roundtrip_ascii():
     assert back.pulse_slots == (0, 3)
 
 
+@pytest.mark.parametrize("bits", [(1.0, 0, True), (1.0, 0, 1), (True, 0, 1), (1, 0, 2),
+                                  (1, 0, "1"), ()],
+                         ids=["float-bool", "float", "bool", "two", "str", "empty"])
+def test_bitstream_rejects_bits_other_than_the_ints_0_and_1(bits):
+    # to_string would write '1.00True', '1.001', 'True01', ... or '', which
+    # from_string cannot read back as the same stream
+    with pytest.raises(ValueError, match="bits"):
+        Bitstream(bits=bits)
+
+
+@pytest.mark.parametrize("freq", [np.nan, np.inf, -np.inf])
+def test_gate_length_cycles_rejects_a_non_finite_frequency(freq):
+    # a non-finite frequency matched no parking point and got the 300-cycle cap
+    with pytest.raises(ValueError, match="nominal_freq"):
+        gate_length_cycles(freq)
+
+
 @pytest.mark.parametrize("tip_angle", [np.nan, np.inf, -np.inf])
 def test_bitstream_rejects_non_finite_tip_angle(tip_angle):
     with pytest.raises(ValueError):

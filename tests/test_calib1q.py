@@ -691,12 +691,25 @@ def test_min_walk_queries_once_per_first_half(golden, spec_hi, monkeypatch, v, b
     assert [d for d, _ in scored] == list(range(13, depth + 1))
 
 
+class _FirstRounds:
+    """A KD-tree that records the rows of every first k-nearest query (k = ``_KNN``)."""
+
+    def __init__(self, tree):
+        self.tree, self.rows = tree, []
+
+    def query(self, x, k, **kwargs):
+        if k == calib1q._KNN:
+            self.rows.append(x)
+        return self.tree.query(x, k, **kwargs)
+
+
 @pytest.mark.parametrize("knn", [None, 2])
 def test_pair_keys_equal_the_ball_query(mitm_cals, haar_su2, monkeypatch, knn):
-    # the growing k-nearest queries must find every point of each closed ball, q and -q
-    # twins included: H at zero drift is dense (up to 243 points per first half), the
-    # +12 MHz Haar target (the third seeded draw) finds none, and k = 2 takes several
-    # growth rounds, with first halves of exactly 2, 8 and 32 points
+    # the growing k-nearest queries of the canonical and band rows must find every
+    # point of each closed ball over q and -q, twins included: H at zero drift is
+    # dense (up to 243 points per row), the +12 MHz Haar target (the third seeded
+    # draw) finds none, and k = 2 takes several growth rounds: the engine's own
+    # first-round rows for H hold exactly 2, 8 and 32 points somewhere
     if knn is not None:
         monkeypatch.setattr(calib1q, "_KNN", knn)
     rng = np.random.default_rng(5)
@@ -706,16 +719,65 @@ def test_pair_keys_equal_the_ball_query(mitm_cals, haar_su2, monkeypatch, knn):
     for cal, v, a_range in cases:
         eng, vq = mitm_cals[cal].min_engine, target_quaternion(v)
         assert pair_key_mismatches(eng, vq, a_range) == [], cal
-    eng, vq = mitm_cals[0.0].min_engine, target_quaternion(H)
-    sizes = set()
-    for a in range(6, 15):
-        q1_inv = eng._word_table(a).q * np.array([1.0, -1.0, -1.0, -1.0])
-        sizes.update(eng._tree(a).query_ball_point(
-            calib1q._quat_mul(vq[None, :], q1_inv), r=RADIUS, return_length=True).tolist())
-    assert {2, 8, 32} <= sizes and max(sizes) == 243
     eng = mitm_cals[12e6].min_engine
     assert not any(k.size for a in range(6, 15)
                    for k in eng._pair_keys(target_quaternion(haar[2]), a, RADIUS))
+    if knn is None:
+        return
+    eng, vq = mitm_cals[0.0].min_engine, target_quaternion(H)
+    sizes = set()
+    for a in range(6, 15):
+        tree, order, conj = eng._tree(a)
+        recorder = _FirstRounds(tree)
+        monkeypatch.setitem(eng._trees, a, (recorder, order, conj))
+        eng._pair_keys(vq, a, RADIUS)
+        (rows,) = recorder.rows
+        assert len(rows) > len(order)  # some band rows
+        sizes.update(tree.query_ball_point(rows, r=RADIUS, return_length=True).tolist())
+    assert {2, 8, 32} <= sizes and max(sizes) == 243
+
+
+@pytest.mark.parametrize("cal, a", [(0.0, 6), (0.0, 13), (0.0, 14), ("min4", 3), ("min4", 7)])
+def test_min_tree_holds_one_canonical_point_per_word(mitm_cals, cal, a):
+    # one point per word of lengths a and a + 1 (only a at the half cap), each
+    # q or -q of its word with w >= 0, and the words of length a listed in the
+    # tree's leaf order, each once, with their points' conjugates
+    eng = mitm_cals[cal].min_engine
+    tree, order, conj = eng._tree(a)
+    n_even = eng.n_sym ** a
+    assert tree.n == (n_even if a == eng.half_cap else n_even + n_even * eng.n_sym)
+    q = np.concatenate([eng._word_table(n).q for n in range(a, min(a + 1, eng.half_cap) + 1)])
+    assert ((tree.data == q).all(axis=1) | (tree.data == -q).all(axis=1)).all()
+    assert (tree.data[:, 0] >= 0.0).all()
+    assert np.array_equal(np.sort(order), np.arange(n_even))
+    assert np.array_equal(order, tree.indices[tree.indices < n_even])
+    assert np.array_equal(conj, tree.data[order] * np.array([1.0, -1.0, -1.0, -1.0]))
+
+
+def test_pair_keys_find_a_first_half_through_its_band_row_alone(mitm_cals):
+    # a target whose wanted match x for the first half W1 (a = 7, word 37) lies
+    # just across the w = 0 equator from the point c of a second half W2 of 8
+    # cycles: x_w = 0.005 puts x in the band, its own row finds no point, its
+    # band row -x finds c, and the pair (W1, W2) is proposed, the keys equal
+    # to the ball query's over q and -q
+    eng, a, first = mitm_cals[0.0].min_engine, 7, 37
+    tree, _, _ = eng._tree(a)
+    n_even, conj = 2 ** a, np.array([1.0, -1.0, -1.0, -1.0])
+    q1 = eng._word_table(a).q[first]
+    for second in np.argsort(tree.data[n_even:, 0]):
+        x = np.concatenate([[0.005], -tree.data[n_even + second, 1:]])
+        x /= np.linalg.norm(x)
+        if not tree.query_ball_point(x, r=RADIUS):
+            break
+    w, x1, y, z = calib1q._quat_mul(x, q1)
+    vq = target_quaternion(np.array([[w - 1j * z, -y - 1j * x1], [y - 1j * x1, w + 1j * z]]))
+    got = calib1q._quat_mul(vq, q1 * conj)
+    got *= np.sign(got[0])
+    assert 0.0 < got[0] <= RADIUS
+    assert tree.query_ball_point(got, r=RADIUS) == []
+    assert n_even + second in tree.query_ball_point(-got, r=RADIUS)
+    assert first * 2 ** (a + 1) + second in eng._pair_keys(vq, a, RADIUS)[1]
+    assert pair_key_mismatches(eng, vq, [a]) == []
 
 
 def test_su2_quaternions_of_singular_blocks_are_finite():
