@@ -94,9 +94,10 @@ class BitstreamDesignError(RuntimeError):
 class Bitstream:
     """A fixed-clock SFQ pulse-bit sequence plus its design tip angle.
 
-    ``bits`` holds 1 to ``MAX_BITSTREAM_LEN`` Python ints, each 0 or 1; any
-    other element (a float, a bool, a numpy integer) or an empty stream is
-    a ValueError (``to_string`` of 1.0 or True is not a bit).
+    ``bits`` is a tuple of 1 to ``MAX_BITSTREAM_LEN`` Python ints, each 0
+    or 1; any other sequence (a list would leave the frozen stream
+    unhashable), any other element (a float, a bool, a numpy integer) or an
+    empty stream is a ValueError (``to_string`` of 1.0 or True is not a bit).
     """
 
     bits: tuple[int, ...]
@@ -104,10 +105,11 @@ class Bitstream:
     tip_angle: float = 0.0
 
     def __post_init__(self):
+        if (not isinstance(self.bits, tuple) or set(map(type, self.bits)) != {int}
+                or not set(self.bits) <= {0, 1}):  # () fails the element types
+            raise ValueError("bits must be a non-empty tuple of the ints 0 and 1")
         if len(self.bits) > MAX_BITSTREAM_LEN:
             raise ValueError(f"bitstream exceeds {MAX_BITSTREAM_LEN} bits")
-        if set(map(type, self.bits)) != {int} or not set(self.bits) <= {0, 1}:  # () fails the first
-            raise ValueError("bits must be a non-empty sequence of the ints 0 and 1")
         if not np.isfinite(self.tip_angle):
             raise ValueError(f"tip_angle must be finite, got {self.tip_angle}")
         if not (np.isfinite(self.clock_period) and self.clock_period > 0):

@@ -32,11 +32,10 @@ styles are supported:
           of depth, stopped at the first depth within the budget:
           exhaustively up to 12 cycles (two symbols) or 6 (more), then
           by meet in the middle: each first half meets the second halves
-          whose quaternions lie in a closed ball around its wanted match,
-          the radius (``_ball_radius``) shrinking with the lowest error
-          found so far.  Stored streams are designed against
-          D^dag-compensated targets so their steps equal the advertised
-          gates at zero drift.
+          whose quaternions lie in a closed ball around its wanted match
+          (radius: ``_MinEngine._depths``, ``_ball_radius``).  Stored
+          streams are designed against D^dag-compensated targets so their
+          steps equal the advertised gates at zero drift.
 
 Both searches score with the qubit's exact six-level operators: leakage
 builds up through the sequence and is projected once at the end.
@@ -478,7 +477,7 @@ _SLACK = 0.9  # below the least measured err / ((2/3) sin^2 phi) of a pair (``_b
 
 
 def _ball_radius(err_budget: float, best: float) -> float:
-    """Ball radius of a first half when the lowest error found so far is ``best``.
+    """Ball radius of a depth whose shallower depths' lowest error is ``best`` (``_depths``).
 
     r0 = max(0.05, 3.5*sqrt(1.5*err_budget)) is empirical.  A projected
     block E at quaternion angle theta_E from the target has err >= (2/3)
@@ -535,14 +534,14 @@ class _MinEngine:
     word is a first half and a tree point, whatever its block: one KD-tree
     per first-half length a (``_tree``) holds one sign-canonical point
     (w >= 0) per word of lengths a and a + 1, and one ``_pair_keys`` call
-    serves depths 2a and 2a+1, whose hits the walk (``_depths``) keeps only
-    while it scores them.  The radius is ``_ball_radius`` of the lowest
-    error yielded before.  The pairs of one depth are rescored as one batch
-    sorted by their (first, second) key, one matrix product per first half,
-    so the lowest key among the lowest errors wins.  The word tables of the
-    halves stop at ``half_cap`` cycles (14 for two symbols, 7 for more),
-    which bounds the depth a search can reach.  The engine holds only
-    target-independent tables and ``decompose_min``'s results.
+    serves depths 2a and 2a+1, whose hits the walk (``_depths``, which
+    sets each depth's radius) keeps only while it scores them.  The pairs
+    of one depth are rescored as one batch sorted by their (first, second)
+    key, one matrix product per first half, so the lowest key among the
+    lowest errors wins.  The word tables of the halves stop at
+    ``half_cap`` cycles (14 for two symbols, 7 for more), which bounds the
+    depth a search can reach.  The engine holds only target-independent
+    tables and ``decompose_min``'s results.
     """
 
     def __init__(self, cal: QubitCalibration):
@@ -604,40 +603,20 @@ class _MinEngine:
 
     # -- search ----------------------------------------------------------------
 
-    def search(self, v_eff: np.ndarray, err_budget: float, max_depth: int):
-        """Shortest word (exact match, no free trailing) within the budget.
-
-        Consumes ``_depths`` from depth 0 (the empty word) and stops at the
-        first depth whose best word meets the budget, so no deeper depth is
-        scored.  The half tables are capped at ``half_cap`` cycles (2^14 =
-        16,384 half words and depth 28 for the two-symbol alphabet; 3^7 =
-        2,187 and 4^7 = 16,384 half words and depth 14 for three and four
-        symbols; ``max_depth`` must not exceed twice the cap).  When no
-        word meets the budget the best found overall is returned (caller
-        flags it).  Returns ((err, word), walked), ``walked`` holding what
-        ``_depths`` yielded for each depth scored.
-        """
-        best, walked = (np.inf, ()), []
-        for step in self._depths(v_eff, err_budget, max_depth):
-            walked.append(step)
-            if step[0] < best[0]:
-                best = step[:2]
-            if best[0] <= err_budget:
-                break
-        return best, walked
-
     def _depths(self, v, err_budget, last):
         """Yield (err, word, radius, pairs) of each depth 0..last, in order, lazily.
 
-        (err, word) is the depth's best word.  Depths up to ``exh_cap``
-        score every word (radius None, 0 pairs).  Past it, one
-        ``_pair_keys`` call per first-half length a gives the pairs of
-        depths 2a and 2a+1, those in the closed balls of radius
-        ``_ball_radius(err_budget, b)``, b the lowest error yielded before,
-        and ``pairs`` counts the pairs rescored.  Each share is dropped
-        once scored, so the walk holds at most one call's keys, and a
-        consumer that stops at 2a never rescores 2a+1.  A depth with no
-        pair yields err inf and the empty word.
+        (err, word) is the best word the depth scored.  Depths up to
+        ``exh_cap`` score every word (radius None, 0 pairs).  Every deeper
+        depth d rescores the pairs in the closed balls of radius
+        ``_ball_radius(err_budget, b)``, b the lowest error yielded at the
+        depths below d, and ``pairs`` counts them.  One ``_pair_keys`` call
+        per first-half length a, at depth 2a's radius, gives the pairs of
+        depths 2a and 2a+1; depth 2a+1 keeps those within its own radius,
+        which is no larger.  Each share is dropped once scored, so the walk
+        holds at most one call's keys, and a consumer that stops at 2a
+        never rescores 2a+1.  A depth with no pair yields err inf and the
+        empty word.
         """
         best = np.inf
         for depth in range(min(last, self.exh_cap) + 1):
@@ -649,18 +628,19 @@ class _MinEngine:
             return
         vq = _su2_quaternions(v[None])[0]
         for a in range((self.exh_cap + 1) // 2, last // 2 + 1):
-            radius = _ball_radius(err_budget, best)
-            shares = self._pair_keys(vq, a, radius)
+            shares = self._pair_keys(vq, a, _ball_radius(err_budget, best))
             for b in (a, a + 1):
-                keys = shares.pop(0)
+                keys, dists = shares.pop(0)
                 if self.exh_cap < a + b <= last:
+                    radius = _ball_radius(err_budget, best)
+                    keys = keys[dists <= radius]
                     err, word = self._best_pair(v, keys, a, b)
                     best = min(best, err)
                     yield err, word, radius, keys.size
-                del keys
+                del keys, dists
 
     def _pair_keys(self, vq, a, radius):
-        """[depth 2a's, depth 2a+1's] unsorted pair keys of one closed ball per first half.
+        """[depth 2a's, depth 2a+1's] (keys, distances) of one closed ball per first half.
 
         The wanted second half of a first half W1 is W2 ~ V W1^-1, so the
         closed ball of radius ``radius`` around vq * conj(q1) per first
@@ -674,29 +654,32 @@ class _MinEngine:
         queries bounded by the radius, k = ``_KNN`` (8) at first; rows whose
         k-th neighbour still lies in the ball are asked again with 4k until
         none is full.  A key is first * n_second + second, n_second the
-        number of words of the second half's length.
+        number of words of the second half's length, and its distance is
+        that of its point from the first half's query; keys are unsorted.
         """
         (tree, order, conj), n_even = self._tree(a), self.n_sym ** a
         x = _quat_mul(vq[None, :], conj)
         x *= np.where(x[:, :1] < 0.0, -1.0, 1.0)
         band = x[:, 0] <= radius + _TIE
         x, rows, k = np.concatenate([x, -x[band]]), np.concatenate([order, order[band]]), _KNN
-        firsts, points = [], []
+        firsts, points, dists = [], [], []
         while True:
             d, i = tree.query(x, k, distance_upper_bound=np.nextafter(radius, np.inf))
-            hit = d.reshape(rows.size, k) <= radius  # k = 1 drops the last axis
+            d = d.reshape(rows.size, k)  # k = 1 drops the last axis
+            hit = d <= radius
             full = hit[:, -1]
             r, c = np.nonzero(hit & ~full[:, None])
             firsts.append(rows[r])
             points.append(i.reshape(rows.size, k)[r, c])
+            dists.append(d[r, c])
             del d, i, hit, r, c  # before the next, wider query
             if not full.any():
                 break
             x, rows, k = x[full], rows[full], 4 * k
-        firsts, points = np.concatenate(firsts), np.concatenate(points)
+        firsts, points, dists = (np.concatenate(parts) for parts in (firsts, points, dists))
         odd = points >= n_even
-        return [firsts[~odd] * n_even + points[~odd],
-                firsts[odd] * (n_even * self.n_sym) + points[odd] - n_even]
+        return [(firsts[~odd] * n_even + points[~odd], dists[~odd]),
+                (firsts[odd] * (n_even * self.n_sym) + points[odd] - n_even, dists[odd])]
 
     def _best_pair(self, v, keys, a, b):
         """(err, word) of the best (first, second) pair of ``keys``; (inf, ()) if none.
@@ -725,8 +708,8 @@ class _MinEngine:
 # --- public ops ----------------------------------------------------------------------
 
 def _checked_int(name: str, value, lo: int, hi: float = np.inf) -> int:
-    """``value`` as an int if it is an integer in [lo, hi], else a ValueError naming it."""
-    if not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+    """``value`` as an int if it is a non-bool integer in [lo, hi], else a ValueError naming it."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or not lo <= value <= hi:
         span = f">= {lo}" if hi == np.inf else f"in {lo}..{hi}"
         raise ValueError(f"{name} must be an integer {span}, got {value!r}")
     return int(value)
@@ -805,26 +788,23 @@ def decompose_min(
     """Shortest stored-gate word approximating the target on this qubit.
 
     Depth-ordered search over per-cycle words (leakage carried
-    through the full six-level sequence, projected once at the end).
-    Returns the shortest word with error <= ``err_budget``, otherwise the
-    best word scored, flagged.  That is every word up to 12 cycles (6 for
-    three or four symbols), but deeper only the (first half, second half)
-    pairs whose quaternions lie in a closed ball around the first half's
-    wanted match, so a flagged word is the best pair the balls found, not
-    the best word up to ``max_depth``.  The radius starts at the empirical
-    r0 = max(0.05, 3.5*sqrt(1.5*err_budget)) and shrinks with the lowest
-    error b found so far to the chord of theta*, sin^2(theta*) = 1.5*b /
-    0.9 (``_ball_radius``): by the bound err >= (2/3) sin^2(theta) of
-    Pedersen, Moller & Molmer (2007), with a measured, not proven, slack
-    of 0.9 for the search's angle, no pair outside it beats b.
+    through the full six-level sequence, projected once at the end):
+    walks ``_MinEngine._depths`` from depth 0 (the empty word) and stops at
+    the first depth whose best word meets ``err_budget``.  Returns that
+    word, otherwise the best word scored, flagged.  That is every word up
+    to 12 cycles (6 for three or four symbols), but deeper only the (first
+    half, second half) pairs whose quaternions lie in a closed ball around
+    the first half's wanted match, of the radius ``_depths`` and
+    ``_ball_radius`` state, so a flagged word is the best pair the balls
+    found, not the best word up to ``max_depth``.
     ``residual_phase`` carries the frame-reconciliation phase (word length
     times the cycle phase) the compiler folds downstream; it is
     bookkeeping, not error.
     ``max_depth`` defaults to, and may not exceed, the deepest word the
-    search covers: 28 cycles for the two-symbol alphabet, 14 otherwise.
+    half tables cover: 28 cycles for the two-symbol alphabet, 14 otherwise.
     Each search (not a cached result) logs one DEBUG record to the
-    ``sfqctrl`` logger: the depth reached, the radius per first-half
-    length and the pairs rescored.
+    ``sfqctrl`` logger: the depth reached, the radius by depth and the
+    pairs rescored.
     """
     v = checked_target(target)
     err_budget = checked_finite("err_budget", err_budget, nonnegative=True)
@@ -836,19 +816,23 @@ def decompose_min(
     hit = eng._results.get(key)
     if hit is not None:
         return hit
-    v_eff = v @ phase_gate(fold_phase)
-    (err, word), walked = eng.search(v_eff, err_budget, max_depth)
+    (err, word), walked = (np.inf, ()), []
+    for step in eng._depths(v @ phase_gate(fold_phase), err_budget, max_depth):
+        walked.append(step)
+        if step[0] < err:
+            err, word = step[:2]
+        if err <= err_budget:
+            break
     res = Decomposition1Q(
         kind="min", steps=tuple(word),
         residual_phase=float(np.mod(len(word) * eng.phi, 2 * np.pi)),
         err=max(float(err), 0.0), flagged=err > err_budget)
     eng._results[key] = res
     if _log.isEnabledFor(logging.DEBUG):
-        radii = {depth // 2: r for depth, (*_, r, _) in enumerate(walked) if r is not None}
-        _log.debug("decompose_min: depth %d reached, err %.3g%s; radius by first-half "
-                   "length %s; %d pairs rescored", len(walked) - 1, res.err,
-                   " (flagged)" * res.flagged, {a: round(r, 5) for a, r in radii.items()},
-                   sum(pairs for *_, pairs in walked))
+        radii = {depth: round(r, 5) for depth, (*_, r, _) in enumerate(walked) if r is not None}
+        _log.debug("decompose_min: depth %d reached, err %.3g%s; radius by depth %s; "
+                   "%d pairs rescored", len(walked) - 1, res.err, " (flagged)" * res.flagged,
+                   radii, sum(pairs for *_, pairs in walked))
     return res
 
 

@@ -8,8 +8,8 @@ order, rescores the distinct second halves its ball query found and
 keeps a first half's best only when it is strictly lower than the
 running best.  Every word takes part, singular blocks included.
 ``loop_walk`` runs it depth after depth, each at the radius
-``_ball_radius`` gives for the loop's own lowest error so far.  The
-tests compare each depth that the engine's lazy walk
+``_ball_radius`` gives for the lowest error of the shallower depths.
+The tests compare each depth that the engine's lazy walk
 ``_MinEngine._depths`` yields against it (the walk starts at depth 0, so
 they skip its exhaustive depths), and the walk's running best against
 that of a walk whose radius never shrinks (``fixed_radius_walk``).
@@ -17,9 +17,9 @@ that of a walk whose radius never shrinks (``fixed_radius_walk``).
 ``query_ball_point`` list per first half on a tree of its own, q and -q
 of every second half, and an explicit table of the word each tree point
 belongs to: the pair set that the engine's canonical and band queries
-must equal as a multiset.  ``exhaustive_depth``
-scores every (first, second) pair of one depth, with no radius.  Run as a
-script for the full comparison on the min equality set:
+must equal as a multiset of keys.  ``exhaustive_depth`` scores every
+(first, second) pair of one depth, with no radius.  Run as a script for
+the full comparison on the min equality set:
 
     PYTHONPATH=src python3 tests/min_oracle.py
 
@@ -113,10 +113,9 @@ def loop_walk(eng, v, depths, err_budget=BUDGET):
     """[(err, word, radius)] of ``loop_mitm_depth`` at each of ``depths``, past ``exh_cap``.
 
     The radius of depth d is ``_ball_radius(err_budget, b)``, b the lowest
-    error of the depths below the lowest one that d's first-half length a
-    serves (2a, or exh_cap + 1 when 2a is exhaustive).  The exhaustive
-    depths are scored from every word of the engine's word tables, and the
-    loop runs every deeper depth up to the last of ``depths``.
+    error of the depths below d.  The exhaustive depths are scored from
+    every word of the engine's word tables, and the loop runs every deeper
+    depth up to the last of ``depths``.
     """
     vq, best, out = target_quaternion(v), [], {}
     for depth in range(depths[-1] + 1):
@@ -124,8 +123,7 @@ def loop_walk(eng, v, depths, err_budget=BUDGET):
             best.append(float(_fixed_errors(eng._word_table(depth).products[:, :2, :2],
                                             v).min()))
             continue
-        served = max(depth // 2 * 2, eng.exh_cap + 1)
-        radius = _ball_radius(err_budget, min(best[:served]))
+        radius = _ball_radius(err_budget, min(best))
         out[depth] = (*loop_mitm_depth(eng, v, vq, depth, radius), radius)
         best.append(out[depth][0])
     return [out[depth] for depth in depths]
@@ -202,15 +200,15 @@ def ball_pair_keys(eng, vq, a, radius=RADIUS):
 
 def pair_key_mismatches(eng, vq, a_range, radius=RADIUS):
     """The first-half lengths a whose ``_pair_keys`` shares differ from ``ball_pair_keys``'s
-    as multisets."""
+    as multisets of keys."""
     return [a for a in a_range
-            if not all(np.array_equal(np.sort(got), np.sort(want)) for got, want in
+            if not all(np.array_equal(np.sort(got), np.sort(want)) for (got, _), want in
                        zip(eng._pair_keys(vq, a, radius), ball_pair_keys(eng, vq, a, radius),
                            strict=True))]
 
 
 def target_quaternion(v):
-    """The SU(2) quaternion ``_MinEngine.search`` queries with for target ``v``."""
+    """The SU(2) quaternion whose balls ``_MinEngine._depths`` asks for target ``v``."""
     return _su2_quaternions(v[None])[0]
 
 

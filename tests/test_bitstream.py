@@ -56,11 +56,12 @@ def test_bitstream_roundtrip_ascii():
 
 
 @pytest.mark.parametrize("bits", [(1.0, 0, True), (1.0, 0, 1), (True, 0, 1), (1, 0, 2),
-                                  (1, 0, "1"), ()],
-                         ids=["float-bool", "float", "bool", "two", "str", "empty"])
+                                  (1, 0, "1"), (), [0, 1, 1]],
+                         ids=["float-bool", "float", "bool", "two", "str", "empty", "list"])
 def test_bitstream_rejects_bits_other_than_the_ints_0_and_1(bits):
     # to_string would write '1.00True', '1.001', 'True01', ... or '', which
-    # from_string cannot read back as the same stream
+    # from_string cannot read back as the same stream; a list would leave the
+    # frozen stream unhashable and unequal to its tuple form
     with pytest.raises(ValueError, match="bits"):
         Bitstream(bits=bits)
 

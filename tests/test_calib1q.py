@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from min_oracle import (RADIUS, exhaustive_depth, fixed_radius_walk, leakage, loop_walk,
-                        pair_key_mismatches, running_bests, target_quaternion)
+from min_oracle import (RADIUS, ball_pair_keys, exhaustive_depth, fixed_radius_walk, leakage,
+                        loop_walk, pair_key_mismatches, running_bests, target_quaternion)
 from opt_oracle import DRIFTS, FOLDS, mismatches
 from sfqctrl import calib1q
 from sfqctrl.bitstream import Bitstream
@@ -721,7 +721,7 @@ def test_pair_keys_equal_the_ball_query(mitm_cals, haar_su2, monkeypatch, knn):
         assert pair_key_mismatches(eng, vq, a_range) == [], cal
     eng = mitm_cals[12e6].min_engine
     assert not any(k.size for a in range(6, 15)
-                   for k in eng._pair_keys(target_quaternion(haar[2]), a, RADIUS))
+                   for k, _ in eng._pair_keys(target_quaternion(haar[2]), a, RADIUS))
     if knn is None:
         return
     eng, vq = mitm_cals[0.0].min_engine, target_quaternion(H)
@@ -776,7 +776,7 @@ def test_pair_keys_find_a_first_half_through_its_band_row_alone(mitm_cals):
     assert 0.0 < got[0] <= RADIUS
     assert tree.query_ball_point(got, r=RADIUS) == []
     assert n_even + second in tree.query_ball_point(-got, r=RADIUS)
-    assert first * 2 ** (a + 1) + second in eng._pair_keys(vq, a, RADIUS)[1]
+    assert first * 2 ** (a + 1) + second in eng._pair_keys(vq, a, RADIUS)[1][0]
     assert pair_key_mismatches(eng, vq, [a]) == []
 
 
@@ -801,7 +801,7 @@ def test_min_search_keeps_words_with_singular_blocks(golden, spec_hi):
     v = np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
     vq = target_quaternion(v)
     assert pair_key_mismatches(eng, vq, range(6, 11)) == []
-    assert 2 ** 7 - 1 in eng._pair_keys(vq, 7, RADIUS)[1] // 2 ** 8
+    assert 2 ** 7 - 1 in eng._pair_keys(vq, 7, RADIUS)[1][0] // 2 ** 8
     dec = decompose_min(cal, v)
     assert not dec.flagged and dec.depth == 16
     assert abs(recompose_error(cal, dec, v) - dec.err) <= 1e-12
@@ -881,10 +881,55 @@ def test_min_ball_shrinks_with_the_running_best(golden, spec_hi, haar_su2, monke
     assert _min_result(fixed) == _min_result(dec)
 
 
+@pytest.mark.parametrize("drift, v, radius, pairs", [(0.0, X, 0.02115, 600), (6e6, H, 0.0334, 4)],
+                         ids=["X", "H"])
+def test_min_depth_takes_the_radius_of_every_shallower_error(mitm_cals, drift, v, radius, pairs):
+    # depth 19 shares depth 18's query (a = 9) but takes its own, smaller radius
+    # from the best of depths 0..18: X at 0 MHz rescores 600 pairs at 0.02115
+    # (695 at depth 18's 0.02226), H at +6 MHz 4 at 0.0334 (17 at 0.05); H's
+    # depth-19 best moves from 1.4617e-3 to 1.7498e-3, and the 6.69e-4 of
+    # depth 18 stays the running best
+    eng = mitm_cals[drift].min_engine
+    walk = list(eng._depths(v, BUDGET, 19))
+    err, word, r, n = walk[19]
+    assert r == calib1q._ball_radius(BUDGET, min(e for e, *_ in walk[:19]))
+    assert r == pytest.approx(radius, abs=5e-6) and r < walk[18][2]
+    assert n == pairs
+    assert (err, word, r) == loop_walk(eng, v, [19])[0]
+    if v is H:
+        assert err == pytest.approx(1.7498e-3, abs=1e-7)
+        bests = running_bests(walk)
+        assert bests[19] == bests[18] == walk[18][:2]
+        assert bests[18][0] == pytest.approx(6.69e-4, abs=1e-6)
+
+
+def test_pair_key_distances_give_the_smaller_balls(mitm_cals):
+    # the keys of one query whose distances lie within half its radius are the
+    # ball query's at that half radius, as multisets, at every first-half length
+    eng, vq = mitm_cals[0.0].min_engine, target_quaternion(H)
+    dropped = 0
+    for a in range(6, 15):
+        got, want = eng._pair_keys(vq, a, RADIUS), ball_pair_keys(eng, vq, a, RADIUS / 2)
+        for (keys, dists), ball in zip(got, want, strict=True):
+            kept = keys[dists <= RADIUS / 2]
+            assert np.array_equal(np.sort(kept), np.sort(ball)), a
+            dropped += keys.size - kept.size
+    assert dropped
+
+
 def test_decompose_min_logs_one_debug_record_per_search(group_cals, monkeypatch, caplog):
-    # the record gives the depth reached, the radius per first-half length and
-    # the pairs rescored; a cached result logs nothing
-    queried, scored = _recording_pair_keys(monkeypatch)
+    # the record gives the depth reached, the radius of each meet-in-the-middle
+    # depth (13..17) as the walk yielded it and the pairs rescored; a cached
+    # result logs nothing
+    _, scored = _recording_pair_keys(monkeypatch)
+    walked, depths = [], calib1q._MinEngine._depths
+
+    def recorded_depths(eng, *args):
+        for step in depths(eng, *args):
+            walked.append(step)
+            yield step
+
+    monkeypatch.setattr(calib1q._MinEngine, "_depths", recorded_depths)
     cal = group_cals["min"]
     with caplog.at_level(logging.DEBUG, logger="sfqctrl"):
         dec = decompose_min(cal, H, max_depth=17)
@@ -892,8 +937,9 @@ def test_decompose_min_logs_one_debug_record_per_search(group_cals, monkeypatch,
     (record,) = caplog.records
     assert record.name == "sfqctrl" and record.levelno == logging.DEBUG
     message = record.getMessage()
+    assert [d for d, _ in scored] == list(range(13, 18))
     assert f"depth {scored[-1][0]} reached" in message
-    assert str({a: round(r, 5) for a, r in queried}) in message
+    assert str({d: round(walked[d][2], 5) for d, _ in scored}) in message
     assert f"{sum(n for _, n in scored)} pairs rescored" in message
 
 
@@ -1139,3 +1185,18 @@ def test_decompositions_reject_bad_input(group_cals, fn, arch, target, kwargs):
         fn(cal, target, **kwargs)
     if cal.arch == "min":
         assert not cal.min_engine._results
+
+
+@pytest.mark.parametrize("name, call", [
+    ("n_max", lambda cals, golden: calibrate_qubit(cals["opt"].spec, [golden["ry_6212MHz"]],
+                                                   n_max=True)),
+    ("lmax", lambda cals, golden: opt_level_errors(cals["opt"], H, lmax=True)),
+    ("max_candidates", lambda cals, golden: decompose_opt(cals["opt"], H, max_candidates=True)),
+    ("max_depth", lambda cals, golden: decompose_min(cals["min"], H, max_depth=True)),
+    ("bs", lambda cals, golden: min_basis_targets(0.0, True)),
+    ("dec", lambda cals, golden: _recompose(cals["min"], H, dec=("min", (True,)))),
+], ids=["n_max", "lmax", "max_candidates", "max_depth", "bs", "recompose-min-step"])
+def test_integer_arguments_reject_bools(group_cals, golden, name, call):
+    # a bool is an Integral, but n_max=True is a slip, not the integer 1
+    with pytest.raises(ValueError, match=name):
+        call(group_cals, golden)
