@@ -78,6 +78,7 @@ MAX_BITSTREAM_LEN = 300
 DEFAULT_N_MAX = 255
 _PARKING_ERR_BUDGET = 1e-4  # worst-case Rz error a parking interval must stay below
 _DRIFT_SPAN = 40e6  # drift_tolerance scans freq +- this many Hz
+_MAX_GRID = 100_000  # grid frequencies a scan holds: 256 float64 phases each, ~200 MB
 
 # gate lengths (clock cycles) for the default parking frequencies
 GATE_LENGTH_CYCLES = {
@@ -105,15 +106,11 @@ class Bitstream:
     tip_angle: float = 0.0
 
     def __post_init__(self):
-        if (not isinstance(self.bits, tuple) or set(map(type, self.bits)) != {int}
-                or not set(self.bits) <= {0, 1}):  # () fails the element types
-            raise ValueError("bits must be a non-empty tuple of the ints 0 and 1")
-        if len(self.bits) > MAX_BITSTREAM_LEN:
-            raise ValueError(f"bitstream exceeds {MAX_BITSTREAM_LEN} bits")
-        if not np.isfinite(self.tip_angle):
-            raise ValueError(f"tip_angle must be finite, got {self.tip_angle}")
-        if not (np.isfinite(self.clock_period) and self.clock_period > 0):
-            raise ValueError(f"clock_period must be finite and > 0, got {self.clock_period}")
+        if (not isinstance(self.bits, tuple) or set(map(type, self.bits)) != {int}  # () fails
+                or not set(self.bits) <= {0, 1} or len(self.bits) > MAX_BITSTREAM_LEN):
+            raise ValueError(f"bits must be a tuple of 1 to {MAX_BITSTREAM_LEN} ints 0 and 1")
+        checked_finite("tip_angle", self.tip_angle)
+        checked_finite("clock_period", self.clock_period, "> 0")
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -173,8 +170,9 @@ def _good_runs(f_lo: float, f_hi: float, resolution: float):
     per contiguous run whose worst-case delay-quantized Rz error over the
     delays 0..DEFAULT_N_MAX stays below ``_PARKING_ERR_BUDGET``.
     """
-    if not (np.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+    resolution = checked_finite("resolution", resolution, "> 0")
+    if (size := (f_hi - f_lo) / resolution + 1) > _MAX_GRID:
+        raise ValueError(f"resolution {resolution:g} Hz gives {size:.3g} > {_MAX_GRID} frequencies")
     freqs = np.arange(f_lo, f_hi + 0.5 * resolution, resolution)
     d = np.arange(DEFAULT_N_MAX + 1)
     worst = worst_rz_error(np.mod(2.0 * np.pi * freqs[:, None] * d * SFQ_CLOCK_PERIOD,
@@ -440,15 +438,15 @@ def design_bitstream(spec: TransmonSpec, target: np.ndarray,
     ------
     ValueError
         If ``target`` is not a finite unitary 2x2 matrix, or
-        ``window_centres`` is empty or holds a non-finite angle.
+        ``window_centres`` is empty or holds anything but finite reals.
     BitstreamDesignError
         If no candidate reaches the 1e-4 projected gate-error target.
     """
     target = checked_target(target)
-    centres = np.asarray(window_centres, dtype=float)
-    if centres.ndim != 1 or not centres.size or not np.isfinite(centres).all():
-        raise ValueError(f"window_centres must be a non-empty sequence of finite angles, "
-                         f"got {window_centres!r}")
+    centres = np.asarray(window_centres)
+    if (centres.dtype.kind not in "iuf" or centres.ndim != 1 or not centres.size
+            or not np.isfinite(centres).all()):
+        raise ValueError(f"window_centres must be 1 or more finite reals, got {window_centres!r}")
     design_spec, n_cycles = spec.with_drift(0.0), gate_length_cycles(spec.nominal_freq)
     _, slots, dt = _window_scan(design_spec, target, centres, n_cycles)
     err, dt = _golden_tip_angle(design_spec, slots, n_cycles, dt * 0.92, dt * 1.08, target)

@@ -44,7 +44,6 @@ builds up through the sequence and is projected once at the end.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -61,6 +60,7 @@ from sfqctrl.bitstream import (
 from sfqctrl.transmon import (
     TransmonSpec,
     checked_finite,
+    checked_int,
     checked_target,
     level_energies,
     phase_gate,
@@ -166,8 +166,8 @@ def calibrate_qubit(
     simulation.
     """
     if arch not in ("opt", "min"):
-        raise ValueError(f"unknown architecture {arch!r}")
-    n_max = _checked_int("n_max", n_max, 1)
+        raise ValueError(f"arch must be 'opt' or 'min', got {arch!r}")
+    qubit_id, n_max = checked_int("qubit_id", qubit_id, 0), checked_int("n_max", n_max, 1)
     if not shared_bitstreams:
         raise CalibrationError("at least one shared bitstream is required")
     first = shared_bitstreams[0]
@@ -210,7 +210,7 @@ def min_basis_targets(cycle_phase: float, bs: int) -> list[np.ndarray | None]:
     realizable as stored streams.  Of these targets the designer reaches
     only BS=2 at 6.21286 GHz (see ``design_min_bitstreams``).
     """
-    bs = _checked_int("bs", bs, 2, 4)
+    bs = checked_int("bs", bs, 2, 4)
     comp = phase_gate(checked_finite("cycle_phase", cycle_phase))  # D^dag on levels {0, 1}
     quarters = [ry(np.pi / 2),  # about the y, x and -y axes
                 rz(np.pi / 2) @ ry(np.pi / 2) @ rz(-np.pi / 2),
@@ -227,7 +227,7 @@ def design_min_bitstreams(spec: TransmonSpec, bs: int = 2) -> list[Bitstream]:
     turn of BS=3/4 stops at 1.158e-4, and at 4.14238 GHz even Ry stops
     at 2.608e-4.
     """
-    if bs != 2 or abs(spec.nominal_freq - 6.21286e9) >= 1.0:
+    if checked_int("bs", bs, 2, 4) != 2 or abs(spec.nominal_freq - 6.21286e9) >= 1.0:
         raise ValueError(f"design_min_bitstreams supports only BS=2 at 6.21286 GHz, "
                          f"got BS={bs} at {spec.nominal_freq / 1e9:g} GHz")
     n_cycles = gate_length_cycles(spec.nominal_freq)
@@ -707,14 +707,6 @@ class _MinEngine:
 
 # --- public ops ----------------------------------------------------------------------
 
-def _checked_int(name: str, value, lo: int, hi: float = np.inf) -> int:
-    """``value`` as an int if it is a non-bool integer in [lo, hi], else a ValueError naming it."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or not lo <= value <= hi:
-        span = f">= {lo}" if hi == np.inf else f"in {lo}..{hi}"
-        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
-    return int(value)
-
-
 def opt_level_errors(cal: QubitCalibration, target: np.ndarray,
                      fold_phase: float = 0.0, lmax: int = 3) -> dict[int, float]:
     """Cumulative best error for pulse counts L = 0..lmax.
@@ -724,7 +716,7 @@ def opt_level_errors(cal: QubitCalibration, target: np.ndarray,
     """
     v = checked_target(target)
     fold_phase = checked_finite("fold_phase", fold_phase)
-    lmax = _checked_int("lmax", lmax, 0, 3)
+    lmax = checked_int("lmax", lmax, 0, 3)
     eng = cal.opt_engine
     out, best = {}, np.inf
     for n_pulses in range(lmax + 1):
@@ -758,10 +750,10 @@ def decompose_opt(
     keeps per L.
     """
     v = checked_target(target)
-    err_budget = checked_finite("err_budget", err_budget, nonnegative=True)
-    margin = checked_finite("margin", margin, nonnegative=True)
+    err_budget = checked_finite("err_budget", err_budget, ">= 0")
+    margin = checked_finite("margin", margin, ">= 0")
     fold_phase = checked_finite("fold_phase", fold_phase)
-    max_candidates = _checked_int("max_candidates", max_candidates, 1)
+    max_candidates = checked_int("max_candidates", max_candidates, 1)
     eng = cal.opt_engine
     flagged, best = False, (np.inf,)
     for n_pulses in range(4):
@@ -807,11 +799,11 @@ def decompose_min(
     pairs rescored.
     """
     v = checked_target(target)
-    err_budget = checked_finite("err_budget", err_budget, nonnegative=True)
+    err_budget = checked_finite("err_budget", err_budget, ">= 0")
     fold_phase = checked_finite("fold_phase", fold_phase)
     eng = cal.min_engine
     top = 2 * eng.half_cap
-    max_depth = _checked_int("max_depth", top if max_depth is None else max_depth, 0, top)
+    max_depth = checked_int("max_depth", top if max_depth is None else max_depth, 0, top)
     key = (v.tobytes(), fold_phase, err_budget, max_depth)
     hit = eng._results.get(key)
     if hit is not None:
@@ -851,7 +843,7 @@ def recompose_error(cal: QubitCalibration, dec: Decomposition1Q,
         raise ValueError(f"dec.kind must be the calibration's {cal.arch!r}, got {dec.kind!r}")
     top = cal.n_max if dec.kind == "opt" else len(cal.basis_ops) - 1
     for i, step in enumerate(dec.steps):
-        _checked_int(f"dec.steps[{i}]", step, 0, top)
+        checked_int(f"dec.steps[{i}]", step, 0, top)
     if dec.kind == "opt":
         e = cal.opt_engine.block(dec.steps, fold_phase)
         return max(float(_score_free_trailing(e[None], np.ones(1), v)[0][0, 0]), 0.0)

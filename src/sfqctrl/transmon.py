@@ -71,15 +71,11 @@ class TransmonSpec:
     drift: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.levels, numbers.Integral) or self.levels < 2:
-            raise ValueError(f"levels must be an integer >= 2, got {self.levels}")
-        for name in ("nominal_freq", "anharmonicity"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not abs(self.drift) < self.nominal_freq:
-            raise ValueError(f"drift must be finite with |drift| < nominal_freq, "
-                             f"got {self.drift}")
+        checked_int("levels", self.levels, 2)
+        checked_finite("nominal_freq", self.nominal_freq, "> 0")
+        checked_finite("anharmonicity", self.anharmonicity, "> 0")
+        if not abs(checked_finite("drift", self.drift)) < self.nominal_freq:
+            raise ValueError(f"drift must satisfy |drift| < nominal_freq, got {self.drift}")
 
     @property
     def actual_freq(self) -> float:
@@ -101,13 +97,14 @@ class FidelityReport:
 
 def annihilation(levels: int) -> np.ndarray:
     """Truncated annihilation operator, a|n> = sqrt(n)|n-1>."""
-    return np.diag(np.sqrt(np.arange(1, levels)), 1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, checked_int("levels", levels, 1))), 1).astype(complex)
 
 
 def level_energies(freq: float, anharmonicity: float, levels: int) -> np.ndarray:
     """Diagonal of the free Hamiltonian in rad/s: 2*pi*(f*n - (alpha/2)*n*(n-1))."""
-    n = np.arange(levels, dtype=float)
-    return 2.0 * np.pi * (freq * n - 0.5 * anharmonicity * n * (n - 1.0))
+    freq, alpha = checked_finite("freq", freq), checked_finite("anharmonicity", anharmonicity)
+    n = np.arange(checked_int("levels", levels, 1), dtype=float)
+    return 2.0 * np.pi * (freq * n - 0.5 * alpha * n * (n - 1.0))
 
 
 @cache
@@ -123,11 +120,12 @@ def sfq_kick(spec: TransmonSpec, tip_angle: float | np.ndarray) -> np.ndarray:
 
     In the two-level truncation this is exactly ``Ry(tip_angle)``.  An
     array of tip angles gives a stack of kicks, each equal to the scalar
-    call bit for bit.  ValueError unless every tip angle is finite.
+    call bit for bit.  ValueError unless every tip angle is a finite real.
     """
-    tips = np.asarray(tip_angle, dtype=float)
-    if not np.isfinite(tips).all():
-        raise ValueError(f"tip_angle must be finite, got {tips[~np.isfinite(tips)][0]}")
+    tips = np.asarray(tip_angle)
+    if tips.dtype.kind not in "iuf" or not np.isfinite(tips).all():
+        bad = tips if tips.dtype.kind not in "iuf" else tips[~np.isfinite(tips)]
+        raise ValueError(f"tip_angle must be finite reals, got {bad.ravel()[0].item()!r}")
     lam, v, vi = _kick_eig(spec.levels)
     d = np.zeros(tips.shape + (spec.levels, spec.levels), dtype=complex)
     k = np.arange(spec.levels)
@@ -141,21 +139,29 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(d).max())
 
 
-def checked_finite(name: str, value: float, nonnegative: bool = False) -> float:
-    """``value`` as a float; ValueError naming it unless finite (and >= 0 if asked)."""
-    value = float(value)
-    if not np.isfinite(value) or (nonnegative and value < 0.0):
-        bound = " and >= 0" if nonnegative else ""
-        raise ValueError(f"{name} must be finite{bound}, got {value}")
-    return value
+def checked_finite(name: str, value, bound: str = "") -> float:
+    """``value`` as a float if a finite real within ``bound`` ("", ">= 0" or "> 0"), else a
+    ValueError naming it.  A real is a non-bool ``numbers.Real``: no bool, string or array."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) < np.inf
+    if not (real and {"": True, ">= 0": value >= 0, "> 0": value > 0}[bound]):
+        raise ValueError(f"{name} must be finite{' and ' * bool(bound)}{bound}, got {value!r}")
+    return float(value)
+
+
+def checked_int(name: str, value, lo: int, hi: float = np.inf) -> int:
+    """``value`` as an int if a non-bool ``numbers.Integral`` in [lo, hi], else a ValueError."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or not lo <= value <= hi:
+        span = f">= {lo}" if hi == np.inf else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
 
 
 def checked_target(target) -> np.ndarray:
     """``target`` as a complex array; ValueError unless a finite unitary 2x2 matrix."""
-    v = np.asarray(target, dtype=complex)
-    if v.shape != (2, 2) or not np.isfinite(v).all() or unitarity_defect(v) > 1e-8:
+    v = np.asarray(target)
+    if v.dtype.kind not in "iufc" or v.shape != (2, 2) or not unitarity_defect(v) <= 1e-8:
         raise ValueError("target must be a finite unitary 2x2 matrix")
-    return v
+    return v.astype(complex, copy=False)
 
 
 def pulse_train_stack(
@@ -182,13 +188,12 @@ def pulse_train_stack(
     Raises
     ------
     ValueError
-        If ``clock_period`` is not finite and > 0, a tip angle is not
-        finite, or a train's slots are not integers, sorted, inside
-        [0, n_cycles).
+        If ``clock_period`` is not finite and > 0, ``n_cycles`` is not an
+        integer >= 0, a tip angle is not finite, or a train's slots are not
+        integers, sorted, inside [0, n_cycles).
     """
-    if not (np.isfinite(clock_period) and clock_period > 0):
-        raise ValueError(f"clock_period must be finite and > 0, got {clock_period}")
-    order, counts, gaps = _walk_gaps([slots for slots, _ in trains], n_cycles)
+    clock_period = checked_finite("clock_period", clock_period, "> 0")
+    order, counts, gaps = _walk_gaps([s for s, _ in trains], checked_int("n_cycles", n_cycles, 0))
     kicks = sfq_kick(spec, [tip for _, tip in trains])[order]
     energies = level_energies(spec.actual_freq, spec.anharmonicity, spec.levels)
     g, at = np.unique(gaps, return_inverse=True)
@@ -247,7 +252,7 @@ def pulse_train_unitary(
     scalar tip angle gives one unitary, an array of tip angles one per
     angle, each equal to the scalar call bit for bit.
     """
-    tips = np.asarray(tip_angle, dtype=float)
+    tips = np.asarray(tip_angle)
     u = pulse_train_stack(spec, [(pulse_slots, t) for t in tips.ravel()], n_cycles,
                           clock_period)
     return u.reshape(tips.shape + u.shape[1:])
@@ -270,7 +275,10 @@ def projected_errors(blocks: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def projected_fidelity(actual: np.ndarray, target: np.ndarray) -> FidelityReport:
-    """:func:`projected_errors` of the one evolution ``actual``, as a report."""
+    """:func:`projected_errors` of one finite evolution ``actual``, as a report."""
+    target = checked_target(target)
+    if not np.isfinite(actual).all():
+        raise ValueError("actual must be finite")
     err = float(projected_errors(actual, target))
     return FidelityReport(avg_gate_fidelity=1.0 - err, error=err)
 
@@ -278,14 +286,14 @@ def projected_fidelity(actual: np.ndarray, target: np.ndarray) -> FidelityReport
 # --- small gate constructors used throughout the toolkit --------------------
 
 def ry(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    c, s = np.cos(checked_finite("theta", theta) / 2), np.sin(theta / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def rz(theta: float) -> np.ndarray:
-    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+    return np.diag([np.exp(-0.5j * checked_finite("theta", theta)), np.exp(0.5j * theta)])
 
 
 def phase_gate(gamma: float) -> np.ndarray:
     """diag(1, e^{i*gamma}) — Rz(gamma) up to global phase."""
-    return np.diag([1.0, np.exp(1j * gamma)])
+    return np.diag([1.0, np.exp(1j * checked_finite("gamma", gamma))])
