@@ -83,30 +83,25 @@ class Decomposition1Q:
 
     ``steps`` holds the delays d_1..d_L for the opt architecture (one per
     bitstream application, L <= 3) or per-cycle basis-gate indices for
-    min (idle steps included).  ``residual_phase`` is the trailing
-    virtual z the compiler folds into the qubit's next gate.  For opt,
-    ``phase_gate(residual_phase) @ U @ phase_gate(-fold_phase)`` has error
-    ``err``, U being the anchored ``pulse_train_unitary`` of one train with
-    application i at SFQ cycle i * controller_cycle_sfq + d_i (U = 1 at
-    L=0).  For min, ``phase_gate(residual_phase) @ word_block(steps)`` is
-    the 2x2 block of the anchored train of the whole word, the stream of
-    step j starting at SFQ cycle j * controller_cycle_sfq; the word's
-    error is taken against target @ phase_gate(fold_phase).
-    ``err`` is the six-level projected average-gate-fidelity error;
-    ``flagged`` marks best-effort results that missed the budget.
+    min (idle steps included).  Both styles fire stored streams at start
+    cycles: opt its one stream at SFQ cycle i * controller_cycle_sfq + d_i,
+    min the stream of step j at j * controller_cycle_sfq.  With A the 2x2
+    block of the anchored train of those applications (``_lowered_block``;
+    A = 1 without any) and s = +1 for opt, -1 for min, the framed block
+    G = phase_gate(s * residual_phase) @ A @ phase_gate(-fold_phase) has
+    error ``err`` against the target: ``residual_phase`` is the trailing
+    virtual z the compiler folds into the qubit's next gate.  ``err`` is
+    the six-level projected average-gate-fidelity error; ``flagged`` marks
+    best-effort results that missed the budget.
 
     Consecutive gates on one qubit chain through these frames.  Starting
     a train at SFQ cycle t conjugates its block by phase_gate(theta(t)),
     theta(t) = 2*pi*f*t*clock_period at the actual frequency f.  If gate
     g starts at t = 0 and gate g+1 at t', gate g+1 takes fold_phase =
-    residual_phase + theta(t') after an opt gate and theta(t') -
-    residual_phase after a min word (0 mod 2*pi when it starts right
-    after the word).  The train of both then has the block
-    phase_gate(p) @ G' @ G @ phase_gate(fold_phase of gate g), up to the
-    leakage cross-term, where G and G' are the gates' framed blocks
-    (phase_gate(residual_phase) @ U @ phase_gate(-fold_phase) for opt,
-    word_block(steps) @ phase_gate(-fold_phase) for min) and p is
-    theta(t') - residual_phase' (opt) or theta(t') + residual_phase' (min).
+    theta(t') + s * residual_phase (0 mod 2*pi when it starts right after
+    a min word).  The train of both then has the block phase_gate(p) @ G'
+    @ G @ phase_gate(fold_phase of gate g), up to the leakage cross-term,
+    where p = theta(t') - s' * residual_phase' of gate g+1.
     """
 
     kind: str
@@ -182,7 +177,7 @@ def calibrate_qubit(
     if arch == "min" and not 2 <= n_streams <= 4:
         raise CalibrationError(f"min architecture takes 2 to 4 streams, got {n_streams}")
     ops = [bs.simulate(spec) for bs in shared_bitstreams]
-    if any(unitarity_defect(u) > 1e-8 for u in ops):
+    if not all(np.isfinite(u).all() and unitarity_defect(u) <= 1e-8 for u in ops):
         raise CalibrationError("bitstream evolution lost unitarity")
     cycle = (n_max + 1) + len(first) if arch == "opt" else len(first)
     return QubitCalibration(
@@ -328,15 +323,9 @@ class _OptEngine:
         self.pu = np.ascontiguousarray(self.u6[:2, :])
         self.phi_d = np.mod(self.phi1 * np.arange(self.n_max + 1), 2 * np.pi)
         self.deltas = np.arange(-self.n_max, self.n_max + 1)
-        self.k_deltas = self.k_diag(self.cycle + self.deltas)  # K(cycle + delta)
+        # K(cycle + delta): the free-evolution diagonals exp(-i*e_tau*n), (511, levels)
+        self.k_deltas = np.exp(-1j * (self.cycle + self.deltas)[:, None] * self.e_tau)
         self._tables: dict[int, tuple[np.ndarray, ...]] = {}
-
-    def k_diag(self, sfq_cycles) -> np.ndarray:
-        """Free-evolution diagonals exp(-i*e_tau*n) for integer cycle counts.
-
-        A scalar count gives one (levels,) diagonal, an (n,) array (n, levels).
-        """
-        return np.exp(-1j * np.asarray(sfq_cycles, dtype=float)[..., None] * self.e_tau)
 
     @cached_property
     def t2_rows(self) -> np.ndarray:
@@ -382,7 +371,8 @@ class _OptEngine:
         the last application's start: the frame ``Decomposition1Q`` states.
         """
         if n_pulses == 0:  # no pulses: theta_0 = 0
-            errs, a, b = _score_free_trailing(self.block((), fold)[None], np.ones(1), v)
+            e = np.diag([1.0, np.exp(-1j * fold)])[None]
+            errs, a, b = _score_free_trailing(e, np.ones(1), v)
             return [(float(errs[0, 0]), (), float(_trailing(a, b, 0.0)[0, 0]))]
         blocks, norm2, mags, first, last, *offsets = self._table(n_pulses)
         bound = 1.0 - (norm2 + (mags @ np.abs(v).ravel()) ** 2) / 6.0
@@ -403,21 +393,6 @@ class _OptEngine:
         tie = round(low, 14)
         return sorted((t for t in kept if t[0] <= low + margin or round(t[0], 14) == tie),
                       key=_rank)
-
-    def block(self, delays: Sequence[int], fold: float) -> np.ndarray:
-        """Projected 2x2 block of a delay schedule, lead phase included.
-
-        Plain products U6 K ... U6 over consecutive controller cycles,
-        then the lead phase of the first delay on column 1; no pulses
-        leave only the folded phase.
-        """
-        if not delays:
-            return np.diag([1.0, np.exp(-1j * fold)])
-        m = self.u6.copy()
-        for prev, d in zip(delays, delays[1:]):
-            m = self.u6 @ (self.k_diag(self.cycle + (d - prev))[:, None] * m)
-        z = np.exp(-1j * (fold + self.phi_d[delays[0]]))
-        return m[:2, :2] @ np.diag([1.0, z])
 
 
 # --- min engine --------------------------------------------------------------------
@@ -593,13 +568,6 @@ class _MinEngine:
 
     def word_digits(self, index: int, length: int) -> tuple[int, ...]:
         return tuple(index // self.n_sym ** j % self.n_sym for j in range(length))
-
-    def word_block(self, steps: Sequence[int]) -> np.ndarray:
-        """Projected 2x2 block of an explicit per-cycle word (plain product)."""
-        m = np.eye(self.steps6.shape[1], dtype=complex)
-        for s in steps:
-            m = self.steps6[s] @ m
-        return m[:2, :2]
 
     # -- search ----------------------------------------------------------------
 
@@ -828,14 +796,36 @@ def decompose_min(
     return res
 
 
+def _lowered_block(cal: QubitCalibration, steps: Sequence[int]) -> np.ndarray:
+    """2x2 block A of the anchored train of a decomposition's stream applications.
+
+    Opt fires stream 0 at SFQ cycle i * controller_cycle_sfq + d_i, min the
+    stream k_j of step j at j * controller_cycle_sfq.  The walk is one
+    product of ``cal.basis_ops`` with the free-evolution diagonal of each
+    gap between starts, anchored at cycle 0 (``transmon``'s frame), so A is
+    the block of the whole train's ``pulse_train_unitary``; no step gives 1.
+    """
+    spec, cycle = cal.spec, cal.controller_cycle_sfq
+    fired = ([(0, i * cycle + d) for i, d in enumerate(steps)] if cal.arch == "opt"
+             else [(k, j * cycle) for j, k in enumerate(steps)])
+    e_tau = level_energies(spec.actual_freq, spec.anharmonicity, spec.levels) * cal.clock_period
+    m, now = np.eye(spec.levels, dtype=complex), 0
+    for k, start in fired:
+        m, now = cal.basis_ops[k] @ (np.exp(-1j * e_tau * (start - now))[:, None] * m), start
+    return np.exp(1j * e_tau[:2] * now)[:, None] * m[:2, :2]
+
+
 def recompose_error(cal: QubitCalibration, dec: Decomposition1Q,
                     target: np.ndarray, fold_phase: float = 0.0) -> float:
-    """Recompute a decomposition's error from plain six-level products.
+    """Recompute a decomposition's error from its stored streams fired at their start cycles.
 
-    Independent of the vectorized search tables; verifies that any
-    returned ``err`` is reproducible to 1e-12.  ``dec`` must be of the
-    calibration's architecture, with every step an opt delay in 0..n_max
-    or a min symbol index, else a ValueError naming ``dec``.
+    Scores the framed block phase_gate(s * residual_phase) @ A @
+    phase_gate(-fold_phase) that ``Decomposition1Q`` states, A from
+    ``_lowered_block`` (plain six-level products, nothing shared with the
+    search tables), so any returned ``err`` and ``residual_phase`` must
+    reproduce ``err`` to 1e-12.  ``dec`` must be of the calibration's
+    architecture, with every step an opt delay in 0..n_max or a min symbol
+    index and a finite ``residual_phase``, else a ValueError naming it.
     """
     v = checked_target(target)
     fold_phase = checked_finite("fold_phase", fold_phase)
@@ -844,8 +834,7 @@ def recompose_error(cal: QubitCalibration, dec: Decomposition1Q,
     top = cal.n_max if dec.kind == "opt" else len(cal.basis_ops) - 1
     for i, step in enumerate(dec.steps):
         checked_int(f"dec.steps[{i}]", step, 0, top)
-    if dec.kind == "opt":
-        e = cal.opt_engine.block(dec.steps, fold_phase)
-        return max(float(_score_free_trailing(e[None], np.ones(1), v)[0][0, 0]), 0.0)
-    e = cal.min_engine.word_block(dec.steps)
-    return max(projected_fidelity(e, v @ phase_gate(fold_phase)).error, 0.0)
+    residual = checked_finite("dec.residual_phase", dec.residual_phase)
+    frame = phase_gate(residual if dec.kind == "opt" else -residual)
+    framed = frame @ _lowered_block(cal, dec.steps) @ phase_gate(-fold_phase)
+    return max(projected_fidelity(framed, v).error, 0.0)

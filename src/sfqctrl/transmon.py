@@ -120,12 +120,14 @@ def sfq_kick(spec: TransmonSpec, tip_angle: float | np.ndarray) -> np.ndarray:
 
     In the two-level truncation this is exactly ``Ry(tip_angle)``.  An
     array of tip angles gives a stack of kicks, each equal to the scalar
-    call bit for bit.  ValueError unless every tip angle is a finite real.
+    call bit for bit.  ValueError unless every tip angle is a finite real, not a bool.
     """
     tips = np.asarray(tip_angle)
-    if tips.dtype.kind not in "iuf" or not np.isfinite(tips).all():
-        bad = tips if tips.dtype.kind not in "iuf" else tips[~np.isfinite(tips)]
-        raise ValueError(f"tip_angle must be finite reals, got {bad.ravel()[0].item()!r}")
+    given = () if isinstance(tip_angle, np.ndarray) else np.asarray(tip_angle, dtype=object).flat
+    bad = [t for t in given if isinstance(t, (bool, np.bool_))]  # np.asarray made them 1.0
+    if bad or tips.dtype.kind not in "iuf" or not np.isfinite(tips).all():
+        bad = bad or (tips if tips.dtype.kind not in "iuf" else tips[~np.isfinite(tips)])
+        raise ValueError(f"tip_angle must be finite reals, got {np.ravel(bad)[0].item()!r}")
     lam, v, vi = _kick_eig(spec.levels)
     d = np.zeros(tips.shape + (spec.levels, spec.levels), dtype=complex)
     k = np.arange(spec.levels)
@@ -134,7 +136,11 @@ def sfq_kick(spec: TransmonSpec, tip_angle: float | np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm deviation of U^dag U from the identity."""
+    """Max-norm deviation of U^dag U from the identity; ValueError unless finite and square."""
+    u = np.asarray(u)
+    if not (u.ndim == 2 and len(u) == u.shape[1] and u.dtype.kind in "iufc"
+            and np.isfinite(u).all()):
+        raise ValueError(f"u must be a finite square matrix, got {u.dtype} of shape {u.shape}")
     d = u.conj().T @ u - np.eye(u.shape[0])
     return float(np.abs(d).max())
 
@@ -159,7 +165,8 @@ def checked_int(name: str, value, lo: int, hi: float = np.inf) -> int:
 def checked_target(target) -> np.ndarray:
     """``target`` as a complex array; ValueError unless a finite unitary 2x2 matrix."""
     v = np.asarray(target)
-    if v.dtype.kind not in "iufc" or v.shape != (2, 2) or not unitarity_defect(v) <= 1e-8:
+    if (v.dtype.kind not in "iufc" or v.shape != (2, 2) or not np.isfinite(v).all()
+            or unitarity_defect(v) > 1e-8):
         raise ValueError("target must be a finite unitary 2x2 matrix")
     return v.astype(complex, copy=False)
 
@@ -252,7 +259,7 @@ def pulse_train_unitary(
     scalar tip angle gives one unitary, an array of tip angles one per
     angle, each equal to the scalar call bit for bit.
     """
-    tips = np.asarray(tip_angle)
+    tips = np.asarray(tip_angle, dtype=object)  # each tip as given, for sfq_kick's check
     u = pulse_train_stack(spec, [(pulse_slots, t) for t in tips.ravel()], n_cycles,
                           clock_period)
     return u.reshape(tips.shape + u.shape[1:])
@@ -264,9 +271,10 @@ def projected_errors(blocks: np.ndarray, target: np.ndarray) -> np.ndarray:
     Fbar = (Tr(E E^dag) + |Tr(target^dag E)|^2) / 6 with ``E`` a block's 2x2 corner
     and ``target`` a 2x2 gate, so leakage out of the qubit levels counts as error.
     """
-    if target.shape != (2, 2) or np.ndim(blocks) < 2 or min(blocks.shape[-2:]) < 2:
-        raise ValueError(f"target must be 2x2 and blocks at least 2x2, got shapes "
-                         f"{target.shape} and {np.shape(blocks)}")
+    if (not isinstance(target, np.ndarray) or not isinstance(blocks, np.ndarray)
+            or target.shape != (2, 2) or blocks.ndim < 2 or min(blocks.shape[-2:]) < 2):
+        raise ValueError(f"target must be a 2x2 array and blocks an array at least 2x2, got "
+                         f"shapes {np.shape(target)} and {np.shape(blocks)}")
     e = np.ascontiguousarray(blocks[..., :2, :2])
     ee, tr = e @ e.conj().swapaxes(-1, -2), target.conj().T @ e
     tr = tr[..., 0, 0] + tr[..., 1, 1]

@@ -5,8 +5,8 @@ and 3 with the same block arithmetic and scorer the engine uses (three
 pulses in 16-delta_1 slices), nothing pruned: this is the score-everything
 path the engine used before it pruned every level.  Its own collector
 takes the lowest error, then keeps every tuple within the margin of it or
-tied with it at 14 decimals, ranked; each trailing phase comes from the
-plain-product ``block`` and the optimal trailing angle.  The tests
+tied with it at 14 decimals, ranked; each trailing phase is the optimal
+trailing angle of the tuple's train, lowered by ``_lowered_block``.  The tests
 compare ``_OptEngine.search`` at each L against it.  Run as a script for
 the full-size comparison at the default n_max:
 
@@ -29,7 +29,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from sfqctrl.calib1q import _rank, _score_free_trailing, opt_level_errors
+from sfqctrl.calib1q import _lowered_block, _rank, _score_free_trailing, opt_level_errors
+from sfqctrl.transmon import phase_gate
 
 DRIFTS = (-12e6, 0.0, 6e6, 12e6)
 FOLDS = (0.0, 0.9)
@@ -66,27 +67,26 @@ def brute_force_chunks(eng, v, fold, n_pulses):
         yield np.where(valid, errs, np.inf), ds
 
 
-def block_residual(eng, v, fold, delays) -> float:
-    """Trailing phase of a delay tuple from the plain-product block, in the stated frame.
+def block_residual(cal, v, fold, delays) -> float:
+    """Trailing phase of a delay tuple from its lowered train, in the stated frame.
 
-    rho = angle(a) - angle(b) is the optimal trailing z of ``eng.block``;
-    the anchored train of the whole schedule needs rho - theta_L, theta_L
-    the qubit phase at the last application's start (0 without pulses).
+    With A the 2x2 block of the anchored train of the whole schedule,
+    rho = angle(a) - angle(b) of A @ phase_gate(-fold) is the optimal
+    trailing z, which ``Decomposition1Q`` calls the residual phase.
     """
-    e = eng.block(delays, fold)
+    e = _lowered_block(cal, delays) @ phase_gate(-fold)
     a = e[0, 0] * np.conj(v[0, 0]) + e[0, 1] * np.conj(v[0, 1])
     b = e[1, 0] * np.conj(v[1, 0]) + e[1, 1] * np.conj(v[1, 1])
-    theta = ((len(delays) - 1) * (eng.phi1 * eng.cycle) + eng.phi_d[delays[-1]]
-             if delays else 0.0)
-    return float(np.mod(np.angle(a) - np.angle(b) - theta, 2 * np.pi))
+    return float(np.mod(np.angle(a) - np.angle(b), 2 * np.pi))
 
 
-def brute_force_search(eng, v, fold, n_pulses, margin=MARGIN):
+def brute_force_search(cal, v, fold, n_pulses, margin=MARGIN):
     """[(err, delays, residual_phase)] over all tuples, ranked by ``_rank``.
 
     The first scan finds the lowest error; the second keeps every tuple
     within ``margin`` of it or equal to it at 14 decimals.
     """
+    eng = cal.opt_engine
     low = min(float(errs.min()) for errs, _ in brute_force_chunks(eng, v, fold, n_pulses))
     tie, kept = round(low, 14), []
     for errs, ds in brute_force_chunks(eng, v, fold, n_pulses):
@@ -94,7 +94,7 @@ def brute_force_search(eng, v, fold, n_pulses, margin=MARGIN):
             err = float(errs[i])
             if err <= low + margin or round(err, 14) == tie:
                 kept.append((err, tuple(int(d[i]) for d in ds)))
-    return sorted(((err, delays, block_residual(eng, v, fold, delays)) for err, delays in kept),
+    return sorted(((err, delays, block_residual(cal, v, fold, delays)) for err, delays in kept),
                   key=_rank)
 
 
@@ -102,7 +102,7 @@ def mismatches(cal, v, fold, margin=MARGIN, levels=LEVELS) -> list[str]:
     """What the pruned search and the brute-force scan disagree on, per pulse count.
 
     The ranked (err, delays) lists must be equal, and each trailing phase
-    within ``RESIDUAL_TOL`` of the block's.  ``levels`` are the pulse
+    within ``RESIDUAL_TOL`` of the lowered train's.  ``levels`` are the pulse
     counts checked; each entry starts with the one it concerns, as "L2 ...".
     """
     eng = cal.opt_engine
@@ -110,7 +110,7 @@ def mismatches(cal, v, fold, margin=MARGIN, levels=LEVELS) -> list[str]:
     out = []
     for n_pulses in levels:
         got = eng.search(v, fold, n_pulses, margin)
-        want = brute_force_search(eng, v, fold, n_pulses, margin)
+        want = brute_force_search(cal, v, fold, n_pulses, margin)
         if [t[:2] for t in got] != [t[:2] for t in want]:
             out.append(f"L{n_pulses} candidates {len(got)} vs {len(want)}, "
                        f"best {got[0][:2]} vs {want[0][:2]}")

@@ -14,8 +14,9 @@ in neither.
 Scalars follow the rules of ``checked_finite`` and ``checked_int``: a real
 is a non-bool ``numbers.Real`` and an integer a non-bool
 ``numbers.Integral``, so a bool, a string or a 0-d array is neither.
-``projected_errors`` runs inside the designer's passes and checks shapes
-only; ``projected_fidelity`` is its checked entry point.
+``projected_errors`` runs inside the designer's passes and checks types
+and shapes only; ``projected_fidelity`` is its checked entry point.  No
+rejected call may leave a result in a min calibration's cache.
 """
 
 import inspect
@@ -43,6 +44,7 @@ STREAM = Bitstream(bits=(1, 0, 0), tip_angle=0.03)
 # three-cycle streams: every case fails before any search, so no designed stream is needed
 OPT = calibrate_qubit(SPEC, [STREAM])
 MIN = calibrate_qubit(SPEC, [STREAM, Bitstream(bits=(0, 0, 0))], arch="min")
+MIN4 = calibrate_qubit(SPEC, [STREAM] * 3 + [Bitstream(bits=(0, 0, 0))], arch="min")
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 NOT_REAL = [True, "0.5", np.array(0.5)]  # a bool, a string, a 0-d array
@@ -50,7 +52,8 @@ BAD_REAL = [np.nan, np.inf, -np.inf, *NOT_REAL]
 BAD_INT = [True, 2.5, 3.0, "3", np.nan, np.array(3)]
 BAD_TARGET = [2 * np.eye(2), np.full((2, 2), np.nan), np.array([[1, np.inf], [0, 1]]),
               np.eye(3), np.eye(2)[0], [["1", "0"], ["0", "1"]], np.eye(2, dtype=bool)]
-BAD_TIPS = [np.nan, np.inf, [0.03, np.nan], True, "0.03", ["0.03", "0.02"], 0.03j]
+BAD_TIPS = [np.nan, np.inf, [0.03, np.nan], True, "0.03", ["0.03", "0.02"], 0.03j,
+            [0.03, True], [[0.03], [np.True_]]]  # np.asarray takes a bool among floats as 1.0
 
 # (callable, argument the message names, call with the bad value, bad values)
 CASES = [
@@ -76,6 +79,8 @@ CASES = [
      lambda x: pulse_train_stack(SPEC, [([0, 5], 0.03)], 10, x), [*BAD_REAL, 0.0, -4e-11]),
     (pulse_train_stack, "tip_angle",
      lambda x: pulse_train_stack(SPEC, [([1], x)], 10, 40e-12), [np.nan, True, "0.03", 1j]),
+    (pulse_train_stack, "tip_angle",
+     lambda x: pulse_train_stack(SPEC, [([0], 0.03), ([1], x)], 10, 40e-12), [True, np.True_]),
     (pulse_train_stack, "pulse_slots",
      lambda x: pulse_train_stack(SPEC, [(x, 0.03)], 10, 40e-12),
      [[1.5], [np.nan], ["1"], [[0, 1]], [5, 2], [-1], [10]]),
@@ -88,15 +93,19 @@ CASES = [
     (pulse_train_unitary, "pulse_slots",
      lambda x: pulse_train_unitary(SPEC, x, 10, 0.03, 40e-12), [[1.5], ["1"], [5, 2], [10]]),
     (projected_errors, "blocks", lambda x: projected_errors(x, np.eye(2)),
-     [np.ones((6, 1)), np.ones(2), np.ones(())]),
+     [np.ones((6, 1)), np.ones(2), np.ones(()), np.eye(6).tolist()]),
     (projected_errors, "target", lambda x: projected_errors(np.eye(6), x),
-     [np.eye(3), np.ones((2, 2, 2))]),
+     [np.eye(3), np.ones((2, 2, 2)), [[1, 0], [0, 1]], ((1, 0), (0, 1))]),
+    (unitarity_defect, "u", unitarity_defect,
+     [np.full((2, 2), np.nan), np.diag([1.0, np.inf]), np.ones(3), np.ones((2, 3)), np.ones(()),
+      np.eye(2, dtype=bool), [["1", "0"], ["0", "1"]]]),
     (projected_fidelity, "actual", lambda x: projected_fidelity(x, np.eye(2)),
      [np.full((6, 6), np.nan), np.diag([np.inf, 1.0]), np.diag([1, 1, 1, np.nan])]),
     (projected_fidelity, "target", lambda x: projected_fidelity(np.eye(6), x), BAD_TARGET),
     (ry, "theta", ry, BAD_REAL),
     (rz, "theta", rz, BAD_REAL),
     (phase_gate, "gamma", phase_gate, BAD_REAL),
+    (Bitstream, "s", Bitstream.from_string, ["10x", "1 0", "1.0", "12", 101, b"10", None]),
     (Bitstream, "bits", lambda x: Bitstream(bits=x),
      [[1, 0], (1.0, 0), (True, 0), (np.int64(1), 0), (2, 0), ("1", 0), (), (0,) * 301]),
     (Bitstream, "tip_angle", lambda x: Bitstream((1, 0), tip_angle=x), BAD_REAL),
@@ -141,15 +150,24 @@ CASES = [
     (decompose_min, "fold_phase", lambda x: decompose_min(MIN, H, fold_phase=x), BAD_REAL),
     (decompose_min, "max_depth", lambda x: decompose_min(MIN, H, max_depth=x),
      [*BAD_INT, -1, 29]),
+    (decompose_min, "max_depth", lambda x: decompose_min(MIN4, H, max_depth=x), [15]),
     (recompose_error, "target",
      lambda x: recompose_error(OPT, Decomposition1Q("opt", (), 0.0, 0.0), x), BAD_TARGET),
     (recompose_error, "fold_phase",
      lambda x: recompose_error(OPT, Decomposition1Q("opt", (), 0.0, 0.0), H, x), BAD_REAL),
     (recompose_error, "dec", lambda x: recompose_error(OPT, Decomposition1Q(*x, 0.0, 0.0), H),
-     [("foo", ()), ("min", (0,)), ("opt", (-1,)), ("opt", (256,)), ("opt", (2.0,)),
-      ("opt", (True,)), ("opt", ("3",))]),
+     [("foo", ()), ("min", (0,)), ("opt", (-1,)), ("opt", (3, -4)), ("opt", (256,)),
+      ("opt", (2.0,)), ("opt", (True,)), ("opt", ("3",))]),
     (recompose_error, "dec", lambda x: recompose_error(MIN, Decomposition1Q(*x, 0.0, 0.0), H),
-     [("min", (2,)), ("min", (0, -1)), ("min", (1.0,))]),
+     [("min", (2,)), ("min", (0, -1)), ("min", (1.0,)), ("min", (True,))]),
+    (recompose_error, "target",
+     lambda x: recompose_error(MIN, Decomposition1Q("min", (), 0.0, 0.0), x), BAD_TARGET),
+    (recompose_error, "fold_phase",
+     lambda x: recompose_error(MIN, Decomposition1Q("min", (), 0.0, 0.0), H, x), BAD_REAL),
+    (recompose_error, "dec.residual_phase",
+     lambda x: recompose_error(OPT, Decomposition1Q("opt", (3,), x, 0.0), H), BAD_REAL),
+    (recompose_error, "dec.residual_phase",
+     lambda x: recompose_error(MIN, Decomposition1Q("min", (0, 1), x, 0.0), H), BAD_REAL),
 ]
 
 NOT_IN_TABLE = {
@@ -159,7 +177,6 @@ NOT_IN_TABLE = {
     BitstreamDesignError: "an exception",
     CalibrationError: "an exception",
     design_ry_bitstream: "its one argument is a TransmonSpec, which checks itself",
-    unitarity_defect: "a measure over any matrix, applied to checked or simulated ones",
     rz_grid_error: "elementwise over an array, like the numpy functions it calls",
     worst_rz_error: "rowwise over an array of grids that the scans build themselves",
 }
@@ -187,6 +204,7 @@ def _public_callables() -> set:
 def test_bad_input_raises_value_error_naming_the_argument(arg, call, value):
     with pytest.raises(ValueError, match=rf"\b{re.escape(arg)}\b"):
         call(value)
+    assert not (MIN.min_engine._results or MIN4.min_engine._results)
 
 
 def test_table_covers_every_public_callable():
