@@ -129,8 +129,8 @@ class Bitstream:
     @classmethod
     def from_string(cls, s: str, clock_period: float = SFQ_CLOCK_PERIOD,
                     tip_angle: float = 0.0) -> "Bitstream":
-        if not isinstance(s, str) or not set(s.strip()) <= {"0", "1"}:
-            raise ValueError(f"s must be a string of the characters 0 and 1, got {s!r}")
+        if not isinstance(s, str) or not s.strip() or not set(s.strip()) <= {"0", "1"}:
+            raise ValueError(f"s must be a non-empty string of the characters 0 and 1, got {s!r}")
         return cls(tuple(int(c) for c in s.strip()), clock_period, tip_angle)
 
     def simulate(self, spec: TransmonSpec) -> np.ndarray:

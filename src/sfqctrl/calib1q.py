@@ -46,6 +46,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -120,7 +121,7 @@ class QubitCalibration:
     """Actual basis operations realized on one qubit by the shared bitstreams.
 
     ``n_max`` is the longest opt delay in SFQ cycles.  ``opt_engine`` keeps
-    the opt search's target-independent tables (29 MB at n_max = 255 with
+    the opt search's target-independent tables (22 MB at n_max = 255 with
     L = 3), ``min_engine`` the min search's word tables and results.
     """
 
@@ -240,18 +241,19 @@ def design_min_bitstreams(spec: TransmonSpec, bs: int = 2) -> list[Bitstream]:
 
 # --- scoring core ---------------------------------------------------------------
 
-def _score_free_trailing(e_core: np.ndarray, z_lead: np.ndarray, v: np.ndarray):
-    """Gate errors with an optimally chosen trailing virtual z, and its two terms.
+def _score_free_trailing(e_core: np.ndarray, span, z_lead, v: np.ndarray):
+    """Gate errors of cells with an optimally chosen trailing virtual z, and its two terms.
 
-    ``e_core``: (M, 2, 2) projected candidate blocks (before the leading
-    phase); ``z_lead``: (K,) unit phases applied to column 1.  Returns
-    (errs, a, b), each (M, K): a and b are the rows of E @ P(z) traced
-    against those of ``v``, whose angles give the trailing z (``_trailing``).
+    ``e_core``: (M, 2, 2) projected blocks (before the leading phase), block
+    i making the next ``span[i]`` cells; cell k applies the unit phase
+    ``z_lead[k]`` to column 1.  Returns (errs, a, b), each one value per
+    cell: a and b are the rows of E @ P(z) traced against those of ``v``,
+    whose angles give the trailing z (``_trailing``).
     """
     norm2 = np.sum(np.abs(e_core) ** 2, axis=(1, 2)).real
-    a0, a1, b0, b1 = (e_core.reshape(-1, 4) * np.conj(v).ravel()).T[..., None]
+    a0, a1, b0, b1 = np.repeat((e_core.reshape(-1, 4) * np.conj(v).ravel()).T, span, axis=1)
     a, b = a0 + a1 * z_lead, b0 + b1 * z_lead
-    return 1.0 - (norm2[:, None] + (np.abs(a) + np.abs(b)) ** 2) / 6.0, a, b
+    return 1.0 - (np.repeat(norm2, span) + (np.abs(a) + np.abs(b)) ** 2) / 6.0, a, b
 
 
 def _trailing(a, b, theta):
@@ -266,7 +268,7 @@ def _fixed_errors(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 1.0 - (norm2 + np.abs(tr) ** 2) / 6.0
 
 
-_FIRST_CHUNK = 4096  # (tuple, d_1) scores in the first chunk; each next one doubles
+_FIRST_CHUNK = 4096  # divided by n_max + 1: tuples in the first chunk; each next one doubles
 _WINDOW = 4096  # lowest bounds partitioned out and sorted first; each next window doubles
 _TIE = 1e-12  # above the float error of a bound and the width of a rounded-error tie
 
@@ -306,26 +308,24 @@ class _OptEngine:
     within margin of the lowest error or tied with it at 14 decimals (which
     adds entries only below a 1e-14 margin), each with the trailing virtual
     z its score chose, ranked by (round(err, 14), sum(delays), delays).  It
-    keeps no result, only each L's target-independent ``_table`` from its
-    first search on (29 MB for L = 3 at n_max = 255).
+    keeps no result, only ``counts`` and each L's target-independent
+    ``_table`` from its first search on (22 MB for L = 3 at n_max = 255).
     """
 
     def __init__(self, cal: QubitCalibration):
         if cal.arch != "opt":
             raise CalibrationError(f"decompose_opt needs arch 'opt', got {cal.arch!r}")
-        spec = cal.spec
-        self.n_max = cal.n_max
-        self.cycle = cal.controller_cycle_sfq
-        self.e_tau = level_energies(spec.actual_freq, spec.anharmonicity,
-                                    spec.levels) * cal.clock_period
-        self.phi1 = float(self.e_tau[1])  # two-level phase per SFQ cycle
+        spec, self.n_max, self.cycle = cal.spec, cal.n_max, cal.controller_cycle_sfq
+        e_tau = level_energies(spec.actual_freq, spec.anharmonicity, spec.levels) * cal.clock_period
+        self.phi1 = float(e_tau[1])  # two-level phase per SFQ cycle
         self.u6 = cal.basis_ops[0]
         self.pu = np.ascontiguousarray(self.u6[:2, :])
         self.phi_d = np.mod(self.phi1 * np.arange(self.n_max + 1), 2 * np.pi)
         self.deltas = np.arange(-self.n_max, self.n_max + 1)
         # K(cycle + delta): the free-evolution diagonals exp(-i*e_tau*n), (511, levels)
-        self.k_deltas = np.exp(-1j * (self.cycle + self.deltas)[:, None] * self.e_tau)
+        self.k_deltas = np.exp(-1j * (self.cycle + self.deltas)[:, None] * e_tau)
         self._tables: dict[int, tuple[np.ndarray, ...]] = {}
+        self.counts = np.zeros(3, dtype=int)  # tuples bounded, chunks and cells scored
 
     @cached_property
     def t2_rows(self) -> np.ndarray:
@@ -333,7 +333,7 @@ class _OptEngine:
         return np.einsum("ij,dj,jk->dik", self.pu, self.k_deltas, self.u6, optimize=True)
 
     def _table(self, n_pulses: int) -> tuple[np.ndarray, ...]:
-        """(E, |E|^2, |E|, first, last, o_2..o_L) of every tuple, read-only (``search``)."""
+        """(E, |E|^2, |E|, first, last, o_2..o_L) of every tuple with a cell, read-only."""
         if n_pulses not in self._tables:
             if n_pulses == 1:
                 blocks, offsets = self.pu[None, :, :2], []
@@ -346,10 +346,11 @@ class _OptEngine:
             o = np.array([np.broadcast_to(x, blocks.shape[:-2]).ravel() for x in [0, *offsets]],
                          dtype=np.min_scalar_type(-2 * self.n_max - 1))  # |o_i| <= 2 n_max
             first, last = -o.min(axis=0), self.n_max - o.max(axis=0)  # of d_1
-            blocks = np.ascontiguousarray(blocks).reshape(-1, 2, 2)
+            keep = np.flatnonzero(first <= last)
+            blocks = np.take(blocks.reshape(-1, 2, 2), keep, axis=0)
             mags = np.abs(blocks).reshape(-1, 4)
-            norm2 = np.where(first > last, -np.inf, np.sum(mags ** 2, axis=1))
-            self._tables[n_pulses] = (blocks, norm2, mags, first, last, *o[1:].copy())
+            self._tables[n_pulses] = (blocks, np.sum(mags ** 2, axis=1), mags, first[keep],
+                                      last[keep], *np.take(o[1:], keep, axis=1))
             for x in self._tables[n_pulses]:
                 x.setflags(write=False)
         return self._tables[n_pulses]
@@ -358,38 +359,41 @@ class _OptEngine:
         """[(err, delays, residual_phase)] of ``n_pulses`` pulses, best first.
 
         A tuple (d_1, d_1 + o_2, ..., d_1 + o_L) is its offsets o_i = d_i -
-        d_1, which fix the projected block E, and d_1, which enters only
-        through the lead phase z.  By the triangle inequality its errors
-        1 - (|E|^2 + (|a0 + a1 z| + |b0 + b1 z|)^2) / 6 are at least the
-        bound 1 - (|E|^2 + (|a0| + |a1| + |b0| + |b1|)^2) / 6, inf with no
-        d_1 in [first, last].  Chunks from ``_bound_order`` are scored at
-        every d_1 until one's first bound lies above the lowest error so far
-        + ``margin`` + ``_TIE``.  Each keeps what lies that close to the
-        running lowest, which never rises, and the list what lies within
-        ``margin`` of the final one or ties it at 14 decimals.
-        ``residual_phase`` is the trailing z less theta_L, the qubit phase at
-        the last application's start: the frame ``Decomposition1Q`` states.
+        d_1, which fix the projected block E, and its cell d_1 in [first,
+        last], which puts every delay in [0, n_max] and enters only through
+        the lead phase z.  By the triangle inequality a cell's error 1 -
+        (|E|^2 + (|a0 + a1 z| + |b0 + b1 z|)^2) / 6 is at least its tuple's
+        bound 1 - (|E|^2 + (|a0| + |a1| + |b0| + |b1|)^2) / 6.  Only the
+        cells of the chunks from ``_bound_order`` are scored, until a chunk's
+        first bound lies above the lowest error so far + ``margin`` +
+        ``_TIE``.  Each keeps what lies that close to the running lowest,
+        which never rises, and the list what lies within ``margin`` of the
+        final one or ties it at 14 decimals.  ``residual_phase`` is the
+        trailing z less theta_L, the qubit phase at the last application's
+        start: the frame ``Decomposition1Q`` states.
         """
         if n_pulses == 0:  # no pulses: theta_0 = 0
-            e = np.diag([1.0, np.exp(-1j * fold)])[None]
-            errs, a, b = _score_free_trailing(e, np.ones(1), v)
-            return [(float(errs[0, 0]), (), float(_trailing(a, b, 0.0)[0, 0]))]
+            errs, a, b = _score_free_trailing(np.diag([1, np.exp(-1j * fold)])[None], 1, [1.0], v)
+            return [(float(errs[0]), (), float(_trailing(a, b, 0.0)[0]))]
         blocks, norm2, mags, first, last, *offsets = self._table(n_pulses)
         bound = 1.0 - (norm2 + (mags @ np.abs(v).ravel()) ** 2) / 6.0
-        d1, z = np.arange(self.n_max + 1), np.exp(-1j * (fold + self.phi_d))  # z: lead phase
+        z = np.exp(-1j * (fold + self.phi_d))  # lead phase by d_1
         theta = (n_pulses - 1) * (self.phi1 * self.cycle) + self.phi_d  # by d_L
         low, kept = np.inf, []
-        for at in _bound_order(bound, max(1, _FIRST_CHUNK // d1.size)):
+        self.counts[0] += bound.size
+        for at in _bound_order(bound, max(1, _FIRST_CHUNK // z.size)):
             if bound[at[0]] > low + margin + _TIE:
                 break
-            errs, a, b = _score_free_trailing(blocks[at], z, v)
-            errs[(d1 < first[at, None]) | (d1 > last[at, None])] = np.inf
+            span = last[at] - first[at] + 1  # cells d_1 = first..last of each tuple
+            row = np.repeat(np.arange(at.size), span)
+            d1 = np.arange(row.size) - (np.cumsum(span) - span - first[at])[row]
+            errs, a, b = _score_free_trailing(blocks[at], span, z[d1], v)
+            self.counts += 0, 1, row.size
             low = min(low, float(errs.min()))
-            row, col = np.nonzero(errs <= low + margin + _TIE)
-            ds = [col] + [col + o[at[row]] for o in offsets]
-            residual = _trailing(a[row, col], b[row, col], theta[ds[-1]])
-            kept += zip(errs[row, col].tolist(), zip(*(d.tolist() for d in ds)),
-                        residual.tolist())
+            cell = np.flatnonzero(errs <= low + margin + _TIE)
+            ds = [d1[cell]] + [d1[cell] + o[at[row[cell]]] for o in offsets]
+            residual = _trailing(a[cell], b[cell], theta[ds[-1]])
+            kept += zip(errs[cell].tolist(), zip(*(d.tolist() for d in ds)), residual.tolist())
         tie = round(low, 14)
         return sorted((t for t in kept if t[0] <= low + margin or round(t[0], 14) == tie),
                       key=_rank)
@@ -685,22 +689,13 @@ def opt_level_errors(cal: QubitCalibration, target: np.ndarray,
     v = checked_target(target)
     fold_phase = checked_finite("fold_phase", fold_phase)
     lmax = checked_int("lmax", lmax, 0, 3)
-    eng = cal.opt_engine
-    out, best = {}, np.inf
-    for n_pulses in range(lmax + 1):
-        best = min(best, eng.search(v, fold_phase, n_pulses)[0][0])
-        out[n_pulses] = best
-    return out
+    found = (cal.opt_engine.search(v, fold_phase, n)[0][0] for n in range(lmax + 1))
+    return dict(enumerate(accumulate(found, min)))
 
 
-def decompose_opt(
-    cal: QubitCalibration,
-    target: np.ndarray,
-    err_budget: float = 1e-4,
-    margin: float = 1e-4,
-    fold_phase: float = 0.0,
-    max_candidates: int = 128,
-) -> list[Decomposition1Q]:
+def decompose_opt(cal: QubitCalibration, target: np.ndarray, err_budget: float = 1e-4,
+                  margin: float = 1e-4, fold_phase: float = 0.0,
+                  max_candidates: int = 128) -> list[Decomposition1Q]:
     """Decompose a 2x2 target into delay-scheduled bitstream applications.
 
     Searches L = 0 (pure virtual z), then 1, 2, 3 bitstream pulses on
@@ -715,7 +710,8 @@ def decompose_opt(
     meets the budget, the tuple with the lowest key across levels is
     returned flagged; a tie in rounded error keeps the lower L.  No result
     is cached: each call searches afresh, on the tables ``cal.opt_engine``
-    keeps per L.
+    keeps per L, and logs one DEBUG record to the ``sfqctrl`` logger (the
+    L reached, tuples bounded, chunks and cells scored, candidates kept).
     """
     v = checked_target(target)
     err_budget = checked_finite("err_budget", err_budget, ">= 0")
@@ -723,7 +719,7 @@ def decompose_opt(
     fold_phase = checked_finite("fold_phase", fold_phase)
     max_candidates = checked_int("max_candidates", max_candidates, 1)
     eng = cal.opt_engine
-    flagged, best = False, (np.inf,)
+    flagged, best, before = False, (np.inf,), eng.counts.copy()
     for n_pulses in range(4):
         found = eng.search(v, fold_phase, n_pulses, margin)
         if found[0][0] <= err_budget:
@@ -733,6 +729,10 @@ def decompose_opt(
             best = found[0]
     else:
         flagged, candidates = True, [best]
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("decompose_opt: L %d reached, err %.3g%s; %d tuples bounded, %d chunks and %d "
+                   "cells scored; %d candidates kept", n_pulses, max(candidates[0][0], 0.0),
+                   " (flagged)" * flagged, *(eng.counts - before), len(candidates))
     return [Decomposition1Q(kind="opt", steps=delays, residual_phase=residual,
                             err=max(err, 0.0), flagged=flagged)
             for err, delays, residual in candidates]

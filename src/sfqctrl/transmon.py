@@ -285,8 +285,9 @@ def projected_errors(blocks: np.ndarray, target: np.ndarray) -> np.ndarray:
 def projected_fidelity(actual: np.ndarray, target: np.ndarray) -> FidelityReport:
     """:func:`projected_errors` of one finite evolution ``actual``, as a report."""
     target = checked_target(target)
-    if not np.isfinite(actual).all():
-        raise ValueError("actual must be finite")
+    if not (isinstance(actual, np.ndarray) and actual.dtype.kind in "iufc"
+            and np.isfinite(actual).all()):
+        raise ValueError("actual must be a finite numeric array")
     err = float(projected_errors(actual, target))
     return FidelityReport(avg_gate_fidelity=1.0 - err, error=err)
 

@@ -1,9 +1,11 @@
 """Brute-force opt scan: the oracle for the pruned search at every pulse count.
 
 Scores every delay tuple (d_1, ..., d_L) in [0, n_max]^L for L = 1, 2
-and 3 with the same block arithmetic and scorer the engine uses (three
-pulses in 16-delta_1 slices), nothing pruned: this is the score-everything
-path the engine used before it pruned every level.  Its own collector
+and 3 with the same block arithmetic the engine uses (three pulses in
+16-delta_1 slices) and a grid scorer of its own (``grid_errors``: every
+offset tuple at every d_1, out-of-range delays then set to inf), nothing
+pruned: this is the score-everything path the engine used before it
+pruned every level and scored only the cells that exist.  Its own collector
 takes the lowest error, then keeps every tuple within the margin of it or
 tied with it at 14 decimals, ranked; each trailing phase is the optimal
 trailing angle of the tuple's train, lowered by ``_lowered_block``.  The tests
@@ -29,7 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from sfqctrl.calib1q import _lowered_block, _rank, _score_free_trailing, opt_level_errors
+from sfqctrl.calib1q import _lowered_block, _rank, opt_level_errors
 from sfqctrl.transmon import phase_gate
 
 DRIFTS = (-12e6, 0.0, 6e6, 12e6)
@@ -37,6 +39,19 @@ FOLDS = (0.0, 0.9)
 MARGIN = 1e-4
 LEVELS = (1, 2, 3)
 RESIDUAL_TOL = 1e-12
+
+
+def grid_errors(e_core, z, v):
+    """Errors of (M, 2, 2) blocks at each lead phase of ``z`` (K,), as (M, K).
+
+    1 - (|E|^2 + (|a0 + a1 z| + |b0 + b1 z|)^2) / 6 with the trailing z
+    chosen freely, in the engine's elementwise arithmetic, so equal errors
+    agree bit for bit.
+    """
+    norm2 = np.sum(np.abs(e_core) ** 2, axis=(1, 2)).real
+    a0, a1, b0, b1 = (e_core.reshape(-1, 4) * np.conj(v).ravel()).T[..., None]
+    a, b = a0 + a1 * z, b0 + b1 * z
+    return 1.0 - (norm2[:, None] + (np.abs(a) + np.abs(b)) ** 2) / 6.0
 
 
 def brute_force_chunks(eng, v, fold, n_pulses):
@@ -59,7 +74,7 @@ def brute_force_chunks(eng, v, fold, n_pulses):
                  for lo in range(0, len(eng.deltas), 16))
     for rows, steps in parts:
         e_core = np.ascontiguousarray(rows[..., :2]).reshape(-1, 2, 2)
-        errs = _score_free_trailing(e_core, z, v)[0].reshape(
+        errs = grid_errors(e_core, z, v).reshape(
             *(len(s) for s in steps), eng.n_max + 1)
         mesh = np.ix_(*steps, np.arange(eng.n_max + 1))  # (delta_{L-1}, ..., delta_1, d_1)
         ds = np.broadcast_arrays(errs, *accumulate(mesh[::-1]))[1:]

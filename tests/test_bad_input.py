@@ -100,12 +100,14 @@ CASES = [
      [np.full((2, 2), np.nan), np.diag([1.0, np.inf]), np.ones(3), np.ones((2, 3)), np.ones(()),
       np.eye(2, dtype=bool), [["1", "0"], ["0", "1"]]]),
     (projected_fidelity, "actual", lambda x: projected_fidelity(x, np.eye(2)),
-     [np.full((6, 6), np.nan), np.diag([np.inf, 1.0]), np.diag([1, 1, 1, np.nan])]),
+     [np.full((6, 6), np.nan), np.diag([np.inf, 1.0]), np.diag([1, 1, 1, np.nan]),
+      np.eye(6).tolist(), np.eye(2, dtype=bool), np.array([["1", "0"], ["0", "1"]])]),
     (projected_fidelity, "target", lambda x: projected_fidelity(np.eye(6), x), BAD_TARGET),
     (ry, "theta", ry, BAD_REAL),
     (rz, "theta", rz, BAD_REAL),
     (phase_gate, "gamma", phase_gate, BAD_REAL),
-    (Bitstream, "s", Bitstream.from_string, ["10x", "1 0", "1.0", "12", 101, b"10", None]),
+    (Bitstream, "s", Bitstream.from_string,
+     ["10x", "1 0", "1.0", "12", 101, b"10", None, "", " \n"]),
     (Bitstream, "bits", lambda x: Bitstream(bits=x),
      [[1, 0], (1.0, 0), (True, 0), (np.int64(1), 0), (2, 0), ("1", 0), (), (0,) * 301]),
     (Bitstream, "tip_angle", lambda x: Bitstream((1, 0), tip_angle=x), BAD_REAL),

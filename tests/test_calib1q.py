@@ -164,6 +164,35 @@ def test_decompose_opt_three_pulses_against_pulse_train(three_pulse_gate, ry_bit
         assert abs(_oracle_error(cal, ry_bitstream_hi, dec, v) - dec.err) <= 1e-12
 
 
+def test_decompose_opt_logs_one_debug_record_per_call(three_pulse_gate, monkeypatch, caplog):
+    # the record gives the L reached, the tuples bounded (every table row of
+    # L = 1..3), the chunks and cells the scorer got (the L = 0 score is no
+    # chunk) and the candidates kept; opt_level_errors logs nothing
+    cal, v = three_pulse_gate
+    cells, score = [], calib1q._score_free_trailing
+
+    def counted(e_core, span, z, v):
+        cells.append(len(z))
+        return score(e_core, span, z, v)
+
+    monkeypatch.setattr(calib1q, "_score_free_trailing", counted)
+    bounded = sum(len(cal.opt_engine._table(n_pulses)[0]) for n_pulses in (1, 2, 3))
+    assert bounded == 1 + 511 + 195_841
+    for budget, flagged in ((BUDGET, ""), (1e-12, " (flagged)")):
+        with caplog.at_level(logging.DEBUG, logger="sfqctrl"):
+            opt_level_errors(cal, v)
+            cells.clear()
+            decs = decompose_opt(cal, v, err_budget=budget)
+        (record,) = caplog.records
+        assert record.name == "sfqctrl" and record.levelno == logging.DEBUG
+        assert record.getMessage() == (
+            f"decompose_opt: L 3 reached, err {decs[0].err:.3g}{flagged}; {bounded} tuples "
+            f"bounded, {len(cells) - 1} chunks and {sum(cells) - 1} cells scored; "
+            f"{len(decs)} candidates kept")
+        assert len(cells) > 3 and (len(decs) == 1) == bool(flagged)
+        caplog.clear()
+
+
 def test_decompose_opt_flags_best_across_levels(three_pulse_gate):
     cal, v = three_pulse_gate
     decs = decompose_opt(cal, v, err_budget=1e-12)
@@ -175,8 +204,8 @@ def _synthetic_two_pulse_search(monkeypatch, spec, stream, bounds, errs, offsets
     """``_OptEngine.search`` over a made-up two-pulse table at n_max = 7.
 
     Tuple k has bound ``bounds[k]``, offset o_2 = ``offsets[k]`` and errors
-    ``errs[k]`` at d_1 = 0 and 1, its only valid d_1; the scorer returns
-    them (trailing terms a = b = 1).  Chunks hold 1, 2, 4, ... tuples.
+    ``errs[k]`` at d_1 = 0 and 1, its only cells; the scorer returns them
+    (trailing terms a = b = 1).  Chunks hold 1, 2, 4, ... tuples.
     Returns (search result, the tuples each scorer call got).
     """
     eng = calibrate_qubit(spec, [stream], n_max=7).opt_engine
@@ -187,12 +216,11 @@ def _synthetic_two_pulse_search(monkeypatch, spec, stream, bounds, errs, offsets
                       np.zeros(n, dtype=int), np.ones(n, dtype=int), np.array(offsets))
     scored = []
 
-    def scorer(e_core, z, v):
+    def scorer(e_core, span, z, v):
         ids = e_core[:, 0, 0].real.astype(int)
         scored.append(ids.tolist())
-        out, ones = np.full((ids.size, z.size), np.inf), np.ones((ids.size, z.size), complex)
-        out[:, :2] = np.array(errs)[ids]
-        return out, ones, ones
+        out = np.array(errs)[ids].ravel()  # cells d_1 = 0, 1 of each tuple in turn
+        return out, np.ones(out.size, complex), np.ones(out.size, complex)
 
     monkeypatch.setattr(calib1q, "_score_free_trailing", scorer)
     monkeypatch.setattr(calib1q, "_FIRST_CHUNK", 1)
@@ -320,14 +348,21 @@ def _recording_bound_order(monkeypatch):
     return yielded
 
 
+def _offsets_with_a_cell(n, n_pulses):
+    """Every (0, o_2, ..., o_L) of steps in [-n, n] whose delays fit [0, n] for some d_1."""
+    offsets = {(0, *np.cumsum(s).tolist()) for s in product(range(-n, n + 1), repeat=n_pulses - 1)}
+    return {o for o in offsets if max(o) - min(o) <= n}
+
+
 @pytest.mark.parametrize("n_pulses", [1, 2, 3])
 def test_opt_search_visits_each_tuple_once_in_bound_order(ry_bitstream_hi, spec_hi, haar_su2,
                                                           monkeypatch, n_pulses):
     # a margin above every error keeps the search going, across windows of
-    # 5 tuples: every tuple is visited exactly once, in increasing order of
-    # its bound (recomputed from plain products), each bound is at most its
-    # tuple's errors (up to the float slack the stop allows), and the list
-    # holds every delay tuple in [0, n]^L once, ranked
+    # 5 tuples: every tuple with a cell (offsets spanning at most n) is
+    # visited exactly once, in increasing order of its bound (recomputed
+    # from plain products), each bound is at most its tuple's errors (up to
+    # the float slack the stop allows), and the list holds every delay tuple
+    # in [0, n]^L once, ranked
     monkeypatch.setattr(calib1q, "_WINDOW", 5)
     monkeypatch.setattr(calib1q, "_FIRST_CHUNK", 16)
     yielded = _recording_bound_order(monkeypatch)
@@ -339,18 +374,14 @@ def test_opt_search_visits_each_tuple_once_in_bound_order(ry_bitstream_hi, spec_
     assert sorted(visited) == list(range(len(visited)))
     offsets = cal.opt_engine._table(n_pulses)[5:]
     visited_offsets = [(0, *(int(o[k]) for o in offsets)) for k in visited]
-    steps = range(-n, n + 1)
-    assert sorted(visited_offsets) == sorted({(0, *np.cumsum(s))
-                                              for s in product(steps, repeat=n_pulses - 1)})
+    assert sorted(visited_offsets) == sorted(_offsets_with_a_cell(n, n_pulses))
 
     def bound(o):
-        if max(o) - min(o) > n:
-            return np.inf
         m = np.abs(calib1q._lowered_block(cal, [d - min(o) for d in o]))
         return 1 - (np.sum(m ** 2) + np.sum(m * np.abs(v)) ** 2) / 6
 
     bounds = np.array([bound(o) for o in visited_offsets])
-    assert np.all(np.diff(np.where(np.isinf(bounds), 2.0, bounds)) >= -tie)  # inf last
+    assert np.all(np.diff(bounds) >= -tie)
     assert sorted(d for _, d, _ in found) == list(product(range(n + 1), repeat=n_pulses))
     bound_of = dict(zip(visited_offsets, bounds))
     assert all(err >= bound_of[tuple(np.array(d) - d[0])] - tie for err, d, _ in found)
@@ -366,8 +397,8 @@ def test_opt_search_scores_no_chunk_above_the_stop(three_pulse_gate, monkeypatch
     yielded, scored = _recording_bound_order(monkeypatch), []
     score = calib1q._score_free_trailing
 
-    def counted(e_core, z, v):
-        scored.append(score(e_core, z, v))
+    def counted(e_core, span, z, v):
+        scored.append(score(e_core, span, z, v))
         return scored[-1]
 
     monkeypatch.setattr(calib1q, "_score_free_trailing", counted)
@@ -375,7 +406,6 @@ def test_opt_search_scores_no_chunk_above_the_stop(three_pulse_gate, monkeypatch
     norm2, mags = cal.opt_engine._table(3)[1:3]
     bound = 1.0 - (norm2 + (mags @ np.abs(v).ravel()) ** 2) / 6.0
     assert len(scored) == len(yielded) - 1 > 1
-    # the search masks the scored errors in place, so take each chunk's lowest as returned
     lows = np.minimum.accumulate([errs.min() for errs, _, _ in scored])
     for k, at in enumerate(yielded[1:-1], start=1):
         assert bound[at[0]] <= lows[k - 1] + MARGIN + calib1q._TIE
@@ -384,19 +414,63 @@ def test_opt_search_scores_no_chunk_above_the_stop(three_pulse_gate, monkeypatch
 
 
 def test_opt_table_integers_fit_the_smallest_type(ry_bitstream_hi, spec_hi):
-    # first, last and o_2..o_L span +-2 n_max: int16 at n_max = 255, where
-    # the three-pulse table holds 29.2 MB, and at n_max = 64, where +128
-    # does not fit int8
+    # first, last and o_2..o_L are built over all 511^2 offset pairs, which
+    # span +-2 n_max, before the pairs without a cell are cut: int16 at
+    # n_max = 255, where the three-pulse table holds 195,841 tuples in 21.9
+    # MB, and at n_max = 64, where +128 does not fit int8
     table = calibrate_qubit(spec_hi, [ry_bitstream_hi]).opt_engine._table(3)
     assert [x.dtype for x in table[3:]] == [np.int16] * 4
-    assert [x.nbytes // 511 ** 2 for x in table] == [64, 8, 32, 2, 2, 2, 2]
-    assert sum(x.nbytes for x in table) == 29_245_552
+    assert [x.nbytes // 195_841 for x in table] == [64, 8, 32, 2, 2, 2, 2]
+    assert sum(x.nbytes for x in table) == 21_934_192
     eng = calibrate_qubit(spec_hi, [ry_bitstream_hi], n_max=64).opt_engine
     _, _, _, first, last, o_2, o_3 = eng._table(3)
     d = np.arange(-64, 65)
-    assert (o_3.astype(int) == (d[:, None] + d).ravel()).all()
-    assert (first.min(), first.max(), last.min(), last.max()) == (0, 128, -64, 64)
+    pairs = [(a, a + b) for a in d for b in d if max(0, a, a + b) - min(0, a, a + b) <= 64]
+    assert (np.stack([o_2, o_3], axis=1).astype(int) == pairs).all()
+    assert (first.min(), first.max(), last.min(), last.max()) == (0, 64, 0, 64)
     assert o_2.dtype == np.int16
+
+
+@pytest.mark.parametrize("n_pulses", [2, 3])
+def test_opt_search_scores_exactly_the_cells_of_each_tuple(ry_bitstream_hi, spec_hi, haar_su2,
+                                                         monkeypatch, n_pulses):
+    # at n_max = 15 the table holds each offset tuple with a cell once and no
+    # other, with its d_1 range [first, last] and |E| from plain products; a
+    # margin above every error then hands the scorer, chunk by chunk of 1, 2,
+    # 4, ... tuples, exactly the cells d_1 = first..last of each yielded
+    # tuple in turn, each d_1 told by its lead phase, and the cells of all
+    # chunks are the delay tuples of [0, n]^L, each once
+    monkeypatch.setattr(calib1q, "_WINDOW", 5)
+    monkeypatch.setattr(calib1q, "_FIRST_CHUNK", 16)
+    yielded, handed, score = _recording_bound_order(monkeypatch), [], calib1q._score_free_trailing
+
+    def recording(e_core, span, z, v):
+        handed.append((np.array(span), np.array(z)))
+        return score(e_core, span, z, v)
+
+    monkeypatch.setattr(calib1q, "_score_free_trailing", recording)
+    n, fold = 15, 0.9
+    cal = calibrate_qubit(spec_hi.with_drift(-6e6), [ry_bitstream_hi], n_max=n)
+    eng = cal.opt_engine
+    _, _, mags, first, last, *offsets = eng._table(n_pulses)
+    tuples = [(0, *(int(o[k]) for o in offsets)) for k in range(first.size)]
+    assert len(set(tuples)) == len(tuples) and set(tuples) == _offsets_with_a_cell(n, n_pulses)
+    assert first.tolist() == [-min(o) for o in tuples]
+    assert last.tolist() == [n - max(o) for o in tuples]
+    for k, o in enumerate(tuples):
+        block = calib1q._lowered_block(cal, [d - min(o) for d in o])
+        assert np.allclose(mags[k], np.abs(block).ravel(), rtol=0, atol=1e-12)
+    eng.search(haar_su2(np.random.default_rng(4)), fold, n_pulses, margin=10.0)
+    d1_of = {z: d for d, z in enumerate(np.exp(-1j * (fold + eng.phi_d)).tolist())}
+    assert len(d1_of) == n + 1 and len(handed) == len(yielded)
+    cells = []
+    for at, (span, z) in zip(yielded, handed):
+        assert span.tolist() == (last[at] - first[at] + 1).tolist()
+        assert [d1_of[x] for x in z.tolist()] == [d for k in at
+                                                  for d in range(first[k], last[k] + 1)]
+        cells += [tuple(d1_of[x] + o for o in tuples[k])
+                  for k, x in zip(np.repeat(at, span).tolist(), z.tolist())]
+    assert sorted(cells) == list(product(range(n + 1), repeat=n_pulses))
 
 
 @pytest.mark.parametrize("other", [
