@@ -121,8 +121,9 @@ class QubitCalibration:
     """Actual basis operations realized on one qubit by the shared bitstreams.
 
     ``n_max`` is the longest opt delay in SFQ cycles.  ``opt_engine`` keeps
-    the opt search's target-independent tables (22 MB at n_max = 255 with
-    L = 3), ``min_engine`` the min search's word tables and results.
+    the opt search's target-independent tables (23.5 MB at n_max = 255 with
+    L = 3, 1.6 MB of it the psi column), ``min_engine`` the min search's
+    word tables and results.
     """
 
     qubit_id: int
@@ -269,25 +270,27 @@ def _fixed_errors(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 _FIRST_CHUNK = 4096  # divided by n_max + 1: tuples in the first chunk; each next one doubles
-_WINDOW = 4096  # lowest bounds partitioned out and sorted first; each next window doubles
+_WINDOW = 4096  # rows of the first psi slice and rank window; each next one doubles
 _TIE = 1e-12  # above the float error of a bound and the width of a rounded-error tie
 
 
-def _bound_order(bound: np.ndarray, size: int):
-    """Yield index chunks of ``bound``, each index once, in increasing bound order.
+def _bounds(norm2: np.ndarray, mags: np.ndarray, absv: np.ndarray) -> np.ndarray:
+    """Error bounds 1 - (|E|^2 + (|E| . |v|)^2) / 6 of table rows (``_OptEngine.search``)."""
+    return 1.0 - (norm2 + (mags @ absv) ** 2) / 6.0
 
-    Windows of the lowest bounds left (``_WINDOW``, then twice as many) come
-    from ``argpartition``, sorted; chunks hold ``size`` indices, then twice as many.
-    """
-    rest, window = np.arange(bound.size), _WINDOW
-    while rest.size:
-        part = np.argpartition(bound[rest], min(window, rest.size) - 1)
-        order = rest[part[:window]]
-        order = order[np.argsort(bound[order])]
-        while order.size:
-            at, order, size = order[:size], order[size:], 2 * size
-            yield at
-        rest, window = rest[part[window:]], 2 * window  # only when a search goes on
+
+def _window(psi: np.ndarray, peaks: np.ndarray, absv: np.ndarray, rows: int):
+    """(lo, hi, floor): ``rows`` rows of sorted ``psi`` around tau, clipped to the table, and
+    F(delta) (``_OptEngine``), delta from tau to the nearest row outside (+inf if none)."""
+    (v00, v01, v10, v11), n = absv.tolist(), psi.size
+    p, q = max(v00, v11), max(v01, v10)
+    tau = float(np.arctan2(q, p))
+    lo = min(max(int(np.searchsorted(psi, tau)) - rows // 2, 0), max(n - rows, 0))
+    hi = min(lo + rows, n)
+    gaps = ([tau - psi[lo - 1]] if lo else []) + ([psi[hi] - tau] if hi < n else [])
+    if not gaps:
+        return lo, hi, np.inf
+    return lo, hi, 1.0 - (peaks[0] + peaks[1] * (p * p + q * q) * np.cos(min(gaps)) ** 2) / 6.0
 
 
 def _rank(t):
@@ -309,7 +312,14 @@ class _OptEngine:
     adds entries only below a 1e-14 margin), each with the trailing virtual
     z its score chose, ranked by (round(err, 14), sum(delays), delays).  It
     keeps no result, only ``counts`` and each L's target-independent
-    ``_table`` from its first search on (22 MB for L = 3 at n_max = 255).
+    ``_table`` from its first search on (23.5 MB for L = 3 at n_max = 255).
+
+    Table rows are sorted by psi = atan2(beta, alpha) in [0, pi/2], alpha =
+    |E00| + |E11| and beta = |E01| + |E10|, rho^2 = alpha^2 + beta^2.  With
+    P = max(|v00|, |v11|), Q = max(|v01|, |v10|), tau = atan2(Q, P) and R^2 =
+    P^2 + Q^2, |E| . |v| <= P alpha + Q beta = rho R cos(psi - tau), so a row
+    at least delta from tau has a bound of at least F(delta) = 1 - (max |E|^2
+    + max rho^2 R^2 cos^2 delta) / 6, both maxima (``peaks``) over the table.
     """
 
     def __init__(self, cal: QubitCalibration):
@@ -333,7 +343,8 @@ class _OptEngine:
         return np.einsum("ij,dj,jk->dik", self.pu, self.k_deltas, self.u6, optimize=True)
 
     def _table(self, n_pulses: int) -> tuple[np.ndarray, ...]:
-        """(E, |E|^2, |E|, first, last, o_2..o_L) of every tuple with a cell, read-only."""
+        """(E, |E|^2, |E|, psi, peaks, first, last, o_2..o_L) of each tuple with a cell, in
+        psi order, read-only; ``peaks`` is (max |E|^2, max rho^2)."""
         if n_pulses not in self._tables:
             if n_pulses == 1:
                 blocks, offsets = self.pu[None, :, :2], []
@@ -346,14 +357,47 @@ class _OptEngine:
             o = np.array([np.broadcast_to(x, blocks.shape[:-2]).ravel() for x in [0, *offsets]],
                          dtype=np.min_scalar_type(-2 * self.n_max - 1))  # |o_i| <= 2 n_max
             first, last = -o.min(axis=0), self.n_max - o.max(axis=0)  # of d_1
-            keep = np.flatnonzero(first <= last)
-            blocks = np.take(blocks.reshape(-1, 2, 2), keep, axis=0)
+            blocks, keep = blocks.reshape(-1, 2, 2), np.flatnonzero(first <= last)
             mags = np.abs(blocks).reshape(-1, 4)
-            self._tables[n_pulses] = (blocks, np.sum(mags ** 2, axis=1), mags, first[keep],
-                                      last[keep], *np.take(o[1:], keep, axis=1))
+            alpha, beta = (mags[:, 0] + mags[:, 3])[keep], (mags[:, 1] + mags[:, 2])[keep]
+            psi = np.arctan2(beta, alpha)
+            order = np.argsort(psi)
+            keep = keep[order]
+            mags = np.take(mags, keep, axis=0)
+            norm2 = np.sum(mags ** 2, axis=1)
+            peaks = np.array([norm2.max(), np.max(alpha ** 2 + beta ** 2)])
+            self._tables[n_pulses] = (np.take(blocks, keep, axis=0), norm2, mags, psi[order],
+                                      peaks, first[keep], last[keep],
+                                      *np.take(o[1:], keep, axis=1))
             for x in self._tables[n_pulses]:
                 x.setflags(write=False)
         return self._tables[n_pulses]
+
+    def _bound_order(self, n_pulses: int, absv: np.ndarray, size: int):
+        """Yield (rows, bounds) chunks of the table, each row once, in increasing bound order.
+
+        Chunks hold the next ``size`` lowest bounds of the table, then twice as
+        many, each cut at the end of a rank window (``_WINDOW`` ranks, then
+        twice as many).  Only the ``_window`` slice is bounded, of ``_WINDOW``
+        rows, then twice as many until a chunk lies ``_TIE`` below its floor.
+        """
+        _, norm2, mags, psi, peaks = self._table(n_pulses)[:5]
+        n, done, cut, window, width = psi.size, 0, 0, _WINDOW, _WINDOW
+        lo, hi, floor = _window(psi, peaks, absv, 0)
+        rest, bound = np.zeros(0, dtype=int), np.zeros(0)  # the slice's rows left, ranked
+        while done < n:
+            if done == cut:
+                cut, window = min(cut + window, n), 2 * window
+            k, size = min(done + size, cut) - done, 2 * size
+            while np.searchsorted(bound, floor - _TIE, side="right") < k:
+                a, b, floor = _window(psi, peaks, absv, width)
+                new, lo, hi, width = np.r_[a:lo, hi:b], a, b, 2 * width
+                self.counts[0] += new.size
+                rest, bound = np.r_[rest, new], np.r_[bound, _bounds(norm2[new], mags[new], absv)]
+                order = np.argsort(bound)
+                rest, bound = rest[order], bound[order]
+            yield rest[:k], bound[:k]
+            rest, bound, done = rest[k:], bound[k:], done + k
 
     def search(self, v, fold, n_pulses: int, margin: float = 0.0):
         """[(err, delays, residual_phase)] of ``n_pulses`` pulses, best first.
@@ -363,26 +407,27 @@ class _OptEngine:
         last], which puts every delay in [0, n_max] and enters only through
         the lead phase z.  By the triangle inequality a cell's error 1 -
         (|E|^2 + (|a0 + a1 z| + |b0 + b1 z|)^2) / 6 is at least its tuple's
-        bound 1 - (|E|^2 + (|a0| + |a1| + |b0| + |b1|)^2) / 6.  Only the
-        cells of the chunks from ``_bound_order`` are scored, until a chunk's
-        first bound lies above the lowest error so far + ``margin`` +
-        ``_TIE``.  Each keeps what lies that close to the running lowest,
-        which never rises, and the list what lies within ``margin`` of the
-        final one or ties it at 14 decimals.  ``residual_phase`` is the
-        trailing z less theta_L, the qubit phase at the last application's
-        start: the frame ``Decomposition1Q`` states.
+        bound 1 - (|E|^2 + (|a0| + |a1| + |b0| + |b1|)^2) / 6, itself at
+        least F (``_OptEngine``) for rows far from tau in psi, so only rows
+        near tau are bounded.  Only the cells of the chunks from
+        ``_bound_order`` are scored, until a chunk's first bound lies above
+        the lowest error so far + ``margin`` + ``_TIE``.  Each keeps what
+        lies that close to the running lowest, which never rises, and the
+        list what lies within ``margin`` of the final one or ties it at 14
+        decimals.  ``residual_phase`` is the trailing z less theta_L, the
+        qubit phase at the last application's start: the frame
+        ``Decomposition1Q`` states.
         """
         if n_pulses == 0:  # no pulses: theta_0 = 0
             errs, a, b = _score_free_trailing(np.diag([1, np.exp(-1j * fold)])[None], 1, [1.0], v)
             return [(float(errs[0]), (), float(_trailing(a, b, 0.0)[0]))]
-        blocks, norm2, mags, first, last, *offsets = self._table(n_pulses)
-        bound = 1.0 - (norm2 + (mags @ np.abs(v).ravel()) ** 2) / 6.0
+        blocks, _, _, _, _, first, last, *offsets = self._table(n_pulses)
         z = np.exp(-1j * (fold + self.phi_d))  # lead phase by d_1
         theta = (n_pulses - 1) * (self.phi1 * self.cycle) + self.phi_d  # by d_L
         low, kept = np.inf, []
-        self.counts[0] += bound.size
-        for at in _bound_order(bound, max(1, _FIRST_CHUNK // z.size)):
-            if bound[at[0]] > low + margin + _TIE:
+        for at, bound in self._bound_order(n_pulses, np.abs(v).ravel(),
+                                           max(1, _FIRST_CHUNK // z.size)):
+            if bound[0] > low + margin + _TIE:
                 break
             span = last[at] - first[at] + 1  # cells d_1 = first..last of each tuple
             row = np.repeat(np.arange(at.size), span)

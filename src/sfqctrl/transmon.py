@@ -288,7 +288,10 @@ def projected_fidelity(actual: np.ndarray, target: np.ndarray) -> FidelityReport
     if not (isinstance(actual, np.ndarray) and actual.dtype.kind in "iufc"
             and np.isfinite(actual).all()):
         raise ValueError("actual must be a finite numeric array")
-    err = float(projected_errors(actual, target))
+    err = projected_errors(actual, target)
+    if err.ndim:
+        raise ValueError(f"actual must be one block, got a stack of shape {actual.shape}")
+    err = float(err)
     return FidelityReport(avg_gate_fidelity=1.0 - err, error=err)
 
 

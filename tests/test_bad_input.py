@@ -101,7 +101,8 @@ CASES = [
       np.eye(2, dtype=bool), [["1", "0"], ["0", "1"]]]),
     (projected_fidelity, "actual", lambda x: projected_fidelity(x, np.eye(2)),
      [np.full((6, 6), np.nan), np.diag([np.inf, 1.0]), np.diag([1, 1, 1, np.nan]),
-      np.eye(6).tolist(), np.eye(2, dtype=bool), np.array([["1", "0"], ["0", "1"]])]),
+      np.eye(6).tolist(), np.eye(2, dtype=bool), np.array([["1", "0"], ["0", "1"]]),
+      np.ones((2, 2, 2)), np.ones((3, 6, 6)), np.ones((1, 2, 2))]),
     (projected_fidelity, "target", lambda x: projected_fidelity(np.eye(6), x), BAD_TARGET),
     (ry, "theta", ry, BAD_REAL),
     (rz, "theta", rz, BAD_REAL),

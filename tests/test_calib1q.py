@@ -30,6 +30,7 @@ from sfqctrl.transmon import (
     pulse_train_unitary,
     ry,
     rz,
+    unitarity_defect,
 )
 
 BUDGET = 1e-4
@@ -164,33 +165,54 @@ def test_decompose_opt_three_pulses_against_pulse_train(three_pulse_gate, ry_bit
         assert abs(_oracle_error(cal, ry_bitstream_hi, dec, v) - dec.err) <= 1e-12
 
 
+def _counting(monkeypatch, name, size):
+    """Record ``size(args)`` of every call of ``calib1q.<name>``, which keeps working."""
+    counts, f = [], getattr(calib1q, name)
+
+    def counted(*args):
+        counts.append(size(args))
+        return f(*args)
+
+    monkeypatch.setattr(calib1q, name, counted)
+    return counts
+
+
 def test_decompose_opt_logs_one_debug_record_per_call(three_pulse_gate, monkeypatch, caplog):
-    # the record gives the L reached, the tuples bounded (every table row of
-    # L = 1..3), the chunks and cells the scorer got (the L = 0 score is no
-    # chunk) and the candidates kept; opt_level_errors logs nothing
+    # the record gives the L reached, the tuples whose bound was computed, the
+    # chunks and cells the scorer got (the L = 0 score is no chunk) and the
+    # candidates kept; opt_level_errors logs nothing
     cal, v = three_pulse_gate
-    cells, score = [], calib1q._score_free_trailing
-
-    def counted(e_core, span, z, v):
-        cells.append(len(z))
-        return score(e_core, span, z, v)
-
-    monkeypatch.setattr(calib1q, "_score_free_trailing", counted)
-    bounded = sum(len(cal.opt_engine._table(n_pulses)[0]) for n_pulses in (1, 2, 3))
-    assert bounded == 1 + 511 + 195_841
+    cells = _counting(monkeypatch, "_score_free_trailing", lambda args: len(args[2]))
+    bounded = _counting(monkeypatch, "_bounds", lambda args: len(args[0]))
     for budget, flagged in ((BUDGET, ""), (1e-12, " (flagged)")):
         with caplog.at_level(logging.DEBUG, logger="sfqctrl"):
             opt_level_errors(cal, v)
             cells.clear()
+            bounded.clear()
             decs = decompose_opt(cal, v, err_budget=budget)
         (record,) = caplog.records
         assert record.name == "sfqctrl" and record.levelno == logging.DEBUG
         assert record.getMessage() == (
-            f"decompose_opt: L 3 reached, err {decs[0].err:.3g}{flagged}; {bounded} tuples "
-            f"bounded, {len(cells) - 1} chunks and {sum(cells) - 1} cells scored; "
+            f"decompose_opt: L 3 reached, err {decs[0].err:.3g}{flagged}; {sum(bounded)} "
+            f"tuples bounded, {len(cells) - 1} chunks and {sum(cells) - 1} cells scored; "
             f"{len(decs)} candidates kept")
         assert len(cells) > 3 and (len(decs) == 1) == bool(flagged)
         caplog.clear()
+
+
+def test_opt_three_pulse_search_bounds_under_a_quarter_of_its_table(three_pulse_gate,
+                                                                   monkeypatch):
+    # the first psi slice holds the whole one- and two-pulse tables; the
+    # three-pulse search computes the bounds of a few slices around tau only
+    cal, v = three_pulse_gate
+    bounded = _counting(monkeypatch, "_bounds", lambda args: len(args[0]))
+    for n_pulses, table_rows in ((1, 1), (2, 511), (3, 195_841)):
+        bounded.clear()
+        cal.opt_engine.search(v, 0.0, n_pulses, MARGIN)
+        assert len(cal.opt_engine._table(n_pulses)[0]) == table_rows
+        if n_pulses < 3:
+            assert bounded == [table_rows]
+    assert 0 < sum(bounded) < 195_841 // 4
 
 
 def test_decompose_opt_flags_best_across_levels(three_pulse_gate):
@@ -212,7 +234,8 @@ def _synthetic_two_pulse_search(monkeypatch, spec, stream, bounds, errs, offsets
     n = len(bounds)
     blocks = np.zeros((n, 2, 2), dtype=complex)
     blocks[:, 0, 0] = np.arange(n)  # the tuple's id, read back by the scorer
-    eng._tables[2] = (blocks, 6.0 * (1.0 - np.array(bounds)), np.zeros((n, 4)),
+    norm2 = 6.0 * (1.0 - np.array(bounds))  # |E| = 0: every psi 0, rho 0
+    eng._tables[2] = (blocks, norm2, np.zeros((n, 4)), np.zeros(n), np.array([norm2.max(), 0.0]),
                       np.zeros(n, dtype=int), np.ones(n, dtype=int), np.array(offsets))
     scored = []
 
@@ -321,9 +344,10 @@ def test_opt_engine_reuse_equals_fresh_calibrations(ry_bitstream_hi, spec_hi, ha
 @pytest.mark.parametrize("window, first_chunk", [(1, 4096), (5, 16)])
 def test_opt_search_across_windows_matches_brute_force(ry_bitstream_hi, spec_hi, haar_su2,
                                                        monkeypatch, window, first_chunk):
-    # at n_max = 15 all 961 three-pulse tuples fit in the first 4096-tuple
-    # window; windows of a few tuples, cut into chunks of 1, 2, 4, ... tuples
-    # by the smaller first chunk, make every search cross window boundaries
+    # at n_max = 15 all 721 three-pulse tuples fit in the first psi slice
+    # and rank window of 4096; slices and windows of a few tuples, cut into
+    # chunks of 1, 2, 4, ... tuples by the smaller first chunk, make every
+    # search cross window boundaries
     monkeypatch.setattr(calib1q, "_WINDOW", window)
     monkeypatch.setattr(calib1q, "_FIRST_CHUNK", first_chunk)
     cal = calibrate_qubit(spec_hi.with_drift(-6e6), [ry_bitstream_hi], n_max=15)
@@ -336,15 +360,15 @@ def test_opt_search_across_windows_matches_brute_force(ry_bitstream_hi, spec_hi,
 
 
 def _recording_bound_order(monkeypatch):
-    """Record every index chunk ``_bound_order`` yields to the search."""
-    yielded, bound_order = [], calib1q._bound_order
+    """Record every index chunk ``_OptEngine._bound_order`` yields to the search."""
+    yielded, bound_order = [], calib1q._OptEngine._bound_order
 
-    def recording(bound, size):
-        for at in bound_order(bound, size):
+    def recording(eng, n_pulses, absv, size):
+        for at, bound in bound_order(eng, n_pulses, absv, size):
             yielded.append(at)
-            yield at
+            yield at, bound
 
-    monkeypatch.setattr(calib1q, "_bound_order", recording)
+    monkeypatch.setattr(calib1q._OptEngine, "_bound_order", recording)
     return yielded
 
 
@@ -362,7 +386,8 @@ def test_opt_search_visits_each_tuple_once_in_bound_order(ry_bitstream_hi, spec_
     # visited exactly once, in increasing order of its bound (recomputed
     # from plain products), each bound is at most its tuple's errors (up to
     # the float slack the stop allows), and the list holds every delay tuple
-    # in [0, n]^L once, ranked
+    # in [0, n]^L once, ranked; the chunks hold 1, 2, 4, ... tuples, cut at
+    # the ends of rank windows of 5, 10, 20, ... tuples
     monkeypatch.setattr(calib1q, "_WINDOW", 5)
     monkeypatch.setattr(calib1q, "_FIRST_CHUNK", 16)
     yielded = _recording_bound_order(monkeypatch)
@@ -372,7 +397,9 @@ def test_opt_search_visits_each_tuple_once_in_bound_order(ry_bitstream_hi, spec_
     found = cal.opt_engine.search(v, 0.9, n_pulses, margin=10.0)
     visited = np.concatenate(yielded)
     assert sorted(visited) == list(range(len(visited)))
-    offsets = cal.opt_engine._table(n_pulses)[5:]
+    assert [len(at) for at in yielded] == {1: [1], 2: [1, 2, 2, 8, 2, 16],
+                                           3: [1, 2, 2, 8, 2, 20, 40, 80, 160, 320, 86]}[n_pulses]
+    offsets = cal.opt_engine._table(n_pulses)[7:]
     visited_offsets = [(0, *(int(o[k]) for o in offsets)) for k in visited]
     assert sorted(visited_offsets) == sorted(_offsets_with_a_cell(n, n_pulses))
 
@@ -416,19 +443,59 @@ def test_opt_search_scores_no_chunk_above_the_stop(three_pulse_gate, monkeypatch
 def test_opt_table_integers_fit_the_smallest_type(ry_bitstream_hi, spec_hi):
     # first, last and o_2..o_L are built over all 511^2 offset pairs, which
     # span +-2 n_max, before the pairs without a cell are cut: int16 at
-    # n_max = 255, where the three-pulse table holds 195,841 tuples in 21.9
-    # MB, and at n_max = 64, where +128 does not fit int8
+    # n_max = 255, where the three-pulse table holds 195,841 tuples in 23.5
+    # MB (the float psi column and the two peaks included), and at n_max =
+    # 64, where +128 does not fit int8; rows are in psi order, so the offset
+    # pairs compare as a set
     table = calibrate_qubit(spec_hi, [ry_bitstream_hi]).opt_engine._table(3)
-    assert [x.dtype for x in table[3:]] == [np.int16] * 4
-    assert [x.nbytes // 195_841 for x in table] == [64, 8, 32, 2, 2, 2, 2]
-    assert sum(x.nbytes for x in table) == 21_934_192
+    assert [x.dtype for x in table[5:]] == [np.int16] * 4
+    peaks = table[4]
+    assert peaks.shape == (2,) and peaks.dtype == np.float64
+    rows = table[:4] + table[5:]
+    assert [x.nbytes // 195_841 for x in rows] == [64, 8, 32, 8, 2, 2, 2, 2]
+    assert sum(x.nbytes for x in table) == 21_934_192 + 195_841 * 8 + 16
     eng = calibrate_qubit(spec_hi, [ry_bitstream_hi], n_max=64).opt_engine
-    _, _, _, first, last, o_2, o_3 = eng._table(3)
+    _, _, _, _, _, first, last, o_2, o_3 = eng._table(3)
     d = np.arange(-64, 65)
     pairs = [(a, a + b) for a in d for b in d if max(0, a, a + b) - min(0, a, a + b) <= 64]
-    assert (np.stack([o_2, o_3], axis=1).astype(int) == pairs).all()
+    assert sorted(zip(o_2.tolist(), o_3.tolist())) == sorted(pairs)
     assert (first.min(), first.max(), last.min(), last.max()) == (0, 64, 0, 64)
     assert o_2.dtype == np.int16
+
+
+@pytest.mark.parametrize("drift", [0.0, 12e6])
+def test_opt_window_floor_lies_below_every_row_outside(ry_bitstream_hi, spec_hi, haar_su2,
+                                                       drift):
+    # the three-pulse table at n_max = 255 is sorted by psi = atan2(beta,
+    # alpha), its peaks are the column maxima; for slices of 16 to 32,768
+    # rows, the floor is F(delta) with delta the least |psi - tau| of the
+    # rows outside, found by brute force, and every bound outside is at least
+    # the floor - _TIE.  I and S put tau at the low end of psi, X at the high
+    # end, H in the densest part; the last target's unitarity defect of about
+    # 1e-9 makes |v00| != |v11|, so P, Q and R^2 != 1 take their maxima
+    _, norm2, mags, psi, peaks = calibrate_qubit(
+        spec_hi.with_drift(drift), [ry_bitstream_hi]).opt_engine._table(3)[:5]
+    alpha, beta = mags[:, 0] + mags[:, 3], mags[:, 1] + mags[:, 2]
+    assert np.array_equal(psi, np.arctan2(beta, alpha)) and (np.diff(psi) >= 0).all()
+    assert peaks.tolist() == [norm2.max(), (alpha ** 2 + beta ** 2).max()]
+    rng = np.random.default_rng(29)
+    haar = [haar_su2(rng) for _ in range(6)]
+    skewed = haar[0] @ np.diag([1 + 5e-10, 1])
+    assert 5e-10 < unitarity_defect(skewed) < 2e-9 and abs(skewed[0, 0]) != abs(skewed[1, 1])
+    for v in haar + [np.eye(2), X, H, S, skewed]:
+        absv = np.abs(v)
+        p, q = max(absv[0, 0], absv[1, 1]), max(absv[0, 1], absv[1, 0])
+        tau, r2 = np.arctan2(q, p), p * p + q * q
+        bound = 1.0 - (norm2 + np.sum(mags * absv.ravel(), axis=1) ** 2) / 6.0
+        for rows in 2 ** np.arange(4, 16):
+            lo, hi, floor = calib1q._window(psi, peaks, absv.ravel(), int(rows))
+            assert hi - lo == rows and lo <= np.searchsorted(psi, tau) <= hi
+            outside = np.r_[0:lo, hi:psi.size]
+            delta = np.abs(psi[outside] - tau).min()
+            want = 1.0 - (peaks[0] + peaks[1] * r2 * np.cos(delta) ** 2) / 6.0
+            assert abs(floor - want) <= 1e-15
+            assert bound[outside].min() >= floor - calib1q._TIE
+        assert calib1q._window(psi, peaks, absv.ravel(), psi.size)[2] == np.inf
 
 
 @pytest.mark.parametrize("n_pulses", [2, 3])
@@ -452,7 +519,7 @@ def test_opt_search_scores_exactly_the_cells_of_each_tuple(ry_bitstream_hi, spec
     n, fold = 15, 0.9
     cal = calibrate_qubit(spec_hi.with_drift(-6e6), [ry_bitstream_hi], n_max=n)
     eng = cal.opt_engine
-    _, _, mags, first, last, *offsets = eng._table(n_pulses)
+    _, _, mags, _, _, first, last, *offsets = eng._table(n_pulses)
     tuples = [(0, *(int(o[k]) for o in offsets)) for k in range(first.size)]
     assert len(set(tuples)) == len(tuples) and set(tuples) == _offsets_with_a_cell(n, n_pulses)
     assert first.tolist() == [-min(o) for o in tuples]
