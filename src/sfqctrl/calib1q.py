@@ -65,7 +65,7 @@ from sfqctrl.transmon import (
     checked_target,
     level_energies,
     phase_gate,
-    projected_fidelity,
+    projected_errors,
     ry,
     rz,
     unitarity_defect,
@@ -159,12 +159,17 @@ def calibrate_qubit(
     stream length, so all streams must share one length and clock period.
     Opt takes exactly one stream.  Min takes 2 to 4, the alphabets its
     search caps are sized for, and one of them must be all zeros (the idle
-    step).  These checks, like the architecture's, come before any
-    simulation.
+    step).  These checks, like the architecture's and the one that
+    ``shared_bitstreams`` is a list or tuple of ``Bitstream``, come before
+    any simulation.
     """
     if arch not in ("opt", "min"):
         raise ValueError(f"arch must be 'opt' or 'min', got {arch!r}")
     qubit_id, n_max = checked_int("qubit_id", qubit_id, 0), checked_int("n_max", n_max, 1)
+    if (not isinstance(shared_bitstreams, (list, tuple))
+            or not all(isinstance(bs, Bitstream) for bs in shared_bitstreams)):
+        raise ValueError(f"shared_bitstreams must be a list or tuple of Bitstream, got "
+                         f"{type(shared_bitstreams).__name__}")
     if not shared_bitstreams:
         raise CalibrationError("at least one shared bitstream is required")
     first = shared_bitstreams[0]
@@ -269,8 +274,7 @@ def _fixed_errors(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 1.0 - (norm2 + np.abs(tr) ** 2) / 6.0
 
 
-_FIRST_CHUNK = 4096  # divided by n_max + 1: tuples in the first chunk; each next one doubles
-_WINDOW = 4096  # rows of the first psi slice and rank window; each next one doubles
+_WINDOW = 4096  # rows of the first psi slice, and over n_max + 1 tuples of the first chunk
 _TIE = 1e-12  # above the float error of a bound and the width of a rounded-error tie
 
 
@@ -305,7 +309,8 @@ class _OptEngine:
     """Exact delay-tuple search over one qubit's stream unitary.
 
     Every pulse count L = 1..3 visits its delay tuples in increasing order
-    of a lower bound on their errors and stops before the first chunk
+    of a lower bound on their errors, in chunks of 16, 32, 64, ... tuples
+    at n_max = 255 (``_bound_order``), and stops before the first chunk
     whose bound lies above the lowest error found + margin, so it returns
     the list scoring all (n_max + 1)^L tuples would give: every tuple
     within margin of the lowest error or tied with it at 14 decimals (which
@@ -337,21 +342,17 @@ class _OptEngine:
         self._tables: dict[int, tuple[np.ndarray, ...]] = {}
         self.counts = np.zeros(3, dtype=int)  # tuples bounded, chunks and cells scored
 
-    @cached_property
-    def t2_rows(self) -> np.ndarray:
-        """P @ U6 @ K(cycle + delta) @ U6 over all deltas: (511, 2, 6)."""
-        return np.einsum("ij,dj,jk->dik", self.pu, self.k_deltas, self.u6, optimize=True)
-
     def _table(self, n_pulses: int) -> tuple[np.ndarray, ...]:
         """(E, |E|^2, |E|, psi, peaks, first, last, o_2..o_L) of each tuple with a cell, in
         psi order, read-only; ``peaks`` is (max |E|^2, max rho^2)."""
         if n_pulses not in self._tables:
             if n_pulses == 1:
                 blocks, offsets = self.pu[None, :, :2], []
-            elif n_pulses == 2:
-                blocks, offsets = self.t2_rows[..., :2], [self.deltas]
-            else:  # blocks[delta_1, delta_2] = t2_rows[delta_2] @ K(cycle + delta_1) U6 P
-                blocks = np.einsum("eij,cjk->ceik", self.t2_rows,
+            else:  # rows[delta] = P U6 K(cycle + delta) U6 over all deltas, (511, 2, 6)
+                rows = np.einsum("ij,dj,jk->dik", self.pu, self.k_deltas, self.u6, optimize=True)
+                blocks, offsets = rows[..., :2], [self.deltas]
+            if n_pulses == 3:  # blocks[delta_1, delta_2] = rows[delta_2] @ K(cycle + delta_1) U6 P
+                blocks = np.einsum("eij,cjk->ceik", rows,
                                    self.k_deltas[:, :, None] * self.u6[:, :2], optimize=True)
                 offsets = [self.deltas[:, None], self.deltas[:, None] + self.deltas]
             o = np.array([np.broadcast_to(x, blocks.shape[:-2]).ravel() for x in [0, *offsets]],
@@ -373,22 +374,20 @@ class _OptEngine:
                 x.setflags(write=False)
         return self._tables[n_pulses]
 
-    def _bound_order(self, n_pulses: int, absv: np.ndarray, size: int):
+    def _bound_order(self, n_pulses: int, absv: np.ndarray):
         """Yield (rows, bounds) chunks of the table, each row once, in increasing bound order.
 
-        Chunks hold the next ``size`` lowest bounds of the table, then twice as
-        many, each cut at the end of a rank window (``_WINDOW`` ranks, then
-        twice as many).  Only the ``_window`` slice is bounded, of ``_WINDOW``
+        Each chunk holds the next lowest bounds of the table: max(1, ``_WINDOW``
+        // (n_max + 1)) of them, then twice as many each time, the last chunk
+        what is left.  Only the ``_window`` slice is bounded, of ``_WINDOW``
         rows, then twice as many until a chunk lies ``_TIE`` below its floor.
         """
         _, norm2, mags, psi, peaks = self._table(n_pulses)[:5]
-        n, done, cut, window, width = psi.size, 0, 0, _WINDOW, _WINDOW
+        n, done, size, width = psi.size, 0, max(1, _WINDOW // (self.n_max + 1)), _WINDOW
         lo, hi, floor = _window(psi, peaks, absv, 0)
         rest, bound = np.zeros(0, dtype=int), np.zeros(0)  # the slice's rows left, ranked
         while done < n:
-            if done == cut:
-                cut, window = min(cut + window, n), 2 * window
-            k, size = min(done + size, cut) - done, 2 * size
+            k, size = min(size, n - done), 2 * size
             while np.searchsorted(bound, floor - _TIE, side="right") < k:
                 a, b, floor = _window(psi, peaks, absv, width)
                 new, lo, hi, width = np.r_[a:lo, hi:b], a, b, 2 * width
@@ -410,13 +409,13 @@ class _OptEngine:
         bound 1 - (|E|^2 + (|a0| + |a1| + |b0| + |b1|)^2) / 6, itself at
         least F (``_OptEngine``) for rows far from tau in psi, so only rows
         near tau are bounded.  Only the cells of the chunks from
-        ``_bound_order`` are scored, until a chunk's first bound lies above
-        the lowest error so far + ``margin`` + ``_TIE``.  Each keeps what
-        lies that close to the running lowest, which never rises, and the
-        list what lies within ``margin`` of the final one or ties it at 14
-        decimals.  ``residual_phase`` is the trailing z less theta_L, the
-        qubit phase at the last application's start: the frame
-        ``Decomposition1Q`` states.
+        ``_bound_order``, each twice the last, are scored, until a chunk's
+        first bound lies above the lowest error so far + ``margin`` +
+        ``_TIE``.  Each keeps what lies that close to the running lowest,
+        which never rises, and the list what lies within ``margin`` of the
+        final one or ties it at 14 decimals, however the chunks are cut.
+        ``residual_phase`` is the trailing z less theta_L, the qubit phase at
+        the last application's start: the frame ``Decomposition1Q`` states.
         """
         if n_pulses == 0:  # no pulses: theta_0 = 0
             errs, a, b = _score_free_trailing(np.diag([1, np.exp(-1j * fold)])[None], 1, [1.0], v)
@@ -425,8 +424,7 @@ class _OptEngine:
         z = np.exp(-1j * (fold + self.phi_d))  # lead phase by d_1
         theta = (n_pulses - 1) * (self.phi1 * self.cycle) + self.phi_d  # by d_L
         low, kept = np.inf, []
-        for at, bound in self._bound_order(n_pulses, np.abs(v).ravel(),
-                                           max(1, _FIRST_CHUNK // z.size)):
+        for at, bound in self._bound_order(n_pulses, np.abs(v).ravel()):
             if bound[0] > low + margin + _TIE:
                 break
             span = last[at] - first[at] + 1  # cells d_1 = first..last of each tuple
@@ -882,4 +880,4 @@ def recompose_error(cal: QubitCalibration, dec: Decomposition1Q,
     residual = checked_finite("dec.residual_phase", dec.residual_phase)
     frame = phase_gate(residual if dec.kind == "opt" else -residual)
     framed = frame @ _lowered_block(cal, dec.steps) @ phase_gate(-fold_phase)
-    return max(projected_fidelity(framed, v).error, 0.0)
+    return max(float(projected_errors(framed, v)), 0.0)

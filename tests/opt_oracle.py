@@ -57,18 +57,20 @@ def grid_errors(e_core, z, v):
 def brute_force_chunks(eng, v, fold, n_pulses):
     """Yield (errs, ds): every delay tuple of ``n_pulses`` pulses, scored.
 
-    One pulse is the single block P U6 P, two are the rows of ``t2_rows``
-    over delta_1, three come in 16-delta_1 slices of ``t2_rows`` against
-    K(cycle + delta_1) U6; each tuple is scored at every d_1.  ``ds`` holds
-    d_1..d_L in the shape of ``errs``; tuples outside [0, n_max] score inf.
+    One pulse is the single block P U6 P, two are the rows t2 = P U6
+    K(cycle + delta) U6 over delta_1, built here by the engine's ``einsum``,
+    three come in 16-delta_1 slices of t2 against K(cycle + delta_1) U6;
+    each tuple is scored at every d_1.  ``ds`` holds d_1..d_L in the shape
+    of ``errs``; tuples outside [0, n_max] score inf.
     """
     z = np.exp(-1j * (fold + eng.phi_d))
+    t2 = np.einsum("ij,dj,jk->dik", eng.pu, eng.k_deltas, eng.u6, optimize=True)
     if n_pulses == 1:
         parts = [(eng.pu[None], [])]
     elif n_pulses == 2:
-        parts = [(eng.t2_rows, [eng.deltas])]
+        parts = [(t2, [eng.deltas])]
     else:
-        parts = ((np.einsum("eij,cjk->ecik", eng.t2_rows,
+        parts = ((np.einsum("eij,cjk->ecik", t2,
                             eng.k_deltas[lo:lo + 16, :, None] * eng.u6, optimize=True),
                   [eng.deltas, eng.deltas[lo:lo + 16]])
                  for lo in range(0, len(eng.deltas), 16))

@@ -134,6 +134,10 @@ CASES = [
      [*BAD_INT, 0, -1]),
     (calibrate_qubit, "arch", lambda x: calibrate_qubit(SPEC, [STREAM], arch=x),
      ["mid", "OPT", None]),
+    (calibrate_qubit, "shared_bitstreams", lambda x: calibrate_qubit(SPEC, x),
+     [STREAM, "101", [STREAM, "x"], [STREAM.bits], None]),
+    (calibrate_qubit, "shared_bitstreams",  # a generator of streams
+     lambda x: calibrate_qubit(SPEC, (bs for bs in x)), [[STREAM]]),
     (min_basis_targets, "cycle_phase", lambda x: min_basis_targets(x, 2), BAD_REAL),
     (min_basis_targets, "bs", lambda x: min_basis_targets(0.0, x), [*BAD_INT, 1, 5]),
     (design_min_bitstreams, "bs", lambda x: design_min_bitstreams(SPEC, x), [*BAD_INT, 1, 5]),

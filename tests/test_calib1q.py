@@ -227,7 +227,8 @@ def _synthetic_two_pulse_search(monkeypatch, spec, stream, bounds, errs, offsets
 
     Tuple k has bound ``bounds[k]``, offset o_2 = ``offsets[k]`` and errors
     ``errs[k]`` at d_1 = 0 and 1, its only cells; the scorer returns them
-    (trailing terms a = b = 1).  Chunks hold 1, 2, 4, ... tuples.
+    (trailing terms a = b = 1).  A ``_WINDOW`` of 8 rows makes chunks of
+    8 // (n_max + 1) = 1, 2, 4, ... tuples.
     Returns (search result, the tuples each scorer call got).
     """
     eng = calibrate_qubit(spec, [stream], n_max=7).opt_engine
@@ -246,7 +247,7 @@ def _synthetic_two_pulse_search(monkeypatch, spec, stream, bounds, errs, offsets
         return out, np.ones(out.size, complex), np.ones(out.size, complex)
 
     monkeypatch.setattr(calib1q, "_score_free_trailing", scorer)
-    monkeypatch.setattr(calib1q, "_FIRST_CHUNK", 1)
+    monkeypatch.setattr(calib1q, "_WINDOW", 8)
     found = eng.search(H, 0.0, 2, margin)
     return [t[:2] for t in found], scored
 
@@ -341,15 +342,13 @@ def test_opt_engine_reuse_equals_fresh_calibrations(ry_bitstream_hi, spec_hi, ha
                 x[...] = 0
 
 
-@pytest.mark.parametrize("window, first_chunk", [(1, 4096), (5, 16)])
+@pytest.mark.parametrize("window", [1, 40])
 def test_opt_search_across_windows_matches_brute_force(ry_bitstream_hi, spec_hi, haar_su2,
-                                                       monkeypatch, window, first_chunk):
-    # at n_max = 15 all 721 three-pulse tuples fit in the first psi slice
-    # and rank window of 4096; slices and windows of a few tuples, cut into
-    # chunks of 1, 2, 4, ... tuples by the smaller first chunk, make every
-    # search cross window boundaries
+                                                       monkeypatch, window):
+    # at n_max = 15 all 721 three-pulse tuples fit in the first psi slice of
+    # 4096 rows; slices of 1 or 40 rows, with first chunks of max(1, window
+    # // 16) = 1 or 2 tuples, make every search grow its slice many times
     monkeypatch.setattr(calib1q, "_WINDOW", window)
-    monkeypatch.setattr(calib1q, "_FIRST_CHUNK", first_chunk)
     cal = calibrate_qubit(spec_hi.with_drift(-6e6), [ry_bitstream_hi], n_max=15)
     rng = np.random.default_rng(5)
     for _ in range(4):
@@ -363,8 +362,8 @@ def _recording_bound_order(monkeypatch):
     """Record every index chunk ``_OptEngine._bound_order`` yields to the search."""
     yielded, bound_order = [], calib1q._OptEngine._bound_order
 
-    def recording(eng, n_pulses, absv, size):
-        for at, bound in bound_order(eng, n_pulses, absv, size):
+    def recording(eng, n_pulses, absv):
+        for at, bound in bound_order(eng, n_pulses, absv):
             yielded.append(at)
             yield at, bound
 
@@ -386,10 +385,9 @@ def test_opt_search_visits_each_tuple_once_in_bound_order(ry_bitstream_hi, spec_
     # visited exactly once, in increasing order of its bound (recomputed
     # from plain products), each bound is at most its tuple's errors (up to
     # the float slack the stop allows), and the list holds every delay tuple
-    # in [0, n]^L once, ranked; the chunks hold 1, 2, 4, ... tuples, cut at
-    # the ends of rank windows of 5, 10, 20, ... tuples
+    # in [0, n]^L once, ranked; the chunks hold 1, 2, 4, ... tuples, the
+    # last what is left, while the psi slice grows from 5 rows
     monkeypatch.setattr(calib1q, "_WINDOW", 5)
-    monkeypatch.setattr(calib1q, "_FIRST_CHUNK", 16)
     yielded = _recording_bound_order(monkeypatch)
     n, tie = 15, calib1q._TIE
     cal = calibrate_qubit(spec_hi.with_drift(3e6), [ry_bitstream_hi], n_max=n)
@@ -397,8 +395,8 @@ def test_opt_search_visits_each_tuple_once_in_bound_order(ry_bitstream_hi, spec_
     found = cal.opt_engine.search(v, 0.9, n_pulses, margin=10.0)
     visited = np.concatenate(yielded)
     assert sorted(visited) == list(range(len(visited)))
-    assert [len(at) for at in yielded] == {1: [1], 2: [1, 2, 2, 8, 2, 16],
-                                           3: [1, 2, 2, 8, 2, 20, 40, 80, 160, 320, 86]}[n_pulses]
+    assert [len(at) for at in yielded] == {1: [1], 2: [1, 2, 4, 8, 16],
+                                           3: [1, 2, 4, 8, 16, 32, 64, 128, 256, 210]}[n_pulses]
     offsets = cal.opt_engine._table(n_pulses)[7:]
     visited_offsets = [(0, *(int(o[k]) for o in offsets)) for k in visited]
     assert sorted(visited_offsets) == sorted(_offsets_with_a_cell(n, n_pulses))
@@ -419,7 +417,8 @@ def test_opt_search_visits_each_tuple_once_in_bound_order(ry_bitstream_hi, spec_
 def test_opt_search_scores_no_chunk_above_the_stop(three_pulse_gate, monkeypatch):
     # the search reads a chunk's first bound before scoring it: every scored
     # chunk starts at most _TIE above the lowest error so far + margin, and
-    # the one chunk yielded after the last scored one starts above it
+    # the one chunk yielded after the last scored one starts above it; at
+    # n_max = 255 chunk k holds 16 * 2^k tuples, a last one at the table's end fewer
     cal, v = three_pulse_gate
     yielded, scored = _recording_bound_order(monkeypatch), []
     score = calib1q._score_free_trailing
@@ -433,6 +432,9 @@ def test_opt_search_scores_no_chunk_above_the_stop(three_pulse_gate, monkeypatch
     norm2, mags = cal.opt_engine._table(3)[1:3]
     bound = 1.0 - (norm2 + (mags @ np.abs(v).ravel()) ** 2) / 6.0
     assert len(scored) == len(yielded) - 1 > 1
+    sizes = [at.size for at in yielded]
+    assert sizes[:-1] == [16 * 2 ** k for k in range(len(sizes) - 1)]
+    assert sizes[-1] == 16 * 2 ** (len(sizes) - 1) or sum(sizes) == norm2.size
     lows = np.minimum.accumulate([errs.min() for errs, _, _ in scored])
     for k, at in enumerate(yielded[1:-1], start=1):
         assert bound[at[0]] <= lows[k - 1] + MARGIN + calib1q._TIE
@@ -508,7 +510,6 @@ def test_opt_search_scores_exactly_the_cells_of_each_tuple(ry_bitstream_hi, spec
     # tuple in turn, each d_1 told by its lead phase, and the cells of all
     # chunks are the delay tuples of [0, n]^L, each once
     monkeypatch.setattr(calib1q, "_WINDOW", 5)
-    monkeypatch.setattr(calib1q, "_FIRST_CHUNK", 16)
     yielded, handed, score = _recording_bound_order(monkeypatch), [], calib1q._score_free_trailing
 
     def recording(e_core, span, z, v):
